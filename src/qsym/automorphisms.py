@@ -6,11 +6,17 @@ the downstream pair searches trivially correct.  That is fine at desk
 scale -- the search is pruned by degree and neighbour-degree profiles and
 counts its nodes against a budget, raising :class:`SizeLimitExceeded`
 rather than silently hanging on a pathological input.
+
+One search node is one unused, profile-compatible candidate image at a
+level of the backtracking, counted before the adjacency test.  That count
+is what ``--budget`` caps; it depends only on the graph, never on the
+machine.  Candidate sets are bitmasks over the vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -133,6 +139,29 @@ class AutomorphismSet:
     def nontrivial(self) -> tuple[Permutation, ...]:
         return tuple(p for p in self.elements if not p.is_identity)
 
+    @cached_property
+    def distinct_supports(self) -> tuple[tuple[int, Permutation], ...]:
+        """Non-identity elements as ``(support mask, element)``, ordered by
+        (support size, discovery order) and de-duplicated by support set
+        keeping the earliest representative.
+
+        The pair predicates depend only on supports, so searching over
+        these representatives returns the same first witness as searching
+        over all elements, just without the quadratic blow-up on very
+        symmetric graphs.  Computed once per group, on first use.
+        """
+        ranked = sorted(
+            ((p.support_mask(), p) for p in self.nontrivial()),
+            key=lambda item: item[0].bit_count(),
+        )
+        seen: set[int] = set()
+        out = []
+        for mask, p in ranked:
+            if mask not in seen:
+                seen.add(mask)
+                out.append((mask, p))
+        return tuple(out)
+
 
 def automorphisms(g: Graph, node_budget: int | None = None) -> AutomorphismSet:
     """Enumerate Aut(g) completely.
@@ -140,24 +169,39 @@ def automorphisms(g: Graph, node_budget: int | None = None) -> AutomorphismSet:
     Backtracks over vertices in index order; a vertex may only map to
     vertices with the same degree and the same sorted multiset of
     neighbour degrees, and partial maps must already preserve adjacency.
-    Every candidate tried costs one node against ``node_budget``
-    (default :data:`DEFAULT_NODE_BUDGET`); :class:`SizeLimitExceeded` is
-    raised when the budget runs out, so a caller never gets a silently
-    truncated group.
+
+    One search node is one unused, profile-compatible candidate at a
+    level, counted before the adjacency test: at each level the whole
+    candidate set is charged at once, then filtered against the images
+    of the earlier vertices.  When the running total exceeds
+    ``node_budget`` (default :data:`DEFAULT_NODE_BUDGET`)
+    :class:`SizeLimitExceeded` is raised, so a caller never gets a
+    silently truncated group.  This count is the ``--budget`` contract.
     """
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     n = g.n
     if n == 0:
         return AutomorphismSet(elements=(Permutation(()),))
+    bits = g._bits
+    degrees = g.degree_sequence
     profile = [
-        (g.degree(v), tuple(sorted(g.degree(u) for u in g.neighbors(v))))
+        (degrees[v], tuple(sorted(degrees[u] for u in range(n) if bits[v] >> u & 1)))
         for v in range(n)
     ]
-    candidates = [
-        tuple(w for w in range(n) if profile[w] == profile[v]) for v in range(n)
+    cand_mask = [
+        sum(1 << w for w in range(n) if profile[w] == profile[v]) for v in range(n)
+    ]
+    # the earlier vertices adjacent, and not adjacent, to each vertex: the
+    # image of v must be adjacent to the images of the first and to none
+    # of the images of the second
+    earlier_adjacent = [
+        tuple(u for u in range(v) if bits[v] >> u & 1) for v in range(n)
+    ]
+    earlier_apart = [
+        tuple(u for u in range(v) if not bits[v] >> u & 1) for v in range(n)
     ]
     found: list[Permutation] = []
-    images: list[int] = []
+    images = [0] * n
     used = 0
     nodes = 0
 
@@ -166,23 +210,21 @@ def automorphisms(g: Graph, node_budget: int | None = None) -> AutomorphismSet:
         if v == n:
             found.append(Permutation(tuple(images)))
             return
-        nbrs_image = 0
-        for u in range(v):
-            if g.adj[v, u]:
-                nbrs_image |= 1 << images[u]
-        for w in candidates[v]:
-            if used >> w & 1:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise SizeLimitExceeded(budget)
-            if (g.neighbor_mask(w) & used) != nbrs_image:
-                continue
-            images.append(w)
-            used |= 1 << w
+        free = cand_mask[v] & ~used
+        nodes += free.bit_count()
+        if nodes > budget:
+            raise SizeLimitExceeded(budget)
+        for u in earlier_adjacent[v]:
+            free &= bits[images[u]]
+        for u in earlier_apart[v]:
+            free &= ~bits[images[u]]
+        while free:
+            low = free & -free
+            images[v] = low.bit_length() - 1
+            used |= low
             extend(v + 1)
-            images.pop()
-            used &= ~(1 << w)
+            used ^= low
+            free ^= low
 
     extend(0)
     return AutomorphismSet(elements=tuple(found))
@@ -215,30 +257,6 @@ def _edge_between(g: Graph, mask_a: int, mask_b: int) -> bool:
     return False
 
 
-def _sorted_distinct_supports(
-    auts: AutomorphismSet,
-) -> list[tuple[int, Permutation]]:
-    """Non-identity elements ordered by (support size, discovery order),
-    de-duplicated by support set keeping the earliest representative.
-
-    The pair predicates below depend only on supports, so searching over
-    these representatives returns the same first witness as searching
-    over all elements, just without the quadratic blow-up on very
-    symmetric graphs.
-    """
-    ranked = sorted(
-        ((p.support_mask(), p) for p in auts.nontrivial()),
-        key=lambda item: item[0].bit_count(),
-    )
-    seen: set[int] = set()
-    out = []
-    for mask, p in ranked:
-        if mask not in seen:
-            seen.add(mask)
-            out.append((mask, p))
-    return out
-
-
 def order_pair(
     a: Permutation, b: Permutation
 ) -> tuple[Permutation, Permutation]:
@@ -266,7 +284,7 @@ def find_disjoint_pair(
     """
     if auts is None:
         auts = automorphisms(g, node_budget=node_budget)
-    reps = _sorted_distinct_supports(auts)
+    reps = auts.distinct_supports
     for i in range(len(reps)):
         mask_a, a = reps[i]
         for j in range(i + 1, len(reps)):
@@ -285,7 +303,7 @@ def find_edge_free_disjoint_pair(
     may join the two supports."""
     if auts is None:
         auts = automorphisms(g, node_budget=node_budget)
-    reps = _sorted_distinct_supports(auts)
+    reps = auts.distinct_supports
     for i in range(len(reps)):
         mask_a, a = reps[i]
         for j in range(i + 1, len(reps)):

@@ -26,7 +26,6 @@ import numpy as np
 from . import products
 from .automorphisms import (
     _edge_between,
-    _sorted_distinct_supports,
     automorphisms,
     find_disjoint_pair,
     find_edge_free_disjoint_pair,
@@ -299,7 +298,7 @@ def check_forest_dichotomy(n_max: int) -> CensusResult:
         for idx, f in enumerate(enumerate_forests(n)):
             forests += 1
             trees += is_tree(f)
-            supports = _sorted_distinct_supports(automorphisms(f))
+            supports = automorphisms(f).distinct_supports
             has_disjoint = has_edge_free = False
             crossing = 0
             for i in range(len(supports)):

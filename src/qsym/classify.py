@@ -28,6 +28,7 @@ import time
 from dataclasses import dataclass, field
 
 from .automorphisms import (
+    AutomorphismSet,
     Permutation,
     _edge_between,
     automorphisms,
@@ -39,8 +40,8 @@ from .automorphisms import (
 from .errors import QsymError, SizeLimitExceeded
 from .graphs import Graph, complement, contains_quadrangle, is_connected, is_forest
 from .products import PRODUCT_KINDS
+from .reduction import BlockStructure, strip_high_degree_fixpoint, zero_pattern
 from .reduction import blocks as pattern_blocks
-from .reduction import strip_high_degree_fixpoint, zero_pattern
 
 TARGET_BIC = "bic"
 TARGET_BAN = "ban"
@@ -374,15 +375,32 @@ class Report:
 
 
 class _Ctx:
+    """Per-graph facts computed at most once and shared by both pipelines."""
+
     def __init__(self, g: Graph, node_budget: int | None):
         self.g = g
         self.node_budget = node_budget
         self.trace: list[str] = []
         self.notes: list[str] = []
-        self._auts = None
+        self._auts: AutomorphismSet | None = None
         self._auts_failed = False
         self._qf: bool | None = None
         self._qfc: bool | None = None
+        self._blocks = None
+
+    def for_complement(self, gc: Graph) -> "_Ctx":
+        """A fresh context for the complement of ``self.g``.
+
+        Aut(G) = Aut(Gᶜ), and the search lists a group in lexicographic
+        order of image tuples, so a completed listing of Aut(G) is the
+        exact element tuple the complement's own search would produce.
+        The degree profiles of Gᶜ follow from those of G, so that search
+        would also spend the same number of nodes, and the budget decides
+        both graphs alike.  The two quadrangle tests swap roles."""
+        ctx = _Ctx(gc, self.node_budget)
+        ctx._auts = self._auts
+        ctx._qf, ctx._qfc = self._qfc, self._qf
+        return ctx
 
     def log(self, target: str, rule: str, outcome: str) -> None:
         self.trace.append(f"{target} {rule}: {outcome}")
@@ -397,14 +415,11 @@ class _Ctx:
             self._qfc = not contains_quadrangle(complement(self.g))
         return self._qfc
 
-    def auts(self):
+    def auts(self) -> AutomorphismSet | None:
         """Full automorphism list, or None if the node budget ran out."""
         if self._auts is None and not self._auts_failed:
             try:
-                if self.node_budget is None:
-                    self._auts = automorphisms(self.g)
-                else:
-                    self._auts = automorphisms(self.g, node_budget=self.node_budget)
+                self._auts = automorphisms(self.g, node_budget=self.node_budget)
             except SizeLimitExceeded as exc:
                 self._auts_failed = True
                 self.notes.append(
@@ -412,6 +427,12 @@ class _Ctx:
                     f"{exc.budget} search nodes; some rules were skipped"
                 )
         return self._auts
+
+    def blocks(self) -> BlockStructure:
+        """Blocks of the forced-zero pattern, shared by both R-BLOCKS checks."""
+        if self._blocks is None:
+            self._blocks = pattern_blocks(zero_pattern(self.g))
+        return self._blocks
 
     @property
     def budget_hit(self) -> bool:
@@ -531,8 +552,7 @@ def _bic_pipeline(ctx: _Ctx) -> Verdict:
     if pair is None:
         auts = ctx.auts()
         if auts is not None:
-            budget = ctx.node_budget if ctx.node_budget is not None else 10_000_000
-            pair = find_edge_free_disjoint_pair(g, node_budget=budget, auts=auts)
+            pair = find_edge_free_disjoint_pair(g, auts=auts)
         elif ctx.budget_hit:
             ctx.log(t, R_BIC_1, "skipped (budget exhausted)")
             pair = None
@@ -567,7 +587,7 @@ def _bic_pipeline(ctx: _Ctx) -> Verdict:
                 witness = tw[0]
             else:
                 try:
-                    inner_auts = automorphisms(attachment, node_budget=ctx.node_budget or 10_000_000)
+                    inner_auts = automorphisms(attachment, node_budget=ctx.node_budget)
                     nontrivial = inner_auts.nontrivial()
                     witness = nontrivial[0] if nontrivial else None
                 except SizeLimitExceeded:
@@ -614,7 +634,7 @@ def _bic_pipeline(ctx: _Ctx) -> Verdict:
     else:
         ctx.log(t, R_STRIP, "nothing to strip")
 
-    part = pattern_blocks(zero_pattern(g))
+    part = ctx.blocks()
     if _blocks_small_enough(part.sizes):
         ctx.log(t, R_BLOCKS, f"fired (block sizes {sorted(part.sizes)})")
         return Verdict(
@@ -638,8 +658,7 @@ def _ban_pipeline(ctx: _Ctx) -> Verdict:
     if pair is None:
         auts = ctx.auts()
         if auts is not None:
-            budget = ctx.node_budget if ctx.node_budget is not None else 10_000_000
-            pair = find_disjoint_pair(g, node_budget=budget, auts=auts)
+            pair = find_disjoint_pair(g, auts=auts)
         elif ctx.budget_hit:
             ctx.log(t, R_BAN_1, "skipped (budget exhausted)")
             pair = None
@@ -661,7 +680,7 @@ def _ban_pipeline(ctx: _Ctx) -> Verdict:
             Citation.of(R_FOREST),
         )
 
-    part = pattern_blocks(zero_pattern(g))
+    part = ctx.blocks()
     if _blocks_small_enough(part.sizes):
         ctx.log(t, R_BLOCKS, f"fired (block sizes {sorted(part.sizes)})")
         return Verdict(
@@ -737,14 +756,17 @@ def classify(g: Graph, node_budget: int | None = None) -> Report:
     affected rules are skipped and the verdict may degrade to Unknown
     (recorded in the report's notes).
     """
+    return _classify(_Ctx(g, node_budget))
+
+
+def _classify(ctx: _Ctx) -> Report:
     started = time.perf_counter()
-    ctx = _Ctx(g, node_budget)
     bic = _bic_pipeline(ctx)
     ban = _ban_pipeline(ctx)
     bic, ban = _transfer(ctx, bic, ban)
     elapsed = (time.perf_counter() - started) * 1000.0
     return Report(
-        graph=g,
+        graph=ctx.g,
         bic=bic,
         ban=ban,
         bic_complement=None,
@@ -761,9 +783,16 @@ def classify_with_complement(g: Graph, node_budget: int | None = None) -> Report
     its complement is quadrangle-free, the coarse algebra is commutative
     too (it is complement-invariant), which upgrades an Unknown coarse
     verdict and flags the graph as having no quantum symmetry at all.
+
+    Aut(G) = Aut(Gᶜ): when the pass over ``g`` listed its automorphism
+    group, the complement's pass reuses it instead of searching again.
+    If that listing never ran or ran out of budget, the complement
+    searches on its own.
     """
-    base = classify(g, node_budget=node_budget)
-    comp = classify(complement(g), node_budget=node_budget)
+    ctx = _Ctx(g, node_budget)
+    base = _classify(ctx)
+    comp_ctx = ctx.for_complement(complement(g))
+    comp = _classify(comp_ctx)
     bic_complement = Verdict(
         TARGET_BIC_COMPLEMENT,
         comp.bic.status,
@@ -777,8 +806,8 @@ def classify_with_complement(g: Graph, node_budget: int | None = None) -> Report
         base.bic.status is Status.COMMUTATIVE
         and comp.bic.status is Status.COMMUTATIVE
     )
-    g_qf = not contains_quadrangle(g)
-    comp_qf = not contains_quadrangle(complement(g))
+    g_qf = ctx.quadrangle_free()
+    comp_qf = comp_ctx.quadrangle_free()
     if both_commutative and (g_qf or comp_qf):
         if ban.status is Status.UNKNOWN:
             cert: Certificate = (

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from qsym import (
     Graph,
     build,
+    cartesian,
     complement,
     complete,
     complete_bipartite,
@@ -60,6 +61,14 @@ def small_corpus() -> list[Graph]:
     ]
     out.extend([complement(cycle(5)), complement(complete_bipartite(3, 3))])
     return out
+
+
+def hypercube(d: int) -> Graph:
+    """Q_d as an iterated cartesian product of K2 (provenance kept)."""
+    g = complete(2)
+    for _ in range(d - 1):
+        g = cartesian(g, complete(2))
+    return g
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ from qsym import (
     Permutation,
     automorphisms,
     build,
+    cartesian,
     complement,
     complete,
     cycle,
@@ -23,9 +24,10 @@ from qsym import (
     support,
 )
 from qsym.automorphisms import twin_transpositions
+from qsym.census import SplitMix64, random_graph
 from qsym.errors import LengthMismatch, OutOfRange, SizeLimitExceeded
 
-from .conftest import graphs, small_corpus
+from .conftest import graphs, hypercube, small_corpus
 
 # ---------------------------------------------------------------------------
 # brute-force oracle
@@ -132,6 +134,45 @@ def test_budget_error_carries_budget():
         automorphisms(edgeless(9), node_budget=50)
     except SizeLimitExceeded as err:
         assert err.budget == 50
+
+
+@pytest.mark.parametrize(
+    "g, nodes",
+    [
+        pytest.param(hypercube(4), 31_296, id="Q4"),
+        # a complement's profiles follow from the graph's: same search tree
+        pytest.param(complement(hypercube(4)), 31_296, id="Q4c"),
+        pytest.param(cartesian(complete(4), complete(4)), 60_544, id="K4xK4"),
+        pytest.param(edgeless(7), 13_699, id="edgeless7"),
+        pytest.param(cycle(12), 1_464, id="C12"),
+    ],
+)
+def test_node_accounting_is_pinned(g, nodes):
+    # one node is one unused, profile-compatible candidate at a level,
+    # counted before the adjacency test; these totals are the --budget
+    # contract, so a faster search must reproduce them exactly
+    assert automorphisms(g, node_budget=nodes).order > 1
+    with pytest.raises(SizeLimitExceeded):
+        automorphisms(g, node_budget=nodes - 1)
+
+
+def test_enumeration_is_the_lexicographic_oracle_list():
+    # the census oracle corpus: every graph of order <= 6 among the first
+    # 200 draws of seed 0x5EED, against all n! permutations in order
+    rng = SplitMix64(0x5EED)
+    checked = 0
+    for _ in range(200):
+        g = random_graph(rng)
+        if g.n > 6:
+            continue
+        expected = [
+            p
+            for p in map(Permutation, itertools.permutations(range(g.n)))
+            if is_automorphism(g, p)
+        ]
+        assert automorphisms(g).elements == tuple(expected), g
+        checked += 1
+    assert checked > 50
 
 
 # ---------------------------------------------------------------------------

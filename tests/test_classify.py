@@ -6,6 +6,8 @@ certificates, no inconsistent verdict pairs, and agreement of the two
 targets on quadrangle-free inputs.
 """
 
+import importlib
+
 import pytest
 from hypothesis import given, settings
 
@@ -30,7 +32,14 @@ from qsym.classify import (
     verify_certificate,
 )
 from qsym.errors import QsymError
-from qsym.gallery import c4pn_graph, cherry2_graph, fig7_graph, sc_graph, t0_graph
+from qsym.gallery import (
+    c4pn_graph,
+    cherry2_graph,
+    fig7_graph,
+    gallery,
+    sc_graph,
+    t0_graph,
+)
 from qsym.graphs import (
     build,
     complement,
@@ -44,7 +53,7 @@ from qsym.graphs import (
 )
 from qsym.products import cartesian, corona, direct
 
-from .conftest import graphs, small_corpus
+from .conftest import graphs, hypercube, small_corpus
 
 C = Status.COMMUTATIVE
 NC = Status.NONCOMMUTATIVE
@@ -239,6 +248,72 @@ def test_complement_report_on_self_complementary():
     assert rep.bic_complement.status is NC
 
 
+def _petersen():
+    return build(
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)],
+    )
+
+
+def _counting(monkeypatch, name: str) -> list:
+    """Replace ``qsym.classify.<name>`` with a wrapper recording each call."""
+    module = importlib.import_module("qsym.classify")  # the package re-exports classify()
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_complement_pass_reuses_the_automorphism_group(monkeypatch):
+    # Aut(G) = Aut(Gc): Q4's group is listed once, not again for Q4c
+    # (built bare, so that R-PROD does not classify the factors too)
+    q4 = hypercube(4)
+    calls = _counting(monkeypatch, "automorphisms")
+    rep = classify_with_complement(build(q4.n, q4.edges()))
+    assert len(calls) == 1
+    assert any(line.startswith("complement ban R-BAN-1: fired") for line in rep.trace)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        pytest.param(hypercube(3), id="Q3"),
+        pytest.param(hypercube(4), id="Q4"),
+        pytest.param(_petersen(), id="petersen"),
+        # the fixed exhibits, then one member of each family
+        *(
+            pytest.param(gallery(name), id=name)
+            for name in (
+                "cherry2", "fig7", "sc", "t0",
+                "k5", "c6", "p5", "k3_3", "star5", "prism4", "c4pn3",
+            )
+        ),
+    ],
+)
+def test_reused_group_gives_the_complement_its_own_verdict(g):
+    rep = classify_with_complement(g)
+    own = classify(complement(g))
+    assert rep.bic_complement.payload() == {
+        **own.bic.payload(),
+        "target": "bic_complement",
+    }
+
+
+def test_one_zero_pattern_per_graph(monkeypatch):
+    # both R-BLOCKS checks run on C16 and share one pattern
+    calls = _counting(monkeypatch, "zero_pattern")
+    rep = classify(cycle(16))
+    assert len(calls) == 1
+    assert sum("R-BLOCKS" in line for line in rep.trace) == 2
+
+
 def test_line_graph_cherry_shortcut():
     rep = classify_line_graph(cherry2_graph())
     assert both(rep) == (NC, NC)
@@ -270,6 +345,15 @@ def test_budget_collapse_to_unknown():
     assert both(rep) == (U, U)
     assert any("abandoned" in note for note in rep.notes)
     assert any("skipped" in line for line in rep.trace)
+
+
+def test_zero_budget_also_caps_the_corona_search():
+    # C5 has no twins, so the corona rule must search for its witness,
+    # and a budget of 0 allows no search at all
+    rep = classify(corona(path(1), cycle(5)), node_budget=0)
+    assert "attachment symmetry search abandoned (budget)" in rep.notes
+    assert rep.bic.status is U
+    assert not any("R-CORONA: fired" in line for line in rep.trace)
 
 
 # ---------------------------------------------------------------------------
