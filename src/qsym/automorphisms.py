@@ -238,9 +238,10 @@ def twin_transpositions(g: Graph) -> list[Permutation]:
     cheap O(n^2) source of certified automorphisms that avoids a full
     group enumeration on large, highly symmetric inputs.
     """
+    bits = g._bits
     out = []
     for u, v in combinations(range(g.n), 2):
-        if (g.neighbor_mask(u) & ~(1 << v)) == (g.neighbor_mask(v) & ~(1 << u)):
+        if (bits[u] & ~(1 << v)) == (bits[v] & ~(1 << u)):
             images = list(range(g.n))
             images[u], images[v] = v, u
             out.append(Permutation(tuple(images)))

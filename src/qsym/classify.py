@@ -384,6 +384,7 @@ class _Ctx:
         self.notes: list[str] = []
         self._auts: AutomorphismSet | None = None
         self._auts_failed = False
+        self._abandoned: str | None = None
         self._qf: bool | None = None
         self._qfc: bool | None = None
         self._blocks = None
@@ -396,9 +397,12 @@ class _Ctx:
         exact element tuple the complement's own search would produce.
         The degree profiles of Gᶜ follow from those of G, so that search
         would also spend the same number of nodes, and the budget decides
-        both graphs alike.  The two quadrangle tests swap roles."""
+        both graphs alike: a listing of G that ran out of budget is not
+        repeated, and the complement notes the same abandonment the first
+        time it asks.  The two quadrangle tests swap roles."""
         ctx = _Ctx(gc, self.node_budget)
         ctx._auts = self._auts
+        ctx._abandoned = self._abandoned
         ctx._qf, ctx._qfc = self._qfc, self._qf
         return ctx
 
@@ -418,14 +422,17 @@ class _Ctx:
     def auts(self) -> AutomorphismSet | None:
         """Full automorphism list, or None if the node budget ran out."""
         if self._auts is None and not self._auts_failed:
-            try:
-                self._auts = automorphisms(self.g, node_budget=self.node_budget)
-            except SizeLimitExceeded as exc:
+            if self._abandoned is None:
+                try:
+                    self._auts = automorphisms(self.g, node_budget=self.node_budget)
+                except SizeLimitExceeded as exc:
+                    self._abandoned = (
+                        "automorphism enumeration abandoned after "
+                        f"{exc.budget} search nodes; some rules were skipped"
+                    )
+            if self._abandoned is not None:
                 self._auts_failed = True
-                self.notes.append(
-                    "automorphism enumeration abandoned after "
-                    f"{exc.budget} search nodes; some rules were skipped"
-                )
+                self.notes.append(self._abandoned)
         return self._auts
 
     def blocks(self) -> BlockStructure:
@@ -786,8 +793,9 @@ def classify_with_complement(g: Graph, node_budget: int | None = None) -> Report
 
     Aut(G) = Aut(Gᶜ): when the pass over ``g`` listed its automorphism
     group, the complement's pass reuses it instead of searching again.
-    If that listing never ran or ran out of budget, the complement
-    searches on its own.
+    If that listing ran out of budget, the complement's listing is taken
+    as abandoned too, without a second search.  If it never ran, the
+    complement searches on its own.
     """
     ctx = _Ctx(g, node_budget)
     base = _classify(ctx)

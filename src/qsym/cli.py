@@ -17,7 +17,8 @@ Exit codes are part of the contract and stay stable:
 * 4 -- a search exceeded its node budget where that is fatal.
 
 The default node budget can be overridden per call with ``--budget`` or
-globally through the ``QSYM_BUDGET`` environment variable.
+globally through the ``QSYM_BUDGET`` environment variable; either must be
+a non-negative integer.
 """
 
 from __future__ import annotations
@@ -138,13 +139,18 @@ def _one_input(args) -> tuple[Graph, dict]:
 
 def _budget(args) -> int | None:
     if getattr(args, "budget", None) is not None:
+        if args.budget < 0:
+            raise BadParams(f"--budget must be non-negative, got {args.budget}")
         return args.budget
     env = os.environ.get("QSYM_BUDGET")
     if env:
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise BadParams(f"QSYM_BUDGET is not an integer: {env!r}")
+        if budget < 0:
+            raise BadParams(f"QSYM_BUDGET must be non-negative, got {budget}")
+        return budget
     return None
 
 

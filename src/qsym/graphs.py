@@ -11,7 +11,6 @@ results against *simple* code rather than clever code.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -230,18 +229,31 @@ def line_graph(g: Graph) -> Graph:
 
 def distance_matrix(g: Graph) -> np.ndarray:
     """All-pairs hop distances by BFS; ``UNREACHABLE`` (-1) across
-    components.  Returned array is read-only."""
+    components.  Returned array is read-only.
+
+    The BFS runs level by level on the neighbour bitmasks: the next
+    frontier is the OR of the frontier's masks minus the vertices
+    already seen."""
     n = g.n
-    dist = np.full((n, n), UNREACHABLE, dtype=np.int64)
+    bits = g._bits
+    rows = []
     for s in range(n):
-        dist[s, s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for u in g.neighbors(v):
-                if dist[s, u] == UNREACHABLE:
-                    dist[s, u] = dist[s, v] + 1
-                    queue.append(u)
+        row = [UNREACHABLE] * n
+        seen = frontier = 1 << s
+        k = 0
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                v = low.bit_length() - 1
+                row[v] = k
+                reach |= bits[v]
+                frontier ^= low
+            frontier = reach & ~seen
+            seen |= frontier
+            k += 1
+        rows.append(row)
+    dist = np.array(rows, dtype=np.int64).reshape(n, n)
     dist.flags.writeable = False
     return dist
 

@@ -9,7 +9,10 @@ Two rules produce forced zeros:
 * the distance-degree rule -- u_wv = 0 whenever some vertex p at finite
   distance k >= 1 from w has a degree that appears nowhere in the
   distance-k sphere around v (an empty sphere counts: then no degree
-  appears at all).
+  appears at all).  With D_x(k) the set of degrees at distance exactly
+  k from x, that is: D_w(k) is not a subset of D_v(k) for some k >= 1,
+  which the code evaluates for all cells at once as one integer matrix
+  product over the sphere-degree sets.
 
 The combined pattern is the union of both, symmetrised: the antipode
 swaps u_ij with u_ji, so a forced zero at (i, j) forces (j, i) too.
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AsymmetricPattern
-from .graphs import UNREACHABLE, Graph, distance_matrix, induced_subgraph
+from .graphs import Graph, distance_matrix, induced_subgraph
 
 RULE_DEGREE = "degree"
 RULE_DISTANCE_DEGREE = "distance-degree"
@@ -88,28 +91,26 @@ def distance_degree_pattern(g: Graph) -> ZeroPattern:
     Cell (w, v) is forced when a witness vertex p with 1 <= d(w, p) = k
     exists whose degree is missing from {deg(q) : d(v, q) = k}.
     Unreachable distances never produce or satisfy a witness.
+
+    Equivalently, with D_x(k) the set of degrees at distance exactly k
+    from x (empty when k exceeds the eccentricity of x), cell (w, v) is
+    forced exactly when D_w(k) is not a subset of D_v(k) for some
+    k >= 1.  A 0/1 tensor S[x, k, d] marks degree d in D_x(k); flattened
+    to rows, the integer product S @ (1 - S).T counts, per cell, the
+    (k, d) pairs in D_w(k) and not in D_v(k).
     """
     n = g.n
-    deg = g.degree_sequence
-    dist = distance_matrix(g)
-    sphere_degrees: list[dict[int, set[int]]] = []
-    for v in range(n):
-        at_k: dict[int, set[int]] = {}
-        for q in range(n):
-            k = int(dist[v, q])
-            if k >= 1:
-                at_k.setdefault(k, set()).add(deg[q])
-        sphere_degrees.append(at_k)
-    forced = np.zeros((n, n), dtype=bool)
-    for w in range(n):
-        for v in range(n):
-            for p in range(n):
-                k = int(dist[w, p])
-                if k == UNREACHABLE or k < 1:
-                    continue
-                if deg[p] not in sphere_degrees[v].get(k, ()):  # empty sphere forces
-                    forced[w, v] = True
-                    break
+    if n == 0:
+        forced = np.zeros((0, 0), dtype=bool)
+    else:
+        dist = distance_matrix(g)
+        _, deg_class = np.unique(g.degree_sequence, return_inverse=True)
+        shape = (n, int(dist.max()), int(deg_class.max()) + 1)
+        x, q = np.nonzero(dist >= 1)
+        spheres = np.zeros(shape, dtype=np.int64)
+        spheres[x, dist[x, q] - 1, deg_class[q]] = 1
+        flat = spheres.reshape(n, shape[1] * shape[2])
+        forced = (flat @ (1 - flat).T) > 0
     prov = {
         (int(i), int(j)): (RULE_DISTANCE_DEGREE,)
         for i, j in zip(*np.nonzero(forced))

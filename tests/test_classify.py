@@ -306,6 +306,19 @@ def test_reused_group_gives_the_complement_its_own_verdict(g):
     }
 
 
+def test_complement_pass_does_not_repeat_a_failed_search(monkeypatch):
+    # Q4's listing runs out at 1,000 nodes; Q4c's would spend the same
+    # nodes, so it is abandoned without searching, with the same note
+    calls = _counting(monkeypatch, "automorphisms")
+    rep = classify_with_complement(hypercube(4), node_budget=1000)
+    assert sum(args[0].n == 16 for args in calls) == 1
+    note = (
+        "automorphism enumeration abandoned after 1000 search nodes; "
+        "some rules were skipped"
+    )
+    assert rep.notes.count(note) == 2
+
+
 def test_one_zero_pattern_per_graph(monkeypatch):
     # both R-BLOCKS checks run on C16 and share one pattern
     calls = _counting(monkeypatch, "zero_pattern")

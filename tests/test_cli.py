@@ -122,6 +122,21 @@ def test_flag_budget_beats_environment(capsys, monkeypatch):
     assert doc["verdicts"]["bic"]["status"] == "NonCommutative"
 
 
+def test_negative_budget_flag_is_rejected(capsys):
+    rc, _, err = run(capsys, "analyze", "--gallery", "c5", "--budget", "-7")
+    assert rc == 3
+    assert "--budget" in err
+    rc, _, _ = run(capsys, "analyze", "--gallery", "c5", "--budget", "0")
+    assert rc == 0
+
+
+def test_negative_environment_budget_is_rejected(capsys, monkeypatch):
+    monkeypatch.setenv("QSYM_BUDGET", "-7")
+    rc, _, err = run(capsys, "analyze", "--gallery", "c5")
+    assert rc == 3
+    assert "QSYM_BUDGET" in err
+
+
 def test_bad_environment_budget(capsys, monkeypatch):
     monkeypatch.setenv("QSYM_BUDGET", "lots")
     rc, _, err = run(capsys, "analyze", "--gallery", "c5")

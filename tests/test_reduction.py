@@ -5,6 +5,8 @@ automorphism of the graph maps v to w.  We check that against the
 brute-force automorphism list for the whole small corpus.
 """
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,14 +15,20 @@ from qsym import (
     RULE_ANTIPODE,
     RULE_DEGREE,
     RULE_DISTANCE_DEGREE,
+    UNREACHABLE,
+    ZeroPattern,
     automorphisms,
     blocks,
     build,
+    complement,
     complete,
     cycle,
     degree_pattern,
+    disjoint_union,
     distance_degree_pattern,
+    distance_matrix,
     edgeless,
+    gallery,
     path,
     render_pattern,
     star,
@@ -160,6 +168,113 @@ def test_render_pattern_mentions_rules_and_blocks():
     assert "block" in text
     lines = [ln for ln in text.splitlines() if set(ln) <= {"0", ".", " "} and ln.strip()]
     assert len(lines) == g.n
+
+
+# ---------------------------------------------------------------------------
+# reference kernels: a queue BFS and the direct triple loop over witnesses
+
+
+def reference_distance_matrix(g):
+    n = g.n
+    dist = np.full((n, n), UNREACHABLE, dtype=np.int64)
+    for s in range(n):
+        dist[s, s] = 0
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            for u in g.neighbors(v):
+                if dist[s, u] == UNREACHABLE:
+                    dist[s, u] = dist[s, v] + 1
+                    queue.append(u)
+    dist.flags.writeable = False
+    return dist
+
+
+def reference_distance_degree_pattern(g):
+    n = g.n
+    deg = g.degree_sequence
+    dist = reference_distance_matrix(g)
+    sphere_degrees = []
+    for v in range(n):
+        at_k = {}
+        for q in range(n):
+            k = int(dist[v, q])
+            if k >= 1:
+                at_k.setdefault(k, set()).add(deg[q])
+        sphere_degrees.append(at_k)
+    forced = np.zeros((n, n), dtype=bool)
+    for w in range(n):
+        for v in range(n):
+            for p in range(n):
+                k = int(dist[w, p])
+                if k == UNREACHABLE or k < 1:
+                    continue
+                if deg[p] not in sphere_degrees[v].get(k, ()):  # empty sphere forces
+                    forced[w, v] = True
+                    break
+    forced.flags.writeable = False
+    prov = {
+        (int(i), int(j)): (RULE_DISTANCE_DEGREE,)
+        for i, j in zip(*np.nonzero(forced))
+    }
+    return ZeroPattern(n=n, forced=forced, provenance=prov)
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.flags.writeable == want.flags.writeable
+    assert np.array_equal(got, want)
+
+
+def assert_kernels_match_reference(g):
+    assert_same_array(distance_matrix(g), reference_distance_matrix(g))
+    got = distance_degree_pattern(g)
+    want = reference_distance_degree_pattern(g)
+    assert got.n == want.n
+    assert_same_array(got.forced, want.forced)
+    assert got.provenance == want.provenance
+    assert list(got.provenance) == list(want.provenance)
+
+
+SPARSE_GALLERY = (
+    "c4", "c16", "c32", "c48", "c64", "p48", "p64", "t0",
+    "c4pn20", "c4pn30", "star20", "k3_12", "sc", "fig7",
+)
+
+EDGE_CASES = (
+    edgeless(0),
+    edgeless(1),
+    edgeless(5),
+    disjoint_union([cycle(4), path(3)]),
+)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        *small_corpus(),
+        *(complement(g) for g in small_corpus()),
+        *EDGE_CASES,
+        *(complement(g) for g in EDGE_CASES),
+    ],
+    ids=lambda g: f"n{g.n}e{g.edge_count}",
+)
+def test_kernels_match_reference_on_corpus(g):
+    assert_kernels_match_reference(g)
+
+
+@pytest.mark.parametrize("name", SPARSE_GALLERY)
+def test_kernels_match_reference_on_sparse_gallery(name):
+    g = gallery(name)
+    assert_kernels_match_reference(g)
+    assert_kernels_match_reference(complement(g))
+
+
+@given(graphs(max_n=8))
+@settings(max_examples=100, deadline=None)
+def test_kernels_match_reference_on_random_graphs(g):
+    assert_kernels_match_reference(g)
 
 
 # ---------------------------------------------------------------------------
