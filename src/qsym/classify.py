@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .automorphisms import (
     AutomorphismSet,
@@ -34,6 +34,7 @@ from .automorphisms import (
     automorphisms,
     find_disjoint_pair,
     find_edge_free_disjoint_pair,
+    is_automorphism,
     order_pair,
     twin_transpositions,
 )
@@ -74,7 +75,6 @@ R_PROD = "R-PROD"
 R_CORONA = "R-CORONA"
 R_CHERRY = "R-CHERRY"
 R_CHAIN = "R-CHAIN"
-R_CONSTRUCT = "R-CONSTRUCT"
 
 CITATIONS: dict[str, str] = {
     R_SMALL: "on at most three points every quantum permutation algebra "
@@ -106,8 +106,6 @@ CITATIONS: dict[str, str] = {
     R_CHAIN: "the coarse algebra surjects onto the fine one: a "
     "non-commutative quotient forces a non-commutative source, and a "
     "commutative source forces a commutative quotient",
-    R_CONSTRUCT: "the construction carries a certified symmetry fact "
-    "that replays from its trace",
 }
 
 
@@ -127,16 +125,34 @@ class Citation:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Base class; concrete certificates are small frozen records."""
+    """Base class; concrete certificates are small frozen records.
+
+    ``payload`` serialises any of them: ``kind`` first, then the fields in
+    declaration order, leaving out those that are None.  ``holds``
+    re-checks the certificate's premises against a graph from scratch."""
 
     def payload(self) -> dict:
-        return {"kind": self.kind}  # type: ignore[attr-defined]
+        out = {"kind": self.kind}  # type: ignore[attr-defined]
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "kind" and value is not None:
+                out[f.name] = _payload_value(value)
+        return out
+
+    def holds(self, g: Graph) -> bool:
+        return False
 
 
-def _perm_payload(p: Permutation) -> dict:
+def _payload_value(value):
     """Permutations travel as image arrays (re-verifiable data); the
     cycle string rides along for human readers."""
-    return {"images": list(p.images), "cycles": p.cycles()}
+    if isinstance(value, Permutation):
+        return {"images": list(value.images), "cycles": value.cycles()}
+    if isinstance(value, Certificate):
+        return value.payload()
+    if isinstance(value, tuple):
+        return [_payload_value(v) for v in value]
+    return value
 
 
 def _relabel_cycles(node, labels: tuple[str, ...]) -> None:
@@ -157,31 +173,35 @@ def _relabel_cycles(node, labels: tuple[str, ...]) -> None:
 
 
 @dataclass(frozen=True)
-class DisjointPair(Certificate):
+class _Pair(Certificate):
+    """Two non-trivial automorphisms with disjoint supports; with
+    ``edge_free`` set, no edge may join the two supports either."""
+
     sigma: Permutation
     tau: Permutation
-    kind: str = field(default="disjoint-pair", init=False)
+    edge_free = False
 
-    def payload(self) -> dict:
-        return {
-            "kind": self.kind,
-            "sigma": _perm_payload(self.sigma),
-            "tau": _perm_payload(self.tau),
-        }
+    def holds(self, g: Graph) -> bool:
+        s, t = self.sigma, self.tau
+        if len(s.images) != g.n or len(t.images) != g.n:
+            return False
+        if s.is_identity or t.is_identity:
+            return False
+        if not (is_automorphism(g, s) and is_automorphism(g, t)):
+            return False
+        ms, mt = s.support_mask(), t.support_mask()
+        return not ms & mt and not (self.edge_free and _edge_between(g, ms, mt))
 
 
 @dataclass(frozen=True)
-class EdgeFreePair(Certificate):
-    sigma: Permutation
-    tau: Permutation
-    kind: str = field(default="edge-free-pair", init=False)
+class DisjointPair(_Pair):
+    kind: str = field(default="disjoint-pair", init=False)
 
-    def payload(self) -> dict:
-        return {
-            "kind": self.kind,
-            "sigma": _perm_payload(self.sigma),
-            "tau": _perm_payload(self.tau),
-        }
+
+@dataclass(frozen=True)
+class EdgeFreePair(_Pair):
+    kind: str = field(default="edge-free-pair", init=False)
+    edge_free = True
 
 
 @dataclass(frozen=True)
@@ -189,13 +209,16 @@ class SmallOrder(Certificate):
     n: int
     kind: str = field(default="small-order", init=False)
 
-    def payload(self) -> dict:
-        return {"kind": self.kind, "n": self.n}
+    def holds(self, g: Graph) -> bool:
+        return g.n == self.n and g.n <= 3
 
 
 @dataclass(frozen=True)
 class QuadrangleFreeComplement(Certificate):
     kind: str = field(default="quadrangle-free-complement", init=False)
+
+    def holds(self, g: Graph) -> bool:
+        return not contains_quadrangle(complement(g))
 
 
 @dataclass(frozen=True)
@@ -206,21 +229,10 @@ class QuadrangleFreeSelf(Certificate):
     companion: Certificate | None = None
     kind: str = field(default="quadrangle-free", init=False)
 
-    def payload(self) -> dict:
-        out = {"kind": self.kind}
-        if self.companion is not None:
-            out["companion"] = self.companion.payload()
-        return out
-
-
-@dataclass(frozen=True)
-class CompleteBipartite(Certificate):
-    m: int
-    n: int
-    kind: str = field(default="complete-bipartite", init=False)
-
-    def payload(self) -> dict:
-        return {"kind": self.kind, "m": self.m, "n": self.n}
+    def holds(self, g: Graph) -> bool:
+        if contains_quadrangle(g):
+            return False
+        return self.companion is None or self.companion.holds(g)
 
 
 @dataclass(frozen=True)
@@ -231,8 +243,12 @@ class ForestNoDisjointPair(Certificate):
     edge_free_only: bool = False
     kind: str = field(default="forest-no-disjoint-pair", init=False)
 
-    def payload(self) -> dict:
-        return {"kind": self.kind, "edge_free_only": self.edge_free_only}
+    def holds(self, g: Graph) -> bool:
+        if not is_forest(g):
+            return False
+        if self.edge_free_only:
+            return find_edge_free_disjoint_pair(g) is None
+        return find_disjoint_pair(g) is None
 
 
 @dataclass(frozen=True)
@@ -241,12 +257,9 @@ class StripToCommutative(Certificate):
     terminal: Certificate
     kind: str = field(default="strip", init=False)
 
-    def payload(self) -> dict:
-        return {
-            "kind": self.kind,
-            "chain": [list(step) for step in self.chain],
-            "terminal": self.terminal.payload(),
-        }
+    def holds(self, g: Graph) -> bool:
+        terminal, chain = strip_high_degree_fixpoint(g)
+        return chain == self.chain and self.terminal.holds(terminal)
 
 
 @dataclass(frozen=True)
@@ -254,8 +267,9 @@ class SmallBlocks(Certificate):
     blocks: tuple[tuple[int, ...], ...]
     kind: str = field(default="small-blocks", init=False)
 
-    def payload(self) -> dict:
-        return {"kind": self.kind, "blocks": [list(b) for b in self.blocks]}
+    def holds(self, g: Graph) -> bool:
+        part = pattern_blocks(zero_pattern(g))
+        return part.blocks == self.blocks and _blocks_small_enough(part.sizes)
 
 
 @dataclass(frozen=True)
@@ -265,13 +279,15 @@ class ProductLift(Certificate):
     inner: Certificate
     kind: str = field(default="product-lift", init=False)
 
-    def payload(self) -> dict:
-        return {
-            "kind": self.kind,
-            "product_kind": self.product_kind,
-            "factor_index": self.factor_index,
-            "inner": self.inner.payload(),
-        }
+    def holds(self, g: Graph) -> bool:
+        prov = g.provenance
+        if prov is None or prov.kind != self.product_kind:
+            return False
+        if prov.kind not in PRODUCT_KINDS:
+            return False
+        if not (0 <= self.factor_index < len(prov.factors)):
+            return False
+        return self.inner.holds(prov.factors[self.factor_index])
 
 
 @dataclass(frozen=True)
@@ -279,21 +295,19 @@ class CoronaRule(Certificate):
     witness: Permutation
     kind: str = field(default="corona-symmetry", init=False)
 
-    def payload(self) -> dict:
-        return {"kind": self.kind, "witness": _perm_payload(self.witness)}
-
-
-@dataclass(frozen=True)
-class ConstructionFact(Certificate):
-    fact: str
-    trace: object = None
-    kind: str = field(default="construction", init=False)
-
-    def payload(self) -> dict:
-        out: dict = {"kind": self.kind, "fact": self.fact}
-        if self.trace is not None:
-            out["trace"] = self.trace.payload()
-        return out
+    def holds(self, g: Graph) -> bool:
+        prov = g.provenance
+        if prov is None or prov.kind != "corona":
+            return False
+        base, attachment = prov.factors
+        if base.n < 2:
+            return False
+        w = self.witness
+        return (
+            len(w.images) == attachment.n
+            and not w.is_identity
+            and is_automorphism(attachment, w)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -512,189 +526,176 @@ def _swap(n: int, a: int, b: int) -> Permutation:
 
 
 # ---------------------------------------------------------------------------
-# the two rule pipelines
+# the rules: each logs its trace line and returns a Verdict when it fires
 
 
-def _bic_pipeline(ctx: _Ctx) -> Verdict:
-    g = ctx.g
-    t = TARGET_BIC
+def _fire(
+    ctx: _Ctx, t: str, rule: str, status: Status, cert: Certificate, detail: str
+) -> Verdict:
+    ctx.log(t, rule, f"fired ({detail})")
+    return Verdict(t, status, cert, Citation.of(rule))
 
-    if g.n <= 3:
-        ctx.log(t, R_SMALL, f"fired (order {g.n})")
-        return Verdict(t, Status.COMMUTATIVE, SmallOrder(g.n), Citation.of(R_SMALL))
-    ctx.log(t, R_SMALL, f"order {g.n} is above three")
 
-    if ctx.complement_quadrangle_free():
-        ctx.log(t, R_QFC, "fired (complement is quadrangle-free)")
-        return Verdict(
-            t, Status.COMMUTATIVE, QuadrangleFreeComplement(), Citation.of(R_QFC)
-        )
-    ctx.log(t, R_QFC, "complement contains a quadrangle")
+def _small(ctx: _Ctx, t: str) -> Verdict | None:
+    n = ctx.g.n
+    if n > 3:
+        ctx.log(t, R_SMALL, f"order {n} is above three")
+        return None
+    return _fire(ctx, t, R_SMALL, Status.COMMUTATIVE, SmallOrder(n), f"order {n}")
 
-    parts = _complete_bipartite_parts(g)
-    if parts is not None:
-        side_a, side_b = parts
-        m, n_side = len(side_a), len(side_b)
-        if max(m, n_side) >= 4:
-            wide = side_a if m >= n_side else side_b
-            sigma = _swap(g.n, wide[0], wide[1])
-            tau = _swap(g.n, wide[2], wide[3])
-            ctx.log(t, R_KMN, f"fired (complete bipartite, side of {max(m, n_side)})")
-            return Verdict(
-                t,
-                Status.NONCOMMUTATIVE,
-                EdgeFreePair(sigma, tau),
-                Citation.of(R_KMN),
-            )
-        ctx.log(t, R_KMN, f"fired (complete bipartite, both sides below four)")
-        return Verdict(
-            t,
-            Status.COMMUTATIVE,
-            CompleteBipartite(m, n_side),
-            Citation.of(R_KMN),
-        )
-    ctx.log(t, R_KMN, "not complete bipartite")
 
-    pair = _twin_pair(g, edge_free=True)
-    if pair is None:
-        auts = ctx.auts()
-        if auts is not None:
-            pair = find_edge_free_disjoint_pair(g, auts=auts)
-        elif ctx.budget_hit:
-            ctx.log(t, R_BIC_1, "skipped (budget exhausted)")
-            pair = None
-    if pair is not None:
-        sigma, tau = pair
-        ctx.log(t, R_BIC_1, f"fired ({sigma.cycles()} and {tau.cycles()})")
-        return Verdict(
-            t, Status.NONCOMMUTATIVE, EdgeFreePair(sigma, tau), Citation.of(R_BIC_1)
-        )
-    if not ctx.budget_hit:
-        ctx.log(t, R_BIC_1, "no edge-free disjoint pair")
+def _qfc(ctx: _Ctx, t: str) -> Verdict | None:
+    if not ctx.complement_quadrangle_free():
+        ctx.log(t, R_QFC, "complement contains a quadrangle")
+        return None
+    return _fire(
+        ctx, t, R_QFC, Status.COMMUTATIVE, QuadrangleFreeComplement(),
+        "complement is quadrangle-free",
+    )
 
-    prov = g.provenance
-    if prov is not None and prov.kind in PRODUCT_KINDS:
-        for idx, factor in enumerate(prov.factors):
-            inner = classify(factor, node_budget=ctx.node_budget)
-            if inner.bic.status is Status.NONCOMMUTATIVE:
-                ctx.log(t, R_PROD, f"fired (factor {idx} of {prov.kind} product)")
-                return Verdict(
-                    t,
-                    Status.NONCOMMUTATIVE,
-                    ProductLift(prov.kind, idx, inner.bic.certificate),
-                    Citation.of(R_PROD),
-                )
-        ctx.log(t, R_PROD, "no factor certified non-commutative")
-    elif prov is not None and prov.kind == "corona":
-        base, attachment = prov.factors
-        if base.n >= 2:
-            witness = None
-            tw = twin_transpositions(attachment)
-            if tw:
-                witness = tw[0]
-            else:
-                try:
-                    inner_auts = automorphisms(attachment, node_budget=ctx.node_budget)
-                    nontrivial = inner_auts.nontrivial()
-                    witness = nontrivial[0] if nontrivial else None
-                except SizeLimitExceeded:
-                    ctx.notes.append(
-                        "attachment symmetry search abandoned (budget)"
-                    )
-            if witness is not None:
-                ctx.log(t, R_CORONA, "fired (attachment has a non-trivial symmetry)")
-                return Verdict(
-                    t,
-                    Status.NONCOMMUTATIVE,
-                    CoronaRule(witness),
-                    Citation.of(R_CORONA),
-                )
-        ctx.log(t, R_CORONA, "premises not met")
 
-    if is_forest(g) and not ctx.budget_hit:
-        # the edge-free search above came up empty, which settles a forest
-        ctx.log(t, R_FOREST, "fired (forest without an edge-free disjoint pair)")
-        return Verdict(
-            t,
-            Status.COMMUTATIVE,
-            ForestNoDisjointPair(edge_free_only=True),
-            Citation.of(R_FOREST),
-        )
+def _kmn(ctx: _Ctx, t: str) -> Verdict | None:
+    """The non-commutative direction of R-KMN.  The commutative one never
+    arises after R-QFC: with both sides at most three, the complement
+    K_m ⊔ K_n is quadrangle-free, so R-QFC has already fired."""
+    parts = _complete_bipartite_parts(ctx.g)
+    if parts is None:
+        ctx.log(t, R_KMN, "not complete bipartite")
+        return None
+    wide = max(parts, key=len)
+    sigma = _swap(ctx.g.n, wide[0], wide[1])
+    tau = _swap(ctx.g.n, wide[2], wide[3])
+    return _fire(
+        ctx, t, R_KMN, Status.NONCOMMUTATIVE, EdgeFreePair(sigma, tau),
+        f"complete bipartite, side of {len(wide)}",
+    )
 
-    terminal, chain = strip_high_degree_fixpoint(g)
-    if chain:
-        sub = classify(terminal, node_budget=ctx.node_budget)
-        if sub.bic.status is Status.COMMUTATIVE:
-            ctx.log(
-                t,
-                R_STRIP,
-                f"fired (stripped {sum(len(s) for s in chain)} vertices "
-                f"to a commutative core)",
-            )
-            return Verdict(
-                t,
-                Status.COMMUTATIVE,
-                StripToCommutative(chain, sub.bic.certificate),
-                Citation.of(R_STRIP),
-            )
-        ctx.log(t, R_STRIP, f"stripped core is {sub.bic.status.value}")
+
+def _pair(ctx: _Ctx, t: str) -> Verdict | None:
+    """R-BIC-1 on the fine algebra, R-BAN-1 on the coarse one; only the
+    fine algebra needs the supports joined by no edge."""
+    if t == TARGET_BIC:
+        rule, cert, find = R_BIC_1, EdgeFreePair, find_edge_free_disjoint_pair
+        missing = "no edge-free disjoint pair"
     else:
-        ctx.log(t, R_STRIP, "nothing to strip")
-
-    part = ctx.blocks()
-    if _blocks_small_enough(part.sizes):
-        ctx.log(t, R_BLOCKS, f"fired (block sizes {sorted(part.sizes)})")
-        return Verdict(
-            t, Status.COMMUTATIVE, SmallBlocks(part.blocks), Citation.of(R_BLOCKS)
-        )
-    ctx.log(t, R_BLOCKS, f"blocks too coarse (sizes {sorted(part.sizes)})")
-
-    return Verdict(t, Status.UNKNOWN)
-
-
-def _ban_pipeline(ctx: _Ctx) -> Verdict:
-    g = ctx.g
-    t = TARGET_BAN
-
-    if g.n <= 3:
-        ctx.log(t, R_SMALL, f"fired (order {g.n})")
-        return Verdict(t, Status.COMMUTATIVE, SmallOrder(g.n), Citation.of(R_SMALL))
-    ctx.log(t, R_SMALL, f"order {g.n} is above three")
-
-    pair = _twin_pair(g, edge_free=False)
+        rule, cert, find = R_BAN_1, DisjointPair, find_disjoint_pair
+        missing = "no disjoint pair"
+    pair = _twin_pair(ctx.g, edge_free=cert.edge_free)
     if pair is None:
         auts = ctx.auts()
-        if auts is not None:
-            pair = find_disjoint_pair(g, auts=auts)
-        elif ctx.budget_hit:
-            ctx.log(t, R_BAN_1, "skipped (budget exhausted)")
-            pair = None
-    if pair is not None:
-        sigma, tau = pair
-        ctx.log(t, R_BAN_1, f"fired ({sigma.cycles()} and {tau.cycles()})")
-        return Verdict(
-            t, Status.NONCOMMUTATIVE, DisjointPair(sigma, tau), Citation.of(R_BAN_1)
-        )
-    if not ctx.budget_hit:
-        ctx.log(t, R_BAN_1, "no disjoint pair")
+        if auts is None:
+            ctx.log(t, rule, "skipped (budget exhausted)")
+            return None
+        pair = find(ctx.g, auts=auts)
+        if pair is None:
+            ctx.log(t, rule, missing)
+            return None
+    sigma, tau = pair
+    return _fire(
+        ctx, t, rule, Status.NONCOMMUTATIVE, cert(sigma, tau),
+        f"{sigma.cycles()} and {tau.cycles()}",
+    )
 
-    if is_forest(g) and not ctx.budget_hit:
-        ctx.log(t, R_FOREST, "fired (forest without a disjoint pair)")
-        return Verdict(
-            t,
-            Status.COMMUTATIVE,
-            ForestNoDisjointPair(edge_free_only=False),
-            Citation.of(R_FOREST),
-        )
 
+def _product(ctx: _Ctx, t: str) -> Verdict | None:
+    prov = ctx.g.provenance
+    if prov is None or prov.kind not in PRODUCT_KINDS:
+        return None
+    for idx, factor in enumerate(prov.factors):
+        inner = classify(factor, node_budget=ctx.node_budget).bic
+        if inner.status is Status.NONCOMMUTATIVE:
+            return _fire(
+                ctx, t, R_PROD, Status.NONCOMMUTATIVE,
+                ProductLift(prov.kind, idx, inner.certificate),
+                f"factor {idx} of {prov.kind} product",
+            )
+    ctx.log(t, R_PROD, "no factor certified non-commutative")
+    return None
+
+
+def _corona(ctx: _Ctx, t: str) -> Verdict | None:
+    prov = ctx.g.provenance
+    if prov is None or prov.kind != "corona":
+        return None
+    base, attachment = prov.factors
+    witness = None
+    if base.n >= 2:
+        tw = twin_transpositions(attachment)
+        if tw:
+            witness = tw[0]
+        else:
+            try:
+                nontrivial = automorphisms(
+                    attachment, node_budget=ctx.node_budget
+                ).nontrivial()
+                witness = nontrivial[0] if nontrivial else None
+            except SizeLimitExceeded:
+                ctx.notes.append("attachment symmetry search abandoned (budget)")
+    if witness is None:
+        ctx.log(t, R_CORONA, "premises not met")
+        return None
+    return _fire(
+        ctx, t, R_CORONA, Status.NONCOMMUTATIVE, CoronaRule(witness),
+        "attachment has a non-trivial symmetry",
+    )
+
+
+def _forest(ctx: _Ctx, t: str) -> Verdict | None:
+    """The pair rule ran before this one and came up empty, which settles
+    a forest, unless the budget cut that search short."""
+    if ctx.budget_hit or not is_forest(ctx.g):
+        return None
+    edge_free = t == TARGET_BIC
+    pair = "an edge-free disjoint pair" if edge_free else "a disjoint pair"
+    return _fire(
+        ctx, t, R_FOREST, Status.COMMUTATIVE,
+        ForestNoDisjointPair(edge_free_only=edge_free), f"forest without {pair}",
+    )
+
+
+def _strip(ctx: _Ctx, t: str) -> Verdict | None:
+    terminal, chain = strip_high_degree_fixpoint(ctx.g)
+    if not chain:
+        ctx.log(t, R_STRIP, "nothing to strip")
+        return None
+    sub = classify(terminal, node_budget=ctx.node_budget).bic
+    if sub.status is not Status.COMMUTATIVE:
+        ctx.log(t, R_STRIP, f"stripped core is {sub.status.value}")
+        return None
+    return _fire(
+        ctx, t, R_STRIP, Status.COMMUTATIVE,
+        StripToCommutative(chain, sub.certificate),
+        f"stripped {sum(len(s) for s in chain)} vertices to a commutative core",
+    )
+
+
+def _blocks(ctx: _Ctx, t: str) -> Verdict | None:
     part = ctx.blocks()
-    if _blocks_small_enough(part.sizes):
-        ctx.log(t, R_BLOCKS, f"fired (block sizes {sorted(part.sizes)})")
-        return Verdict(
-            t, Status.COMMUTATIVE, SmallBlocks(part.blocks), Citation.of(R_BLOCKS)
-        )
-    ctx.log(t, R_BLOCKS, f"blocks too coarse (sizes {sorted(part.sizes)})")
+    sizes = sorted(part.sizes)
+    if not _blocks_small_enough(part.sizes):
+        ctx.log(t, R_BLOCKS, f"blocks too coarse (sizes {sizes})")
+        return None
+    return _fire(
+        ctx, t, R_BLOCKS, Status.COMMUTATIVE, SmallBlocks(part.blocks),
+        f"block sizes {sizes}",
+    )
 
+
+#: Each target's rules in the order they are tried; the first to fire
+#: decides, and a target where none fires stays Unknown.
+_PIPELINES = {
+    TARGET_BIC: (
+        _small, _qfc, _kmn, _pair, _product, _corona, _forest, _strip, _blocks
+    ),
+    TARGET_BAN: (_small, _pair, _forest, _blocks),
+}
+
+
+def _run(ctx: _Ctx, t: str) -> Verdict:
+    for rule in _PIPELINES[t]:
+        verdict = rule(ctx, t)
+        if verdict is not None:
+            return verdict
     return Verdict(t, Status.UNKNOWN)
 
 
@@ -768,10 +769,11 @@ def classify(g: Graph, node_budget: int | None = None) -> Report:
 
 def _classify(ctx: _Ctx) -> Report:
     started = time.perf_counter()
-    bic = _bic_pipeline(ctx)
-    ban = _ban_pipeline(ctx)
-    bic, ban = _transfer(ctx, bic, ban)
-    elapsed = (time.perf_counter() - started) * 1000.0
+    bic, ban = _transfer(ctx, _run(ctx, TARGET_BIC), _run(ctx, TARGET_BAN))
+    return _report(ctx, bic, ban, started)
+
+
+def _report(ctx: _Ctx, bic: Verdict, ban: Verdict, started: float) -> Report:
     return Report(
         graph=ctx.g,
         bic=bic,
@@ -779,7 +781,7 @@ def _classify(ctx: _Ctx) -> Report:
         bic_complement=None,
         trace=tuple(ctx.trace),
         notes=tuple(ctx.notes),
-        elapsed_ms=elapsed,
+        elapsed_ms=(time.perf_counter() - started) * 1000.0,
     )
 
 
@@ -867,31 +869,17 @@ def classify_line_graph(g: Graph, node_budget: int | None = None) -> Report:
         sigma = _swap(lg.n, edge_vertex(c1.v1, c1.w), edge_vertex(c1.v2, c1.w))
         tau = _swap(lg.n, edge_vertex(c2.v1, c2.w), edge_vertex(c2.v2, c2.w))
         started = time.perf_counter()
-        bic = Verdict(
-            TARGET_BIC,
-            Status.NONCOMMUTATIVE,
-            EdgeFreePair(sigma, tau),
-            Citation.of(R_CHERRY),
+        ctx = _Ctx(lg, node_budget)
+        detail = f"cherries at {c1.w} and {c2.w}"
+        bic = _fire(
+            ctx, TARGET_BIC, R_CHERRY, Status.NONCOMMUTATIVE,
+            EdgeFreePair(sigma, tau), detail,
         )
-        ban = Verdict(
-            TARGET_BAN,
-            Status.NONCOMMUTATIVE,
-            DisjointPair(sigma, tau),
-            Citation.of(R_CHERRY),
+        ban = _fire(
+            ctx, TARGET_BAN, R_CHERRY, Status.NONCOMMUTATIVE,
+            DisjointPair(sigma, tau), detail,
         )
-        elapsed = (time.perf_counter() - started) * 1000.0
-        return Report(
-            graph=lg,
-            bic=bic,
-            ban=ban,
-            bic_complement=None,
-            trace=(
-                f"bic {R_CHERRY}: fired (cherries at {c1.w} and {c2.w})",
-                f"ban {R_CHERRY}: fired (cherries at {c1.w} and {c2.w})",
-            ),
-            notes=(),
-            elapsed_ms=elapsed,
-        )
+        return _report(ctx, bic, ban, started)
     return classify(lg, node_budget=node_budget)
 
 
@@ -907,79 +895,4 @@ def verify_certificate(g: Graph, verdict: Verdict) -> bool:
     cert = verdict.certificate
     if cert is None:
         return verdict.status is Status.UNKNOWN
-    return _verify(g, cert)
-
-
-def _verify(g: Graph, cert: Certificate) -> bool:
-    from .automorphisms import is_automorphism
-
-    if isinstance(cert, SmallOrder):
-        return g.n == cert.n and g.n <= 3
-    if isinstance(cert, (DisjointPair, EdgeFreePair)):
-        s, t = cert.sigma, cert.tau
-        if len(s.images) != g.n or len(t.images) != g.n:
-            return False
-        if s.is_identity or t.is_identity:
-            return False
-        if not (is_automorphism(g, s) and is_automorphism(g, t)):
-            return False
-        ms, mt = s.support_mask(), t.support_mask()
-        if ms & mt:
-            return False
-        if isinstance(cert, EdgeFreePair) and _edge_between(g, ms, mt):
-            return False
-        return True
-    if isinstance(cert, QuadrangleFreeComplement):
-        return not contains_quadrangle(complement(g))
-    if isinstance(cert, QuadrangleFreeSelf):
-        if contains_quadrangle(g):
-            return False
-        return cert.companion is None or _verify(g, cert.companion)
-    if isinstance(cert, CompleteBipartite):
-        parts = _complete_bipartite_parts(g)
-        if parts is None:
-            return False
-        sizes = sorted((len(parts[0]), len(parts[1])))
-        return sizes == sorted((cert.m, cert.n))
-    if isinstance(cert, ForestNoDisjointPair):
-        if not is_forest(g):
-            return False
-        if cert.edge_free_only:
-            return find_edge_free_disjoint_pair(g) is None
-        return find_disjoint_pair(g) is None
-    if isinstance(cert, StripToCommutative):
-        terminal, chain = strip_high_degree_fixpoint(g)
-        return chain == cert.chain and _verify(terminal, cert.terminal)
-    if isinstance(cert, SmallBlocks):
-        part = pattern_blocks(zero_pattern(g))
-        return part.blocks == cert.blocks and _blocks_small_enough(part.sizes)
-    if isinstance(cert, ProductLift):
-        prov = g.provenance
-        if prov is None or prov.kind != cert.product_kind:
-            return False
-        if prov.kind not in PRODUCT_KINDS:
-            return False
-        if not (0 <= cert.factor_index < len(prov.factors)):
-            return False
-        return _verify(prov.factors[cert.factor_index], cert.inner)
-    if isinstance(cert, CoronaRule):
-        prov = g.provenance
-        if prov is None or prov.kind != "corona":
-            return False
-        base, attachment = prov.factors
-        if base.n < 2:
-            return False
-        w = cert.witness
-        return (
-            len(w.images) == attachment.n
-            and not w.is_identity
-            and is_automorphism(attachment, w)
-        )
-    if isinstance(cert, ConstructionFact):
-        if cert.trace is None:
-            return False
-        from .construct import replay
-
-        rebuilt = replay(cert.trace)
-        return rebuilt == g
-    return False
+    return cert.holds(g)

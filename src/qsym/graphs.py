@@ -88,13 +88,9 @@ class Graph:
         object.__setattr__(self, "adj", adj)
         object.__setattr__(self, "labels", tuple(labels) if labels is not None else None)
         object.__setattr__(self, "provenance", provenance)
-        bits = []
-        for v in range(n):
-            mask = 0
-            for u in np.flatnonzero(adj[v]):
-                mask |= 1 << int(u)
-            bits.append(mask)
-        object.__setattr__(self, "_bits", tuple(bits))
+        rows = np.packbits(adj, axis=1, bitorder="little")
+        bits = tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
+        object.__setattr__(self, "_bits", bits)
         object.__setattr__(self, "_degrees", tuple(int(d) for d in adj.sum(axis=1)))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
@@ -297,11 +293,9 @@ def is_connected(g: Graph) -> bool:
 
 
 def is_forest(g: Graph) -> bool:
-    """Acyclic?  Checked per component by the edge count criterion."""
-    return all(
-        sum(1 for u, v in g.edges() if u in comp) == len(comp) - 1
-        for comp in components(g)
-    )
+    """Acyclic?  A graph is a forest exactly when it has n - c edges, c
+    being its number of components."""
+    return g.edge_count == g.n - len(components(g))
 
 
 def is_tree(g: Graph) -> bool:

@@ -6,13 +6,16 @@ certificates, no inconsistent verdict pairs, and agreement of the two
 targets on quadrangle-free inputs.
 """
 
+import dataclasses
 import importlib
+import json
 
 import pytest
 from hypothesis import given, settings
 
+from qsym.automorphisms import Permutation
 from qsym.classify import (
-    CompleteBipartite,
+    Certificate,
     CoronaRule,
     DisjointPair,
     EdgeFreePair,
@@ -31,6 +34,7 @@ from qsym.classify import (
     classify_with_complement,
     verify_certificate,
 )
+from qsym.cli import report_schema
 from qsym.errors import QsymError
 from qsym.gallery import (
     c4pn_graph,
@@ -414,8 +418,6 @@ def test_wrong_certificates_are_rejected():
     assert not verify_certificate(
         g, Verdict("bic", C, SmallBlocks(((0,), (1,), (2,), (3,))))
     )
-    assert not verify_certificate(g, Verdict("bic", C, CompleteBipartite(1, 3)))
-    assert verify_certificate(g, Verdict("bic", C, CompleteBipartite(2, 2)))
 
 
 def test_strip_certificate_verifies_chain():
@@ -423,6 +425,128 @@ def test_strip_certificate_verifies_chain():
     # wheel-ish graph: apex 0 dominates; behaviour depends on the chain
     if isinstance(rep.bic.certificate, StripToCommutative):
         assert verify_certificate(rep.graph, rep.bic)
+
+
+# ---------------------------------------------------------------------------
+# certificate kinds and their serialised form
+
+
+def _schema_kinds() -> set[str]:
+    """Every certificate ``kind`` the report schema admits."""
+    defs = report_schema()["$defs"]
+    kinds = set()
+    for ref in defs["certificate"]["oneOf"]:
+        kind = defs[ref["$ref"].rsplit("/", 1)[1]]["properties"]["kind"]
+        kinds.update(kind["enum"] if "enum" in kind else [kind["const"]])
+    return kinds
+
+
+def _certificate_classes(cls=Certificate):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _certificate_classes(sub)
+
+
+#: One graph per certificate kind, classified with its complement, at the
+#: given node budget.
+_PRODUCER_CASES = [
+    (cycle(4), None),  # disjoint-pair, edge-free-pair, quadrangle-free-complement
+    (cycle(5), None),  # quadrangle-free
+    (path(4), None),  # forest-no-disjoint-pair
+    (complete(3), None),  # small-order
+    (build(4, [(0, 1), (0, 3), (1, 3)]), None),  # small-blocks
+    (build(6, [(0, 1), (0, 4), (1, 2), (1, 3), (1, 5), (3, 5), (4, 5)]), None),  # strip
+    (cartesian(t0_graph(), complete(2)), 1000),  # product-lift
+    (corona(t0_graph(), path(3)), 1000),  # corona-symmetry
+]
+
+
+def test_every_schema_kind_has_a_producer():
+    produced = set()
+    for g, budget in _PRODUCER_CASES:
+        rep = classify_with_complement(g, node_budget=budget)
+        for v in (rep.bic, rep.ban, rep.bic_complement):
+            if v.certificate is not None:
+                produced.add(v.certificate.kind)
+    assert produced == _schema_kinds()
+
+
+def test_every_certificate_class_has_a_schema_kind():
+    kinds = {
+        f.default
+        for cls in _certificate_classes()
+        for f in dataclasses.fields(cls)
+        if f.name == "kind"
+    }
+    assert kinds == _schema_kinds()
+
+
+_S01 = Permutation((1, 0, 2, 3))
+_S23 = Permutation((0, 1, 3, 2))
+_S01_TEXT = '{"images": [1, 0, 2, 3], "cycles": "(0 1)"}'
+_S23_TEXT = '{"images": [0, 1, 3, 2], "cycles": "(2 3)"}'
+
+
+#: One certificate per kind and its exact JSON text: ``kind`` first, then
+#: the fields in declaration order; a None ``companion`` is left out, a
+#: false ``edge_free_only`` kept, and nested certificates inlined.
+_PAYLOAD_CASES = [
+    (
+        DisjointPair(_S01, _S23),
+        f'{{"kind": "disjoint-pair", "sigma": {_S01_TEXT}, "tau": {_S23_TEXT}}}',
+    ),
+    (
+        EdgeFreePair(_S23, _S01),
+        f'{{"kind": "edge-free-pair", "sigma": {_S23_TEXT}, "tau": {_S01_TEXT}}}',
+    ),
+    (SmallOrder(3), '{"kind": "small-order", "n": 3}'),
+    (QuadrangleFreeComplement(), '{"kind": "quadrangle-free-complement"}'),
+    (QuadrangleFreeSelf(), '{"kind": "quadrangle-free"}'),
+    (
+        QuadrangleFreeSelf(companion=SmallOrder(2)),
+        '{"kind": "quadrangle-free", "companion": {"kind": "small-order", "n": 2}}',
+    ),
+    (
+        ForestNoDisjointPair(edge_free_only=False),
+        '{"kind": "forest-no-disjoint-pair", "edge_free_only": false}',
+    ),
+    (
+        StripToCommutative(((0,), (4, 5)), SmallOrder(3)),
+        '{"kind": "strip", "chain": [[0], [4, 5]], '
+        '"terminal": {"kind": "small-order", "n": 3}}',
+    ),
+    (
+        SmallBlocks(((0,), (1, 2, 3))),
+        '{"kind": "small-blocks", "blocks": [[0], [1, 2, 3]]}',
+    ),
+    (
+        ProductLift("cartesian", 1, EdgeFreePair(_S01, _S23)),
+        '{"kind": "product-lift", "product_kind": "cartesian", "factor_index": 1, '
+        f'"inner": {{"kind": "edge-free-pair", "sigma": {_S01_TEXT}, '
+        f'"tau": {_S23_TEXT}}}}}',
+    ),
+    (
+        CoronaRule(Permutation((2, 1, 0))),
+        '{"kind": "corona-symmetry", '
+        '"witness": {"images": [2, 1, 0], "cycles": "(0 2)"}}',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cert, text", _PAYLOAD_CASES, ids=[cert.kind for cert, _ in _PAYLOAD_CASES]
+)
+def test_certificate_payload_bytes(cert, text):
+    assert json.dumps(cert.payload()) == text
+    assert cert.payload() == json.loads(text)  # tuples become lists
+
+
+def test_edge_free_pair_rejects_supports_joined_by_an_edge():
+    # C4's swaps (0 2) and (1 3) are disjoint, but every edge joins them
+    g = cycle(4)
+    sigma, tau = Permutation((2, 1, 0, 3)), Permutation((0, 3, 2, 1))
+    assert verify_certificate(g, Verdict("ban", NC, DisjointPair(sigma, tau)))
+    assert not verify_certificate(g, Verdict("bic", NC, EdgeFreePair(sigma, tau)))
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,32 @@ def test_adjacency_is_read_only():
         g.adj[0, 1] = False
 
 
+def _neighbour_masks_by_loop(g):
+    """Reference: bit u of mask v is set for each neighbour u of v."""
+    masks = []
+    for v in range(g.n):
+        mask = 0
+        for u in np.flatnonzero(g.adj[v]):
+            mask |= 1 << int(u)
+        masks.append(mask)
+    return masks
+
+
+@given(graphs(max_n=9))
+@settings(max_examples=80, deadline=None)
+def test_neighbour_masks_match_the_loop_reference(g):
+    assert [g.neighbor_mask(v) for v in range(g.n)] == _neighbour_masks_by_loop(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [edgeless(0), cycle(8), complement(cycle(8)), cycle(65)],
+    ids=["n0", "c8", "c8-complement", "c65"],
+)
+def test_neighbour_masks_across_byte_boundaries(g):
+    assert [g.neighbor_mask(v) for v in range(g.n)] == _neighbour_masks_by_loop(g)
+
+
 def test_edges_sorted_canonically():
     g = build(4, [(3, 1), (2, 0), (1, 0)])
     assert g.edges() == [(0, 1), (0, 2), (1, 3)]
@@ -217,6 +243,17 @@ def test_forest_and_tree_predicates():
     assert is_forest(disjoint_union([path(2), path(1)]))
     assert not is_tree(disjoint_union([path(2), path(1)]))
     assert not is_tree(edgeless(0))
+
+
+@given(graphs(max_n=8))
+@settings(max_examples=80, deadline=None)
+def test_forest_matches_the_per_component_edge_scan(g):
+    # reference: every component with k vertices has exactly k - 1 edges
+    expected = all(
+        sum(1 for u, v in g.edges() if u in comp) == len(comp) - 1
+        for comp in components(g)
+    )
+    assert is_forest(g) is expected
 
 
 def test_tree_center_paths():
