@@ -11,14 +11,20 @@ One search node is one unused, profile-compatible candidate image at a
 level of the backtracking, counted before the adjacency test.  That count
 is what ``--budget`` caps; it depends only on the graph, never on the
 machine.  Candidate sets are bitmasks over the vertices.
+
+The search lists each element as its image tuple and tracks supports as
+it goes, so the listing also yields the distinct supports, each with the
+first element found to have it: the lexicographically smallest.  Only
+those representatives become :class:`Permutation` objects up front; the
+full element list is built on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import LengthMismatch, OutOfRange, SizeLimitExceeded
 from .graphs import Graph
@@ -109,28 +115,47 @@ def support(p: Permutation) -> frozenset[int]:
 
 
 def is_automorphism(g: Graph, p: Permutation) -> bool:
-    """Re-verify that ``p`` preserves adjacency on ``g``."""
+    """Re-verify that ``p`` preserves adjacency on ``g``: for every
+    vertex ``i``, ``p`` must map the neighbours of ``i`` exactly onto the
+    neighbours of ``p(i)``."""
     if p.n != g.n:
         raise LengthMismatch(f"permutation on {p.n} points, graph on {g.n}")
+    bits = g._bits
     im = p.images
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if bool(g.adj[i, j]) != bool(g.adj[im[i], im[j]]):
-                return False
+    for i, nbrs in enumerate(bits):
+        image = 0
+        while nbrs:
+            low = nbrs & -nbrs
+            image |= 1 << im[low.bit_length() - 1]
+            nbrs ^= low
+        if image != bits[im[i]]:
+            return False
     return True
 
 
 @dataclass(frozen=True)
 class AutomorphismSet:
-    """The full automorphism group of a graph, as an explicit element list
-    in the deterministic order the search produced (lexicographic by
-    image tuple, so the identity comes first)."""
+    """The full automorphism group of a graph, listed in the deterministic
+    order the search produced (lexicographic by image tuple, so the
+    identity comes first).
 
-    elements: tuple[Permutation, ...]
+    ``images`` holds the elements as image tuples; ``firsts`` maps each
+    non-empty support mask to the first element found with that support,
+    which is the lexicographically smallest one.  :attr:`elements` builds
+    the :class:`Permutation` objects on first use; :attr:`order` and the
+    support views never need them all.
+    """
+
+    images: tuple[tuple[int, ...], ...]
+    firsts: dict[int, tuple[int, ...]] = field(compare=False, repr=False)
+
+    @cached_property
+    def elements(self) -> tuple[Permutation, ...]:
+        return tuple(map(Permutation, self.images))
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.images)
 
     @property
     def is_trivial(self) -> bool:
@@ -140,27 +165,25 @@ class AutomorphismSet:
         return tuple(p for p in self.elements if not p.is_identity)
 
     @cached_property
+    def support_masks(self) -> tuple[int, ...]:
+        """The distinct non-empty support masks, ordered by (support size,
+        discovery order)."""
+        return tuple(sorted(self.firsts, key=int.bit_count))
+
+    @cached_property
     def distinct_supports(self) -> tuple[tuple[int, Permutation], ...]:
-        """Non-identity elements as ``(support mask, element)``, ordered by
-        (support size, discovery order) and de-duplicated by support set
-        keeping the earliest representative.
+        """Non-identity elements as ``(support mask, element)``, one per
+        distinct support, in :attr:`support_masks` order; each support's
+        element is its lexicographically smallest.
 
         The pair predicates depend only on supports, so searching over
         these representatives returns the same first witness as searching
         over all elements, just without the quadratic blow-up on very
         symmetric graphs.  Computed once per group, on first use.
         """
-        ranked = sorted(
-            ((p.support_mask(), p) for p in self.nontrivial()),
-            key=lambda item: item[0].bit_count(),
+        return tuple(
+            (mask, Permutation(self.firsts[mask])) for mask in self.support_masks
         )
-        seen: set[int] = set()
-        out = []
-        for mask, p in ranked:
-            if mask not in seen:
-                seen.add(mask)
-                out.append((mask, p))
-        return tuple(out)
 
 
 def automorphisms(g: Graph, node_budget: int | None = None) -> AutomorphismSet:
@@ -181,7 +204,7 @@ def automorphisms(g: Graph, node_budget: int | None = None) -> AutomorphismSet:
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     n = g.n
     if n == 0:
-        return AutomorphismSet(elements=(Permutation(()),))
+        return AutomorphismSet(images=((),), firsts={})
     bits = g._bits
     degrees = g.degree_sequence
     profile = [
@@ -200,16 +223,16 @@ def automorphisms(g: Graph, node_budget: int | None = None) -> AutomorphismSet:
     earlier_apart = [
         tuple(u for u in range(v) if not bits[v] >> u & 1) for v in range(n)
     ]
-    found: list[Permutation] = []
+    found: list[tuple[int, ...]] = []
+    firsts: dict[int, tuple[int, ...]] = {}
     images = [0] * n
     used = 0
     nodes = 0
+    last = n - 1
 
-    def extend(v: int) -> None:
+    def extend(v: int, moved: int) -> None:
+        # moved: support mask of the partial map on vertices 0..v-1
         nonlocal used, nodes
-        if v == n:
-            found.append(Permutation(tuple(images)))
-            return
         free = cand_mask[v] & ~used
         nodes += free.bit_count()
         if nodes > budget:
@@ -218,16 +241,28 @@ def automorphisms(g: Graph, node_budget: int | None = None) -> AutomorphismSet:
             free &= bits[images[u]]
         for u in earlier_apart[v]:
             free &= ~bits[images[u]]
+        if v == last:
+            # leaves inline: at most one vertex is still unused
+            if free:
+                x = free.bit_length() - 1
+                images[v] = x
+                leaf = tuple(images)
+                found.append(leaf)
+                mask = moved | ((x != v) << v)
+                if mask and mask not in firsts:
+                    firsts[mask] = leaf
+            return
         while free:
             low = free & -free
-            images[v] = low.bit_length() - 1
+            x = low.bit_length() - 1
+            images[v] = x
             used |= low
-            extend(v + 1)
+            extend(v + 1, moved | ((x != v) << v))
             used ^= low
             free ^= low
 
-    extend(0)
-    return AutomorphismSet(elements=tuple(found))
+    extend(0, 0)
+    return AutomorphismSet(images=tuple(found), firsts=firsts)
 
 
 def twin_transpositions(g: Graph) -> list[Permutation]:
@@ -252,7 +287,7 @@ def _edge_between(g: Graph, mask_a: int, mask_b: int) -> bool:
     m = mask_a
     while m:
         v = (m & -m).bit_length() - 1
-        if g.neighbor_mask(v) & mask_b:
+        if g._bits[v] & mask_b:
             return True
         m &= m - 1
     return False
@@ -272,6 +307,29 @@ def order_pair(
     return (a, b) if key(a) <= key(b) else (b, a)
 
 
+def _disjoint_pairs(
+    g: Graph, masks: Sequence[int], edge_free: bool
+) -> Iterator[tuple[int, int]]:
+    """Index pairs ``i < j`` of disjoint support masks, in scan order;
+    with ``edge_free``, only pairs that no edge of ``g`` joins."""
+    for i, mask_a in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            mask_b = masks[j]
+            if mask_a & mask_b == 0 and not (
+                edge_free and _edge_between(g, mask_a, mask_b)
+            ):
+                yield i, j
+
+
+def _first_pair(
+    g: Graph, auts: AutomorphismSet, edge_free: bool
+) -> tuple[Permutation, Permutation] | None:
+    reps = auts.distinct_supports
+    for i, j in _disjoint_pairs(g, auts.support_masks, edge_free):
+        return order_pair(reps[i][1], reps[j][1])
+    return None
+
+
 def find_disjoint_pair(
     g: Graph,
     node_budget: int | None = None,
@@ -285,14 +343,7 @@ def find_disjoint_pair(
     """
     if auts is None:
         auts = automorphisms(g, node_budget=node_budget)
-    reps = auts.distinct_supports
-    for i in range(len(reps)):
-        mask_a, a = reps[i]
-        for j in range(i + 1, len(reps)):
-            mask_b, b = reps[j]
-            if mask_a & mask_b == 0:
-                return order_pair(a, b)
-    return None
+    return _first_pair(g, auts, edge_free=False)
 
 
 def find_edge_free_disjoint_pair(
@@ -304,11 +355,4 @@ def find_edge_free_disjoint_pair(
     may join the two supports."""
     if auts is None:
         auts = automorphisms(g, node_budget=node_budget)
-    reps = auts.distinct_supports
-    for i in range(len(reps)):
-        mask_a, a = reps[i]
-        for j in range(i + 1, len(reps)):
-            mask_b, b = reps[j]
-            if mask_a & mask_b == 0 and not _edge_between(g, mask_a, mask_b):
-                return order_pair(a, b)
-    return None
+    return _first_pair(g, auts, edge_free=True)

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import products
 from .automorphisms import (
+    _disjoint_pairs,
     _edge_between,
     automorphisms,
     find_disjoint_pair,
@@ -298,20 +299,12 @@ def check_forest_dichotomy(n_max: int) -> CensusResult:
         for idx, f in enumerate(enumerate_forests(n)):
             forests += 1
             trees += is_tree(f)
-            supports = automorphisms(f).distinct_supports
-            has_disjoint = has_edge_free = False
-            crossing = 0
-            for i in range(len(supports)):
-                mask_i = supports[i][0]
-                for j in range(i + 1, len(supports)):
-                    mask_j = supports[j][0]
-                    if mask_i & mask_j:
-                        continue
-                    has_disjoint = True
-                    if _edge_between(f, mask_i, mask_j):
-                        crossing += 1
-                    else:
-                        has_edge_free = True
+            masks = automorphisms(f).support_masks
+            disjoint = crossing = 0
+            for i, j in _disjoint_pairs(f, masks, edge_free=False):
+                disjoint += 1
+                crossing += _edge_between(f, masks[i], masks[j])
+            has_disjoint, has_edge_free = disjoint > 0, disjoint > crossing
             if crossing:
                 violations.append(
                     f"n={n}: forest #{idx} has {crossing} disjoint pairs "

@@ -395,6 +395,7 @@ def are_isomorphic(g1: Graph, g2: Graph) -> tuple[int, ...] | None:
     candidates = [
         [w for w in range(n) if inv2[w] == inv1[v]] for v in range(n)
     ]
+    bits1, bits2 = g1._bits, g2._bits
     images: list[int] = []
     used = 0
 
@@ -404,12 +405,12 @@ def are_isomorphic(g1: Graph, g2: Graph) -> tuple[int, ...] | None:
             return tuple(images)
         nbrs_image = 0
         for u in range(v):
-            if g1.adj[v, u]:
+            if bits1[v] >> u & 1:
                 nbrs_image |= 1 << images[u]
         for w in candidates[v]:
             if used >> w & 1:
                 continue
-            if (g2.neighbor_mask(w) & used) != nbrs_image:
+            if (bits2[w] & used) != nbrs_image:
                 continue
             images.append(w)
             used |= 1 << w

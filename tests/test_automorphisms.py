@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsym import (
     Permutation,
@@ -13,18 +14,20 @@ from qsym import (
     cartesian,
     complement,
     complete,
+    complete_bipartite,
     cycle,
     disjoint_union,
     edgeless,
     find_disjoint_pair,
     find_edge_free_disjoint_pair,
+    gallery,
     is_automorphism,
     path,
     star,
     support,
 )
 from qsym.automorphisms import twin_transpositions
-from qsym.census import SplitMix64, random_graph
+from qsym.census import SplitMix64, enumerate_forests, random_graph
 from qsym.errors import LengthMismatch, OutOfRange, SizeLimitExceeded
 
 from .conftest import graphs, hypercube, small_corpus
@@ -44,6 +47,146 @@ def brute_force_aut(g) -> set[tuple[int, ...]]:
         ):
             out.add(images)
     return out
+
+
+def reference_listing(g):
+    """Aut(g) with one ``Permutation`` per element, and the distinct
+    supports taken from the full list: every non-identity element sorted
+    stably by support size, keeping the first element per support mask.
+    Same search tree as ``automorphisms``, without the node budget."""
+    n = g.n
+    if n == 0:
+        return (Permutation(()),), ()
+    bits = g._bits
+    degrees = g.degree_sequence
+    profile = [
+        (degrees[v], tuple(sorted(degrees[u] for u in range(n) if bits[v] >> u & 1)))
+        for v in range(n)
+    ]
+    cand_mask = [
+        sum(1 << w for w in range(n) if profile[w] == profile[v]) for v in range(n)
+    ]
+    earlier_adjacent = [
+        tuple(u for u in range(v) if bits[v] >> u & 1) for v in range(n)
+    ]
+    earlier_apart = [
+        tuple(u for u in range(v) if not bits[v] >> u & 1) for v in range(n)
+    ]
+    found = []
+    images = [0] * n
+    used = 0
+
+    def extend(v):
+        nonlocal used
+        if v == n:
+            found.append(Permutation(tuple(images)))
+            return
+        free = cand_mask[v] & ~used
+        for u in earlier_adjacent[v]:
+            free &= bits[images[u]]
+        for u in earlier_apart[v]:
+            free &= ~bits[images[u]]
+        while free:
+            low = free & -free
+            images[v] = low.bit_length() - 1
+            used |= low
+            extend(v + 1)
+            used ^= low
+            free ^= low
+
+    extend(0)
+    ranked = sorted(
+        ((p.support_mask(), p) for p in found if not p.is_identity),
+        key=lambda item: item[0].bit_count(),
+    )
+    seen = set()
+    supports = []
+    for mask, p in ranked:
+        if mask not in seen:
+            seen.add(mask)
+            supports.append((mask, p))
+    return tuple(found), tuple(supports)
+
+
+def _symmetric_set():
+    k2 = complete(2)
+    q3 = cartesian(cartesian(k2, k2), k2)
+    q4 = cartesian(q3, k2)
+    return [
+        q3,
+        q4,
+        cartesian(q4, k2),
+        cartesian(complete(4), complete(4)),
+        cartesian(complete_bipartite(3, 3), cycle(4)),
+        build(
+            10,
+            [(i, (i + 1) % 5) for i in range(5)]
+            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+            + [(i, i + 5) for i in range(5)],
+        ),
+        gallery("prism7"),
+    ]
+
+
+def _listing_corpus():
+    """All forests with n <= 9, the first 1,000 0x5EED graphs and their
+    complements, and the symmetric set and its complements; each distinct
+    adjacency matrix once (the random pool repeats K8 and its complement)."""
+    rng = SplitMix64(0x5EED)
+    pool = [random_graph(rng) for _ in range(1000)]
+    seen = set()
+    for g in [
+        *(f for n in range(1, 10) for f in enumerate_forests(n)),
+        *pool,
+        *map(complement, pool),
+        *_symmetric_set(),
+        *map(complement, _symmetric_set()),
+    ]:
+        key = (g.n, g.adj.tobytes())
+        if key not in seen:
+            seen.add(key)
+            yield g
+
+
+def test_listing_equals_the_reference():
+    checked = 0
+    for g in _listing_corpus():
+        auts = automorphisms(g)
+        elements, supports = reference_listing(g)
+        assert auts.order == len(elements), g
+        assert auts.elements == elements, g
+        assert auts.distinct_supports == supports, g
+        assert auts.support_masks == tuple(mask for mask, _ in supports), g
+        checked += 1
+    assert checked == 1481
+
+
+def test_each_support_keeps_its_lexicographically_smallest_element():
+    for g in small_corpus() + [edgeless(6), star(5), _symmetric_set()[1]]:
+        auts = automorphisms(g)
+        for mask, p in auts.distinct_supports:
+            assert p.images == min(
+                q.images for q in auts.elements if q.support_mask() == mask
+            )
+
+
+def test_supports_and_order_build_one_permutation_per_support(monkeypatch):
+    built = 0
+    check = Permutation.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        check(self)
+
+    monkeypatch.setattr(Permutation, "__post_init__", counting)
+    auts = automorphisms(edgeless(8))
+    assert auts.order == 40_320
+    supports = auts.distinct_supports
+    assert len(supports) == 2**8 - 8 - 1
+    assert built <= len(supports)
+    assert auts.elements[1].images == (0, 1, 2, 3, 4, 5, 7, 6)
+    assert built == len(supports) + 40_320
 
 
 def test_enumeration_matches_bruteforce_on_corpus():
@@ -113,6 +256,25 @@ def test_automorphism_matrix_commutation():
         m[i, j] = 1
     assert not is_automorphism(g, q)
     assert not np.array_equal(m @ g.adj, g.adj.astype(int) @ m)
+
+
+def reference_is_automorphism(g, p):
+    im = p.images
+    return all(
+        bool(g.adj[i, j]) == bool(g.adj[im[i], im[j]])
+        for i in range(g.n)
+        for j in range(i + 1, g.n)
+    )
+
+
+@settings(max_examples=100)
+@given(graphs(max_n=8), st.data())
+def test_is_automorphism_matches_the_pairwise_check(g, data):
+    perms = [Permutation(tuple(data.draw(st.permutations(range(g.n)))))]
+    perms.extend(automorphisms(g).elements[:5])
+    perms.extend(twin_transpositions(g))
+    for p in perms:
+        assert is_automorphism(g, p) == reference_is_automorphism(g, p)
 
 
 def test_is_automorphism_checks_length():
