@@ -3,6 +3,7 @@
 from .automorphisms import (
     AutomorphismSet,
     Permutation,
+    are_isomorphic,
     automorphisms,
     find_disjoint_pair,
     find_edge_free_disjoint_pair,
@@ -14,7 +15,6 @@ from .graphs import (
     Cherry,
     GenerationPartition,
     Graph,
-    are_isomorphic,
     build,
     complement,
     complete,

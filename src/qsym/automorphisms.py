@@ -1,5 +1,6 @@
-"""Automorphism groups by exhaustive backtracking, and the disjoint-pair
-searches that drive the non-commutativity certificates.
+"""Automorphism groups and isomorphisms by one exhaustive backtracking
+search, and the disjoint-pair searches that drive the non-commutativity
+certificates.
 
 The enumeration is complete (every element, not generators), which keeps
 the downstream pair searches trivially correct.  That is fine at desk
@@ -17,17 +18,21 @@ it goes, so the listing also yields the distinct supports, each with the
 first element found to have it: the lexicographically smallest.  Only
 those representatives become :class:`Permutation` objects up front; the
 full element list is built on demand.
+
+:func:`are_isomorphic` runs the same search from one graph onto another,
+without a budget, and stops at the first leaf.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import LengthMismatch, OutOfRange, SizeLimitExceeded
-from .graphs import Graph
+from .graphs import Graph, is_isomorphism
 
 #: Default cap on backtracking nodes for one enumeration.
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -115,22 +120,10 @@ def support(p: Permutation) -> frozenset[int]:
 
 
 def is_automorphism(g: Graph, p: Permutation) -> bool:
-    """Re-verify that ``p`` preserves adjacency on ``g``: for every
-    vertex ``i``, ``p`` must map the neighbours of ``i`` exactly onto the
-    neighbours of ``p(i)``."""
+    """Re-verify that ``p`` preserves adjacency on ``g``."""
     if p.n != g.n:
         raise LengthMismatch(f"permutation on {p.n} points, graph on {g.n}")
-    bits = g._bits
-    im = p.images
-    for i, nbrs in enumerate(bits):
-        image = 0
-        while nbrs:
-            low = nbrs & -nbrs
-            image |= 1 << im[low.bit_length() - 1]
-            nbrs ^= low
-        if image != bits[im[i]]:
-            return False
-    return True
+    return is_isomorphism(g, g, p.images)
 
 
 @dataclass(frozen=True)
@@ -186,6 +179,95 @@ class AutomorphismSet:
         )
 
 
+def _profiles(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
+    """Each vertex's degree and sorted multiset of neighbour degrees."""
+    bits, degrees = g._bits, g.degree_sequence
+    return [
+        (degrees[v], tuple(sorted(degrees[u] for u in range(g.n) if bits[v] >> u & 1)))
+        for v in range(g.n)
+    ]
+
+
+class _Found(Exception):
+    """Carries the first leaf out of a search that needs only one."""
+
+
+def _backtrack(
+    g: Graph, h: Graph, budget: float, emit: Callable[[tuple[int, ...]], object]
+) -> dict[int, tuple[int, ...]]:
+    """The backtracking search for adjacency-preserving bijections g -> h.
+
+    Vertices of ``g`` are mapped in index order, each to an unused vertex
+    of ``h`` with the same profile, and candidates are tried in increasing
+    order, so ``emit`` receives the leaves (image tuples) in lexicographic
+    order; it may raise to end the search.  Returns, per non-empty
+    support mask, the first leaf with that support (which means something
+    only when ``h`` is ``g``).  Nodes are charged as described in
+    :func:`automorphisms`; past ``budget`` it raises
+    :class:`SizeLimitExceeded`.
+    """
+    n = g.n
+    if n == 0:
+        emit(())
+        return {}
+    gprof = _profiles(g)
+    hprof = gprof if h is g else _profiles(h)
+    if sorted(gprof) != sorted(hprof):
+        return {}
+    bits, hbits = g._bits, h._bits
+    cand_mask = [
+        sum(1 << w for w in range(n) if hprof[w] == gprof[v]) for v in range(n)
+    ]
+    # the earlier vertices adjacent, and not adjacent, to each vertex: the
+    # image of v must be adjacent to the images of the first and to none
+    # of the images of the second
+    earlier_adjacent = [
+        tuple(u for u in range(v) if bits[v] >> u & 1) for v in range(n)
+    ]
+    earlier_apart = [
+        tuple(u for u in range(v) if not bits[v] >> u & 1) for v in range(n)
+    ]
+    firsts: dict[int, tuple[int, ...]] = {}
+    images = [0] * n
+    used = 0
+    nodes = 0
+    last = n - 1
+
+    def extend(v: int, moved: int) -> None:
+        # moved: support mask of the partial map on vertices 0..v-1
+        nonlocal used, nodes
+        free = cand_mask[v] & ~used
+        nodes += free.bit_count()
+        if nodes > budget:
+            raise SizeLimitExceeded(budget)
+        for u in earlier_adjacent[v]:
+            free &= hbits[images[u]]
+        for u in earlier_apart[v]:
+            free &= ~hbits[images[u]]
+        if v == last:
+            # leaves inline: at most one vertex is still unused
+            if free:
+                x = free.bit_length() - 1
+                images[v] = x
+                leaf = tuple(images)
+                emit(leaf)
+                mask = moved | ((x != v) << v)
+                if mask and mask not in firsts:
+                    firsts[mask] = leaf
+            return
+        while free:
+            low = free & -free
+            x = low.bit_length() - 1
+            images[v] = x
+            used |= low
+            extend(v + 1, moved | ((x != v) << v))
+            used ^= low
+            free ^= low
+
+    extend(0, 0)
+    return firsts
+
+
 def automorphisms(g: Graph, node_budget: int | None = None) -> AutomorphismSet:
     """Enumerate Aut(g) completely.
 
@@ -202,67 +284,33 @@ def automorphisms(g: Graph, node_budget: int | None = None) -> AutomorphismSet:
     silently truncated group.  This count is the ``--budget`` contract.
     """
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
-    n = g.n
-    if n == 0:
-        return AutomorphismSet(images=((),), firsts={})
-    bits = g._bits
-    degrees = g.degree_sequence
-    profile = [
-        (degrees[v], tuple(sorted(degrees[u] for u in range(n) if bits[v] >> u & 1)))
-        for v in range(n)
-    ]
-    cand_mask = [
-        sum(1 << w for w in range(n) if profile[w] == profile[v]) for v in range(n)
-    ]
-    # the earlier vertices adjacent, and not adjacent, to each vertex: the
-    # image of v must be adjacent to the images of the first and to none
-    # of the images of the second
-    earlier_adjacent = [
-        tuple(u for u in range(v) if bits[v] >> u & 1) for v in range(n)
-    ]
-    earlier_apart = [
-        tuple(u for u in range(v) if not bits[v] >> u & 1) for v in range(n)
-    ]
     found: list[tuple[int, ...]] = []
-    firsts: dict[int, tuple[int, ...]] = {}
-    images = [0] * n
-    used = 0
-    nodes = 0
-    last = n - 1
-
-    def extend(v: int, moved: int) -> None:
-        # moved: support mask of the partial map on vertices 0..v-1
-        nonlocal used, nodes
-        free = cand_mask[v] & ~used
-        nodes += free.bit_count()
-        if nodes > budget:
-            raise SizeLimitExceeded(budget)
-        for u in earlier_adjacent[v]:
-            free &= bits[images[u]]
-        for u in earlier_apart[v]:
-            free &= ~bits[images[u]]
-        if v == last:
-            # leaves inline: at most one vertex is still unused
-            if free:
-                x = free.bit_length() - 1
-                images[v] = x
-                leaf = tuple(images)
-                found.append(leaf)
-                mask = moved | ((x != v) << v)
-                if mask and mask not in firsts:
-                    firsts[mask] = leaf
-            return
-        while free:
-            low = free & -free
-            x = low.bit_length() - 1
-            images[v] = x
-            used |= low
-            extend(v + 1, moved | ((x != v) << v))
-            used ^= low
-            free ^= low
-
-    extend(0, 0)
+    firsts = _backtrack(g, g, budget, found.append)
     return AutomorphismSet(images=tuple(found), firsts=firsts)
+
+
+def are_isomorphic(g1: Graph, g2: Graph) -> tuple[int, ...] | None:
+    """Search for an isomorphism g1 -> g2.
+
+    Returns the witness as an image tuple (``result[i]`` is where vertex
+    ``i`` of ``g1`` lands in ``g2``), or ``None``.  The same search as
+    :func:`automorphisms`, run from ``g1`` onto ``g2`` without a node
+    budget and stopped at its first leaf, so the witness is the
+    lexicographically smallest isomorphism and equal inputs always give
+    the same one.  Graphs whose orders, edge counts or sorted vertex
+    profiles differ are rejected before any search.
+    """
+    if g2.n != g1.n or g1.edge_count != g2.edge_count:
+        return None
+
+    def stop(leaf: tuple[int, ...]) -> None:
+        raise _Found(leaf)
+
+    try:
+        _backtrack(g1, g2, math.inf, stop)
+    except _Found as hit:
+        return hit.args[0]
+    return None
 
 
 def twin_transpositions(g: Graph) -> list[Permutation]:
@@ -322,11 +370,12 @@ def _disjoint_pairs(
 
 
 def _first_pair(
-    g: Graph, auts: AutomorphismSet, edge_free: bool
+    g: Graph, perms: Sequence[Permutation], masks: Sequence[int], edge_free: bool
 ) -> tuple[Permutation, Permutation] | None:
-    reps = auts.distinct_supports
-    for i, j in _disjoint_pairs(g, auts.support_masks, edge_free):
-        return order_pair(reps[i][1], reps[j][1])
+    """The first pair :func:`_disjoint_pairs` finds, ``masks[i]`` being the
+    support of ``perms[i]``, in presentation order; ``None`` if none."""
+    for i, j in _disjoint_pairs(g, masks, edge_free):
+        return order_pair(perms[i], perms[j])
     return None
 
 
@@ -343,7 +392,8 @@ def find_disjoint_pair(
     """
     if auts is None:
         auts = automorphisms(g, node_budget=node_budget)
-    return _first_pair(g, auts, edge_free=False)
+    reps = [p for _, p in auts.distinct_supports]
+    return _first_pair(g, reps, auts.support_masks, edge_free=False)
 
 
 def find_edge_free_disjoint_pair(
@@ -355,4 +405,5 @@ def find_edge_free_disjoint_pair(
     may join the two supports."""
     if auts is None:
         auts = automorphisms(g, node_budget=node_budget)
-    return _first_pair(g, auts, edge_free=True)
+    reps = [p for _, p in auts.distinct_supports]
+    return _first_pair(g, reps, auts.support_masks, edge_free=True)

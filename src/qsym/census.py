@@ -32,7 +32,7 @@ from .automorphisms import (
     find_edge_free_disjoint_pair,
 )
 from .classify import Status, classify, verify_certificate
-from .errors import OutOfRange
+from .errors import NonPositiveCount, OutOfRange
 from .graphs import (
     Graph,
     build,
@@ -360,8 +360,7 @@ def _pattern_soundness(g: Graph, pattern, auts) -> bool:
     """No forced-zero cell may be realised by an actual automorphism."""
     n = g.n
     reachable = np.zeros((n, n), dtype=bool)
-    for p in auts.elements:
-        reachable[np.arange(n), list(p.images)] = True
+    reachable[np.arange(n), np.asarray(auts.images)] = True
     return not bool((pattern.forced & reachable).any())
 
 
@@ -381,8 +380,11 @@ def oracle_crosschecks(
 
     ``_inject_fault`` flips one pattern cell on the first graph; the
     harness must report exactly that violation.  It exists so the tests
-    can show this function is able to fail.
+    can show this function is able to fail.  A ``count`` below one
+    raises :class:`NonPositiveCount`: an empty survey proves nothing.
     """
+    if count < 1:
+        raise NonPositiveCount(f"oracle survey needs count >= 1, got {count}")
     rng = SplitMix64(seed)
     violations: list[str] = []
     per_n: dict[int, list[int]] = {n: [0, 0, 0] for n in range(3, 9)}

@@ -31,15 +31,16 @@ from .automorphisms import (
     AutomorphismSet,
     Permutation,
     _edge_between,
+    _first_pair,
     automorphisms,
     find_disjoint_pair,
     find_edge_free_disjoint_pair,
     is_automorphism,
-    order_pair,
     twin_transpositions,
 )
 from .errors import QsymError, SizeLimitExceeded
 from .graphs import Graph, complement, contains_quadrangle, is_connected, is_forest
+from .graphs import _mask_vertices
 from .products import PRODUCT_KINDS
 from .reduction import BlockStructure, strip_high_degree_fixpoint, zero_pattern
 from .reduction import blocks as pattern_blocks
@@ -460,55 +461,22 @@ class _Ctx:
         return self._auts_failed
 
 
-def _twin_pair(
-    g: Graph, *, edge_free: bool
-) -> tuple[Permutation, Permutation] | None:
-    """Cheap witness scan: two twin swaps with disjoint supports (and, if
-    requested, no edge between the supports).  Avoids full enumeration on
-    highly symmetric graphs.  Candidates are tried in the same order the
-    full search would use, so both paths present the same witness."""
-    twins = sorted(twin_transpositions(g), key=lambda p: p.images)
-    for i in range(len(twins)):
-        mi = twins[i].support_mask()
-        for j in range(i + 1, len(twins)):
-            mj = twins[j].support_mask()
-            if mi & mj:
-                continue
-            if edge_free and _edge_between(g, mi, mj):
-                continue
-            return order_pair(twins[i], twins[j])
-    return None
-
-
 def _complete_bipartite_parts(
     g: Graph,
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Recognise a complete bipartite graph; return its two sides."""
-    n = g.n
-    if n < 2:
+    """Recognise a complete bipartite graph; return its two sides: A, the
+    vertices not adjacent to vertex 0 (0 among them), then B = N(0).  The
+    graph is K_{A,B} exactly when every vertex of A has neighbourhood B
+    and every vertex of B has neighbourhood A."""
+    bits = g._bits
+    side_b = bits[0] if bits else 0
+    if not side_b:
         return None
-    color = [-1] * n
-    color[0] = 0
-    queue = [0]
-    seen = 1
-    while queue:
-        v = queue.pop()
-        for u in g.neighbors(v):
-            if color[u] == -1:
-                color[u] = 1 - color[v]
-                seen += 1
-                queue.append(u)
-            elif color[u] == color[v]:
-                return None  # odd cycle
-    if seen != n:
-        return None  # disconnected
-    side_a = tuple(v for v in range(n) if color[v] == 0)
-    side_b = tuple(v for v in range(n) if color[v] == 1)
-    if not side_a or not side_b:
-        return None
-    if g.edge_count != len(side_a) * len(side_b):
-        return None  # bipartite but not complete bipartite
-    return side_a, side_b
+    side_a = ((1 << g.n) - 1) ^ side_b
+    for v, nbrs in enumerate(bits):
+        if nbrs != (side_a if side_b >> v & 1 else side_b):
+            return None
+    return _mask_vertices(side_a), _mask_vertices(side_b)
 
 
 def _blocks_small_enough(
@@ -580,7 +548,11 @@ def _pair(ctx: _Ctx, t: str) -> Verdict | None:
     else:
         rule, cert, find = R_BAN_1, DisjointPair, find_disjoint_pair
         missing = "no disjoint pair"
-    pair = _twin_pair(ctx.g, edge_free=cert.edge_free)
+    # twin swaps first: on graphs such as star20 they find the pair
+    # without listing a huge group
+    twins = sorted(twin_transpositions(ctx.g), key=lambda p: p.images)
+    masks = [p.support_mask() for p in twins]
+    pair = _first_pair(ctx.g, twins, masks, cert.edge_free)
     if pair is None:
         auts = ctx.auts()
         if auts is None:

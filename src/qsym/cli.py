@@ -272,9 +272,9 @@ def _cmd_gallery(args) -> int:
 
 def _cmd_census(args) -> int:
     if args.survey == "forests":
-        result = check_forest_dichotomy(args.n_max if args.n_max else 9)
+        result = check_forest_dichotomy(9 if args.n_max is None else args.n_max)
     elif args.survey == "cherries":
-        result = cherry_census(args.n_max if args.n_max else 11)
+        result = cherry_census(11 if args.n_max is None else args.n_max)
     else:
         result = oracle_crosschecks(seed=args.seed, count=args.count)
     import io

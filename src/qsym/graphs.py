@@ -4,13 +4,16 @@ package leans on.
 Graphs are immutable: a dense boolean adjacency matrix plus optional
 display labels.  Vertices are always ``0..n-1``; labels are cosmetic and
 never affect equality.  The helpers here are deliberately plain --
-breadth-first search, leaf stripping, backtracking isomorphism -- because
-everything downstream (certificates, census runs) wants to re-verify
-results against *simple* code rather than clever code.
+breadth-first search and component walks on neighbour bitmasks, leaf
+stripping, re-verifying an isomorphism -- because everything downstream
+(certificates, census runs) wants to re-verify results against *simple*
+code rather than clever code.  The isomorphism *search* shares the
+automorphism search in :mod:`qsym.automorphisms`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -61,6 +64,13 @@ class GenerationPartition:
     layers: tuple[frozenset[int], ...]
 
 
+def _pack_rows(matrix: np.ndarray) -> tuple[int, ...]:
+    """Each row of a square boolean matrix as a bitmask (bit ``j`` set iff
+    ``matrix[i, j]``)."""
+    rows = np.packbits(matrix, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
+
+
 class Graph:
     """An immutable simple graph on vertices ``0..n-1``."""
 
@@ -88,9 +98,7 @@ class Graph:
         object.__setattr__(self, "adj", adj)
         object.__setattr__(self, "labels", tuple(labels) if labels is not None else None)
         object.__setattr__(self, "provenance", provenance)
-        rows = np.packbits(adj, axis=1, bitorder="little")
-        bits = tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
-        object.__setattr__(self, "_bits", bits)
+        object.__setattr__(self, "_bits", _pack_rows(adj))
         object.__setattr__(self, "_degrees", tuple(int(d) for d in adj.sum(axis=1)))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
@@ -266,36 +274,52 @@ def contains_quadrangle(g: Graph) -> bool:
     return bool((paths2 >= 2).any())
 
 
+def _mask_vertices(mask: int) -> tuple[int, ...]:
+    """The vertices in a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _component_masks(rows: Sequence[int]) -> list[int]:
+    """Connected components of the graph whose neighbour bitmasks are
+    ``rows``, each as a bitmask, ordered by least vertex.  A row may
+    include its own vertex.  Each component grows level by level: the
+    next frontier is the OR of the frontier's rows minus what is seen."""
+    left = (1 << len(rows)) - 1
+    out = []
+    while left:
+        seen = frontier = left & -left
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= rows[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~seen
+            seen |= frontier
+        out.append(seen)
+        left &= ~seen
+    return out
+
+
 def components(g: Graph) -> list[frozenset[int]]:
     """Connected components, each a frozenset, ordered by least vertex."""
-    seen = [False] * g.n
-    out: list[frozenset[int]] = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = []
-        stack = [s]
-        seen[s] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in g.neighbors(v):
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        out.append(frozenset(comp))
-    return out
+    return [frozenset(_mask_vertices(m)) for m in _component_masks(g._bits)]
 
 
 def is_connected(g: Graph) -> bool:
     """True when there is at most one component (vacuously for n=0)."""
-    return len(components(g)) <= 1
+    return len(_component_masks(g._bits)) <= 1
 
 
 def is_forest(g: Graph) -> bool:
     """Acyclic?  A graph is a forest exactly when it has n - c edges, c
     being its number of components."""
-    return g.edge_count == g.n - len(components(g))
+    return g.edge_count == g.n - len(_component_masks(g._bits))
 
 
 def is_tree(g: Graph) -> bool:
@@ -359,69 +383,23 @@ def find_cherries(g: Graph) -> tuple[Cherry, ...]:
 
 def is_isomorphism(g1: Graph, g2: Graph, images: Sequence[int]) -> bool:
     """Check that ``images`` (vertex i of g1 goes to images[i] in g2) is a
-    graph isomorphism.  Pure re-verification, no search."""
+    graph isomorphism: for every vertex ``i``, it must map the neighbours
+    of ``i`` exactly onto the neighbours of ``images[i]``.  Pure
+    re-verification, no search."""
     n = g1.n
+    images = tuple(map(operator.index, images))  # numpy ints would overflow shifts
     if g2.n != n or len(images) != n or sorted(images) != list(range(n)):
         return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            if bool(g1.adj[i, j]) != bool(g2.adj[images[i], images[j]]):
-                return False
+    bits2 = g2._bits
+    for i, nbrs in enumerate(g1._bits):
+        image = 0
+        while nbrs:
+            low = nbrs & -nbrs
+            image |= 1 << images[low.bit_length() - 1]
+            nbrs ^= low
+        if image != bits2[images[i]]:
+            return False
     return True
-
-
-def _refinement(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
-    return [
-        (g.degree(v), tuple(sorted(g.degree(u) for u in g.neighbors(v))))
-        for v in range(g.n)
-    ]
-
-
-def are_isomorphic(g1: Graph, g2: Graph) -> tuple[int, ...] | None:
-    """Search for an isomorphism g1 -> g2.
-
-    Returns the witness as an image tuple (``result[i]`` is where vertex
-    ``i`` of ``g1`` lands in ``g2``), or ``None``.  Backtracking over
-    vertices of ``g1`` in index order, pruned by degree and
-    neighbour-degree profiles; deterministic, so equal inputs always give
-    the same witness.
-    """
-    n = g1.n
-    if g2.n != n or g1.edge_count != g2.edge_count:
-        return None
-    inv1, inv2 = _refinement(g1), _refinement(g2)
-    if sorted(inv1) != sorted(inv2):
-        return None
-    candidates = [
-        [w for w in range(n) if inv2[w] == inv1[v]] for v in range(n)
-    ]
-    bits1, bits2 = g1._bits, g2._bits
-    images: list[int] = []
-    used = 0
-
-    def extend(v: int) -> tuple[int, ...] | None:
-        nonlocal used
-        if v == n:
-            return tuple(images)
-        nbrs_image = 0
-        for u in range(v):
-            if bits1[v] >> u & 1:
-                nbrs_image |= 1 << images[u]
-        for w in candidates[v]:
-            if used >> w & 1:
-                continue
-            if (bits2[w] & used) != nbrs_image:
-                continue
-            images.append(w)
-            used |= 1 << w
-            hit = extend(v + 1)
-            if hit is not None:
-                return hit
-            images.pop()
-            used &= ~(1 << w)
-        return None
-
-    return extend(0)
 
 
 # ---------------------------------------------------------------------------

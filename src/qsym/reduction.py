@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import AsymmetricPattern
 from .graphs import Graph, distance_matrix, induced_subgraph
+from .graphs import _component_masks, _mask_vertices, _pack_rows
 
 RULE_DEGREE = "degree"
 RULE_DISTANCE_DEGREE = "distance-degree"
@@ -145,25 +146,9 @@ def blocks(pattern: ZeroPattern) -> BlockStructure:
     """Connected components of the complement of ``forced`` (the cells
     that may still be nonzero), ordered by least vertex.  Every vertex
     lands in exactly one block."""
-    n = pattern.n
-    possible = ~pattern.forced
-    seen = [False] * n
-    out = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        comp = []
-        stack = [s]
-        seen[s] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in range(n):
-                if not seen[u] and (possible[v, u] or possible[u, v]):
-                    seen[u] = True
-                    stack.append(u)
-        out.append(tuple(sorted(comp)))
-    return BlockStructure(blocks=tuple(out))
+    forced = pattern.forced
+    rows = _pack_rows(~(forced & forced.T))
+    return BlockStructure(blocks=tuple(map(_mask_vertices, _component_masks(rows))))
 
 
 def render_pattern(g: Graph, pattern: ZeroPattern) -> str:

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import random
+from functools import lru_cache
+
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -16,6 +20,7 @@ from qsym import (
     path,
     star,
 )
+from qsym.census import SplitMix64, enumerate_forests, random_graph
 
 
 @st.composite
@@ -61,6 +66,35 @@ def small_corpus() -> list[Graph]:
     ]
     out.extend([complement(cycle(5)), complement(complete_bipartite(3, 3))])
     return out
+
+
+@lru_cache(maxsize=1)
+def kernel_corpus() -> tuple[Graph, ...]:
+    """The graphs on which the bitmask kernels are held to the plain
+    references they replaced: the first 1,500 0x5EED draws and the
+    complements of the first 500, all 308 forests with n <= 9, K_{a,b}
+    for 1 <= a, b <= 5, edgeless(0), edgeless(1), edgeless(2) and K2."""
+    rng = SplitMix64(0x5EED)
+    pool = [random_graph(rng) for _ in range(1500)]
+    return (
+        *pool,
+        *map(complement, pool[:500]),
+        *(f for n in range(1, 10) for f in enumerate_forests(n)),
+        *(complete_bipartite(a, b) for a in range(1, 6) for b in range(1, 6)),
+        edgeless(0),
+        edgeless(1),
+        edgeless(2),
+        complete(2),
+    )
+
+
+def relabelled(g: Graph, rng: random.Random) -> tuple[Graph, tuple[int, ...]]:
+    """``g`` under a random relabelling, and the relabelling as an image
+    tuple (vertex v of ``g`` becomes vertex images[v])."""
+    images = list(range(g.n))
+    rng.shuffle(images)
+    back = np.argsort(images)
+    return Graph(g.adj[np.ix_(back, back)]), tuple(images)
 
 
 def hypercube(d: int) -> Graph:

@@ -39,7 +39,8 @@ from qsym.cli import report_schema
 from qsym.construct import build_free, build_wreath, replay
 from qsym.formats import parse_graph, write_graph
 from qsym.gallery import gallery
-from qsym.graphs import Graph, are_isomorphic, contains_quadrangle
+from qsym import are_isomorphic
+from qsym.graphs import Graph, contains_quadrangle
 from qsym.products import (
     PRODUCT_KINDS,
     cartesian,

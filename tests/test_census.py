@@ -19,7 +19,7 @@ from qsym.census import (
     random_graph,
     write_csv,
 )
-from qsym.errors import OutOfRange
+from qsym.errors import NonPositiveCount, OutOfRange
 from qsym.graphs import find_cherries, is_forest, is_tree
 
 # ---------------------------------------------------------------------------
@@ -313,6 +313,12 @@ def test_oracle_crosschecks_detect_injected_fault():
     assert not result.ok
     assert len(result.violations) == 1
     assert "zero pattern" in result.violations[0]
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_oracle_crosschecks_reject_an_empty_survey(count):
+    with pytest.raises(NonPositiveCount):
+        oracle_crosschecks(count=count)
 
 
 def test_oracle_rows_count_sampled_graphs():

@@ -9,6 +9,7 @@ targets on quadrangle-free inputs.
 import dataclasses
 import importlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from qsym.classify import (
     Status,
     StripToCommutative,
     Verdict,
+    _complete_bipartite_parts,
     classify,
     classify_line_graph,
     classify_with_complement,
@@ -57,7 +59,7 @@ from qsym.graphs import (
 )
 from qsym.products import cartesian, corona, direct
 
-from .conftest import graphs, hypercube, small_corpus
+from .conftest import graphs, hypercube, kernel_corpus, relabelled, small_corpus
 
 C = Status.COMMUTATIVE
 NC = Status.NONCOMMUTATIVE
@@ -581,3 +583,47 @@ def test_forests_always_resolve(g):
         return
     rep = classify(g)
     assert U not in both(rep)
+
+
+# ---------------------------------------------------------------------------
+# the direct K_{m,n} check against the 2-colouring it replaced
+
+
+def reference_complete_bipartite_parts(g):
+    """2-colour from vertex 0 by graph search; accept a connected
+    bipartite graph with both sides non-empty and every cross pair an
+    edge."""
+    n = g.n
+    if n < 2:
+        return None
+    color = [-1] * n
+    color[0] = 0
+    queue = [0]
+    seen = 1
+    while queue:
+        v = queue.pop()
+        for u in g.neighbors(v):
+            if color[u] == -1:
+                color[u] = 1 - color[v]
+                seen += 1
+                queue.append(u)
+            elif color[u] == color[v]:
+                return None
+    if seen != n:
+        return None
+    side_a = tuple(v for v in range(n) if color[v] == 0)
+    side_b = tuple(v for v in range(n) if color[v] == 1)
+    if not side_a or not side_b or g.edge_count != len(side_a) * len(side_b):
+        return None
+    return side_a, side_b
+
+
+def test_complete_bipartite_parts_equal_the_reference():
+    rng = random.Random(0x5EED)
+    found = 0
+    for g in kernel_corpus():
+        for h in (g, relabelled(g, rng)[0]):
+            want = reference_complete_bipartite_parts(h)
+            assert _complete_bipartite_parts(h) == want
+            found += want is not None
+    assert found >= 50

@@ -15,7 +15,7 @@ from qsym.cli import main, report_schema
 from qsym.errors import SizeLimitExceeded
 from qsym.formats import parse_graph
 from qsym.gallery import gallery
-from qsym.graphs import are_isomorphic
+from qsym import are_isomorphic
 
 
 def run(capsys, *argv):
@@ -190,6 +190,22 @@ def test_unknown_gallery_name_is_exit_3(capsys):
 def test_census_out_of_range_is_exit_3(capsys):
     rc, _, _ = run(capsys, "census", "forests", "--n-max", "12")
     assert rc == 3
+
+
+@pytest.mark.parametrize("survey", ["forests", "cherries"])
+def test_census_zero_n_max_is_exit_3(capsys, survey):
+    # 0 is out of range, not "use the default"
+    rc, out, _ = run(capsys, "census", survey, "--n-max", "0")
+    assert rc == 3
+    assert out == ""
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_census_oracle_non_positive_count_is_exit_3(capsys, count):
+    rc, out, err = run(capsys, "census", "oracle", "--count", count)
+    assert rc == 3
+    assert out == ""
+    assert "count" in err
 
 
 def test_fatal_budget_exhaustion_is_exit_4(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from qsym import (
 )
 from qsym.errors import BadParams, IndexOutOfRange, LoopEdge, NotATree
 
-from .conftest import graphs, small_corpus
+from .conftest import graphs, kernel_corpus, relabelled, small_corpus
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -371,3 +372,138 @@ def test_induced_subgraph_keeps_labels():
     g = build(3, [(0, 1)], labels=["a", "b", "c"])
     h = induced_subgraph(g, [0, 2])
     assert h.labels == ("a", "c")
+
+
+# ---------------------------------------------------------------------------
+# the bitmask kernels against the plain code they replaced
+
+
+def reference_components(g):
+    """Connected components by a stack walk over ``g.neighbors``."""
+    seen = [False] * g.n
+    out = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        comp = []
+        stack = [s]
+        seen[s] = True
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for u in g.neighbors(v):
+                if not seen[u]:
+                    seen[u] = True
+                    stack.append(u)
+        out.append(frozenset(comp))
+    return out
+
+
+def reference_is_isomorphism(g1, g2, images):
+    """Every vertex pair of ``g1`` against its image pair in ``g2``."""
+    n = g1.n
+    if g2.n != n or len(images) != n or sorted(images) != list(range(n)):
+        return False
+    for i in range(n):
+        for j in range(i + 1, n):
+            if bool(g1.adj[i, j]) != bool(g2.adj[images[i], images[j]]):
+                return False
+    return True
+
+
+def reference_are_isomorphic(g1, g2):
+    """Its own backtracker over the vertices of ``g1`` in index order,
+    candidates filtered by degree / neighbour-degree profile and tried in
+    increasing order; the first complete map is the witness."""
+    n = g1.n
+    if g2.n != n or g1.edge_count != g2.edge_count:
+        return None
+
+    def profile(g):
+        return [
+            (g.degree(v), tuple(sorted(g.degree(u) for u in g.neighbors(v))))
+            for v in range(g.n)
+        ]
+
+    inv1, inv2 = profile(g1), profile(g2)
+    if sorted(inv1) != sorted(inv2):
+        return None
+    candidates = [[w for w in range(n) if inv2[w] == inv1[v]] for v in range(n)]
+    bits1, bits2 = g1._bits, g2._bits
+    images = []
+    used = 0
+
+    def extend(v):
+        nonlocal used
+        if v == n:
+            return tuple(images)
+        nbrs_image = 0
+        for u in range(v):
+            if bits1[v] >> u & 1:
+                nbrs_image |= 1 << images[u]
+        for w in candidates[v]:
+            if used >> w & 1 or (bits2[w] & used) != nbrs_image:
+                continue
+            images.append(w)
+            used |= 1 << w
+            hit = extend(v + 1)
+            if hit is not None:
+                return hit
+            images.pop()
+            used &= ~(1 << w)
+        return None
+
+    return extend(0)
+
+
+def test_are_isomorphic_equals_the_reference():
+    rng = random.Random(0x5EED)
+    corpus = kernel_corpus()
+    for prev, g in zip((None, *corpus), corpus):
+        h, _ = relabelled(g, rng)
+        for other in (h, complement(g), prev):
+            if other is None:
+                continue
+            want = reference_are_isomorphic(g, other)
+            assert are_isomorphic(g, other) == want
+            if want is not None:
+                assert reference_is_isomorphism(g, other, want)
+        assert are_isomorphic(g, h) is not None
+
+
+def test_is_isomorphism_equals_the_reference():
+    rng = random.Random(0x5EED + 1)
+    corpus = kernel_corpus()
+    for prev, g in zip((None, *corpus), corpus):
+        h, images = relabelled(g, rng)
+        assert is_isomorphism(g, h, images)
+        _, other = relabelled(g, rng)
+        for g2, imgs in [
+            (h, other),
+            (g, images),
+            (complement(g), images),
+            (prev or g, images),
+            (g, images[:-1]),
+            (g, images[:-1] + images[:1]),
+        ]:
+            assert is_isomorphism(g, g2, imgs) == reference_is_isomorphism(
+                g, g2, imgs
+            )
+
+
+def test_is_isomorphism_takes_numpy_images_past_64_vertices():
+    g = cycle(70)
+    turn = np.roll(np.arange(70), 1)
+    assert is_isomorphism(g, g, turn)
+    assert reference_is_isomorphism(g, g, turn)
+    swap = np.arange(70)
+    swap[[0, 1]] = [1, 0]
+    assert not is_isomorphism(g, g, swap)
+
+
+def test_components_equal_the_reference():
+    for g in kernel_corpus():
+        want = reference_components(g)
+        assert components(g) == want
+        assert is_connected(g) == (len(want) <= 1)
+        assert is_forest(g) == (g.edge_count == g.n - len(want))

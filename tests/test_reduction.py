@@ -38,7 +38,7 @@ from qsym import (
 )
 from qsym.gallery import c4pn_graph, fig7_graph
 
-from .conftest import graphs, small_corpus
+from .conftest import graphs, kernel_corpus, small_corpus
 
 
 def movable(g):
@@ -275,6 +275,41 @@ def test_kernels_match_reference_on_sparse_gallery(name):
 @settings(max_examples=100, deadline=None)
 def test_kernels_match_reference_on_random_graphs(g):
     assert_kernels_match_reference(g)
+
+
+def reference_blocks(pattern):
+    """Blocks by a stack walk over all n candidates per vertex: u joins
+    v's block when either (v, u) or (u, v) is not forced."""
+    n = pattern.n
+    possible = ~pattern.forced
+    seen = [False] * n
+    out = []
+    for s in range(n):
+        if seen[s]:
+            continue
+        comp = []
+        stack = [s]
+        seen[s] = True
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for u in range(n):
+                if not seen[u] and (possible[v, u] or possible[u, v]):
+                    seen[u] = True
+                    stack.append(u)
+        out.append(tuple(sorted(comp)))
+    return tuple(out)
+
+
+def test_blocks_equal_the_reference():
+    asymmetric = 0
+    for g in kernel_corpus():
+        for pattern in (zero_pattern(g), distance_degree_pattern(g)):
+            assert blocks(pattern).blocks == reference_blocks(pattern)
+        asymmetric += not np.array_equal(pattern.forced, pattern.forced.T)
+    # the distance-degree pattern alone need not be symmetric, so the
+    # walk must join u and v on either cell
+    assert asymmetric > 0
 
 
 # ---------------------------------------------------------------------------
