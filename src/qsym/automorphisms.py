@@ -110,10 +110,6 @@ class Permutation:
         return "".join(parts) if parts else "id"
 
 
-def identity(n: int) -> Permutation:
-    return Permutation(tuple(range(n)))
-
-
 def support(p: Permutation) -> frozenset[int]:
     """The set of vertices moved by ``p``."""
     return p.support()
@@ -149,10 +145,6 @@ class AutomorphismSet:
     @property
     def order(self) -> int:
         return len(self.images)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.order == 1
 
     def nontrivial(self) -> tuple[Permutation, ...]:
         return tuple(p for p in self.elements if not p.is_identity)
@@ -314,12 +306,16 @@ def are_isomorphic(g1: Graph, g2: Graph) -> tuple[int, ...] | None:
 
 
 def twin_transpositions(g: Graph) -> list[Permutation]:
-    """Transpositions swapping *twin* vertices, in lexicographic order.
+    """Transpositions swapping *twin* vertices, ordered by the vertex
+    pair (u, v) with u < v, not by image tuple (the twin shortcut in
+    :mod:`qsym.classify` re-sorts them that way).
 
     Vertices u, v are twins when N(u) - {v} = N(v) - {u}; swapping them
-    and fixing everything else is always an automorphism.  This is a
-    cheap O(n^2) source of certified automorphisms that avoids a full
-    group enumeration on large, highly symmetric inputs.
+    and fixing everything else is always an automorphism.  The relation
+    does not change under complement, so a graph and its complement have
+    the same twin swaps.  This is a cheap O(n^2) source of certified
+    automorphisms that avoids a full group enumeration on large, highly
+    symmetric inputs.
     """
     bits = g._bits
     out = []

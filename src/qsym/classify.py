@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field, fields
+import weakref
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 from .automorphisms import (
     AutomorphismSet,
@@ -386,79 +388,93 @@ class Report:
 
 
 # ---------------------------------------------------------------------------
-# shared per-graph context
+# per-graph contexts
 
 
-class _Ctx:
-    """Per-graph facts computed at most once and shared by both pipelines."""
+class _Shared:
+    """The facts a graph G and its complement Gᶜ have in common, worked
+    out once for the pair: the node budget, the automorphism group and
+    the twin swaps.
+
+    Aut(G) = Aut(Gᶜ), and the search lists a group in lexicographic
+    order of image tuples, so a completed listing of Aut(G) is the exact
+    element tuple the complement's own search would produce.  The degree
+    profiles of Gᶜ follow from those of G, so that search would also
+    spend the same number of nodes, and the budget decides both graphs
+    alike: a listing that ran out of budget is not repeated, and each
+    context notes the abandonment the first time it asks.
+
+    Twins do not change under complement either: N(u) - v = N(v) - u
+    holds in G exactly when it holds in Gᶜ.
+    """
 
     def __init__(self, g: Graph, node_budget: int | None):
         self.g = g
         self.node_budget = node_budget
+        self.abandoned: str | None = None
+
+    @cached_property
+    def auts(self) -> AutomorphismSet | None:
+        """The full automorphism list, or None (with ``abandoned`` set)
+        if the node budget ran out."""
+        try:
+            return automorphisms(self.g, node_budget=self.node_budget)
+        except SizeLimitExceeded as exc:
+            self.abandoned = (
+                "automorphism enumeration abandoned after "
+                f"{exc.budget} search nodes; some rules were skipped"
+            )
+            return None
+
+    @cached_property
+    def twins(self) -> tuple[list[Permutation], list[int]]:
+        """The twin swaps sorted by image tuple, and their support masks."""
+        swaps = sorted(twin_transpositions(self.g), key=lambda p: p.images)
+        return swaps, [p.support_mask() for p in swaps]
+
+
+class _Ctx:
+    """One graph's facts, each computed at most once and read by both
+    pipelines; ``shared`` holds those its complement has too."""
+
+    def __init__(self, g: Graph, shared: _Shared):
+        self.g = g
+        self.shared = shared
         self.trace: list[str] = []
         self.notes: list[str] = []
-        self._auts: AutomorphismSet | None = None
-        self._auts_failed = False
-        self._abandoned: str | None = None
-        self._qf: bool | None = None
-        self._qfc: bool | None = None
-        self._blocks = None
+        self.budget_hit = False
 
-    def for_complement(self, gc: Graph) -> "_Ctx":
-        """A fresh context for the complement of ``self.g``.
-
-        Aut(G) = Aut(Gᶜ), and the search lists a group in lexicographic
-        order of image tuples, so a completed listing of Aut(G) is the
-        exact element tuple the complement's own search would produce.
-        The degree profiles of Gᶜ follow from those of G, so that search
-        would also spend the same number of nodes, and the budget decides
-        both graphs alike: a listing of G that ran out of budget is not
-        repeated, and the complement notes the same abandonment the first
-        time it asks.  The two quadrangle tests swap roles."""
-        ctx = _Ctx(gc, self.node_budget)
-        ctx._auts = self._auts
-        ctx._abandoned = self._abandoned
-        ctx._qf, ctx._qfc = self._qfc, self._qf
-        return ctx
+    @cached_property
+    def complement(self) -> "_Ctx":
+        """Gᶜ's context, whose own ``complement`` is this one.  That back
+        reference is weak, so no cycle keeps Aut(G) alive after a call."""
+        other = _Ctx(complement(self.g), self.shared)
+        other.complement = weakref.proxy(self)
+        return other
 
     def log(self, target: str, rule: str, outcome: str) -> None:
         self.trace.append(f"{target} {rule}: {outcome}")
 
-    def quadrangle_free(self) -> bool:
-        if self._qf is None:
-            self._qf = not contains_quadrangle(self.g)
-        return self._qf
-
-    def complement_quadrangle_free(self) -> bool:
-        if self._qfc is None:
-            self._qfc = not contains_quadrangle(complement(self.g))
-        return self._qfc
-
     def auts(self) -> AutomorphismSet | None:
         """Full automorphism list, or None if the node budget ran out."""
-        if self._auts is None and not self._auts_failed:
-            if self._abandoned is None:
-                try:
-                    self._auts = automorphisms(self.g, node_budget=self.node_budget)
-                except SizeLimitExceeded as exc:
-                    self._abandoned = (
-                        "automorphism enumeration abandoned after "
-                        f"{exc.budget} search nodes; some rules were skipped"
-                    )
-            if self._abandoned is not None:
-                self._auts_failed = True
-                self.notes.append(self._abandoned)
-        return self._auts
+        auts = self.shared.auts
+        if auts is None and not self.budget_hit:
+            self.budget_hit = True
+            self.notes.append(self.shared.abandoned)
+        return auts
 
+    @cached_property
+    def quadrangle_free(self) -> bool:
+        return not contains_quadrangle(self.g)
+
+    @cached_property
+    def forest(self) -> bool:
+        return is_forest(self.g)
+
+    @cached_property
     def blocks(self) -> BlockStructure:
         """Blocks of the forced-zero pattern, shared by both R-BLOCKS checks."""
-        if self._blocks is None:
-            self._blocks = pattern_blocks(zero_pattern(self.g))
-        return self._blocks
-
-    @property
-    def budget_hit(self) -> bool:
-        return self._auts_failed
+        return pattern_blocks(zero_pattern(self.g))
 
 
 def _complete_bipartite_parts(
@@ -513,7 +529,7 @@ def _small(ctx: _Ctx, t: str) -> Verdict | None:
 
 
 def _qfc(ctx: _Ctx, t: str) -> Verdict | None:
-    if not ctx.complement_quadrangle_free():
+    if not ctx.complement.quadrangle_free:
         ctx.log(t, R_QFC, "complement contains a quadrangle")
         return None
     return _fire(
@@ -550,9 +566,7 @@ def _pair(ctx: _Ctx, t: str) -> Verdict | None:
         missing = "no disjoint pair"
     # twin swaps first: on graphs such as star20 they find the pair
     # without listing a huge group
-    twins = sorted(twin_transpositions(ctx.g), key=lambda p: p.images)
-    masks = [p.support_mask() for p in twins]
-    pair = _first_pair(ctx.g, twins, masks, cert.edge_free)
+    pair = _first_pair(ctx.g, *ctx.shared.twins, cert.edge_free)
     if pair is None:
         auts = ctx.auts()
         if auts is None:
@@ -574,7 +588,7 @@ def _product(ctx: _Ctx, t: str) -> Verdict | None:
     if prov is None or prov.kind not in PRODUCT_KINDS:
         return None
     for idx, factor in enumerate(prov.factors):
-        inner = classify(factor, node_budget=ctx.node_budget).bic
+        inner = classify(factor, node_budget=ctx.shared.node_budget).bic
         if inner.status is Status.NONCOMMUTATIVE:
             return _fire(
                 ctx, t, R_PROD, Status.NONCOMMUTATIVE,
@@ -597,10 +611,11 @@ def _corona(ctx: _Ctx, t: str) -> Verdict | None:
             witness = tw[0]
         else:
             try:
-                nontrivial = automorphisms(
-                    attachment, node_budget=ctx.node_budget
-                ).nontrivial()
-                witness = nontrivial[0] if nontrivial else None
+                auts = automorphisms(attachment, node_budget=ctx.shared.node_budget)
+                # the listing starts with the identity, so its second
+                # element is the first non-trivial one
+                if auts.order > 1:
+                    witness = Permutation(auts.images[1])
             except SizeLimitExceeded:
                 ctx.notes.append("attachment symmetry search abandoned (budget)")
     if witness is None:
@@ -615,7 +630,7 @@ def _corona(ctx: _Ctx, t: str) -> Verdict | None:
 def _forest(ctx: _Ctx, t: str) -> Verdict | None:
     """The pair rule ran before this one and came up empty, which settles
     a forest, unless the budget cut that search short."""
-    if ctx.budget_hit or not is_forest(ctx.g):
+    if ctx.budget_hit or not ctx.forest:
         return None
     edge_free = t == TARGET_BIC
     pair = "an edge-free disjoint pair" if edge_free else "a disjoint pair"
@@ -630,7 +645,7 @@ def _strip(ctx: _Ctx, t: str) -> Verdict | None:
     if not chain:
         ctx.log(t, R_STRIP, "nothing to strip")
         return None
-    sub = classify(terminal, node_budget=ctx.node_budget).bic
+    sub = classify(terminal, node_budget=ctx.shared.node_budget).bic
     if sub.status is not Status.COMMUTATIVE:
         ctx.log(t, R_STRIP, f"stripped core is {sub.status.value}")
         return None
@@ -642,7 +657,7 @@ def _strip(ctx: _Ctx, t: str) -> Verdict | None:
 
 
 def _blocks(ctx: _Ctx, t: str) -> Verdict | None:
-    part = ctx.blocks()
+    part = ctx.blocks
     sizes = sorted(part.sizes)
     if not _blocks_small_enough(part.sizes):
         ctx.log(t, R_BLOCKS, f"blocks too coarse (sizes {sizes})")
@@ -672,55 +687,49 @@ def _run(ctx: _Ctx, t: str) -> Verdict:
 
 
 def _transfer(ctx: _Ctx, bic: Verdict, ban: Verdict) -> tuple[Verdict, Verdict]:
-    """Propagate verdicts along the quotient map and, on quadrangle-free
-    graphs, along the identification of the two algebras."""
-    changed = True
-    while changed:
-        changed = False
-        if bic.status is Status.NONCOMMUTATIVE and ban.status is Status.UNKNOWN:
-            cert = bic.certificate
-            if isinstance(cert, EdgeFreePair):
-                cert = DisjointPair(cert.sigma, cert.tau)
-            ban = Verdict(
-                TARGET_BAN,
-                Status.NONCOMMUTATIVE,
-                cert,
-                Citation.of(R_CHAIN),
-                note="transferred from the fine algebra",
-            )
-            ctx.log(TARGET_BAN, R_CHAIN, "non-commutative via the fine algebra")
-            changed = True
-        if ban.status is Status.COMMUTATIVE and bic.status is Status.UNKNOWN:
-            bic = Verdict(
-                TARGET_BIC,
-                Status.COMMUTATIVE,
-                ban.certificate,
-                Citation.of(R_CHAIN),
-                note="transferred from the coarse algebra",
-            )
-            ctx.log(TARGET_BIC, R_CHAIN, "commutative via the coarse algebra")
-            changed = True
-        if ctx.quadrangle_free():
-            if bic.status is Status.COMMUTATIVE and ban.status is Status.UNKNOWN:
-                ban = Verdict(
-                    TARGET_BAN,
-                    Status.COMMUTATIVE,
-                    QuadrangleFreeSelf(companion=bic.certificate),
-                    Citation.of(R_QF),
-                    note="the algebras coincide on quadrangle-free graphs",
-                )
-                ctx.log(TARGET_BAN, R_QF, "commutative via the fine algebra")
-                changed = True
-            if ban.status is Status.NONCOMMUTATIVE and bic.status is Status.UNKNOWN:
-                bic = Verdict(
-                    TARGET_BIC,
-                    Status.NONCOMMUTATIVE,
-                    QuadrangleFreeSelf(companion=ban.certificate),
-                    Citation.of(R_QF),
-                    note="the algebras coincide on quadrangle-free graphs",
-                )
-                ctx.log(TARGET_BIC, R_QF, "non-commutative via the coarse algebra")
-                changed = True
+    """Carry a verdict over to the other target along the quotient map or,
+    on quadrangle-free graphs, along the identification of the two
+    algebras.  Each step fills the one Unknown, so at most one applies."""
+    pair = (bic.status, ban.status)
+    if pair == (Status.NONCOMMUTATIVE, Status.UNKNOWN):
+        cert = bic.certificate
+        if isinstance(cert, EdgeFreePair):
+            cert = DisjointPair(cert.sigma, cert.tau)
+        ban = Verdict(
+            TARGET_BAN,
+            Status.NONCOMMUTATIVE,
+            cert,
+            Citation.of(R_CHAIN),
+            note="transferred from the fine algebra",
+        )
+        ctx.log(TARGET_BAN, R_CHAIN, "non-commutative via the fine algebra")
+    elif pair == (Status.UNKNOWN, Status.COMMUTATIVE):
+        bic = Verdict(
+            TARGET_BIC,
+            Status.COMMUTATIVE,
+            ban.certificate,
+            Citation.of(R_CHAIN),
+            note="transferred from the coarse algebra",
+        )
+        ctx.log(TARGET_BIC, R_CHAIN, "commutative via the coarse algebra")
+    elif pair == (Status.COMMUTATIVE, Status.UNKNOWN) and ctx.quadrangle_free:
+        ban = Verdict(
+            TARGET_BAN,
+            Status.COMMUTATIVE,
+            QuadrangleFreeSelf(companion=bic.certificate),
+            Citation.of(R_QF),
+            note="the algebras coincide on quadrangle-free graphs",
+        )
+        ctx.log(TARGET_BAN, R_QF, "commutative via the fine algebra")
+    elif pair == (Status.UNKNOWN, Status.NONCOMMUTATIVE) and ctx.quadrangle_free:
+        bic = Verdict(
+            TARGET_BIC,
+            Status.NONCOMMUTATIVE,
+            QuadrangleFreeSelf(companion=ban.certificate),
+            Citation.of(R_QF),
+            note="the algebras coincide on quadrangle-free graphs",
+        )
+        ctx.log(TARGET_BIC, R_QF, "non-commutative via the coarse algebra")
     if bic.status is Status.NONCOMMUTATIVE and ban.status is Status.COMMUTATIVE:
         raise QsymError(
             "inconsistent verdicts: the fine algebra cannot be "
@@ -736,7 +745,7 @@ def classify(g: Graph, node_budget: int | None = None) -> Report:
     affected rules are skipped and the verdict may degrade to Unknown
     (recorded in the report's notes).
     """
-    return _classify(_Ctx(g, node_budget))
+    return _classify(_Ctx(g, _Shared(g, node_budget)))
 
 
 def _classify(ctx: _Ctx) -> Report:
@@ -764,37 +773,24 @@ def classify_with_complement(g: Graph, node_budget: int | None = None) -> Report
     its complement is quadrangle-free, the coarse algebra is commutative
     too (it is complement-invariant), which upgrades an Unknown coarse
     verdict and flags the graph as having no quantum symmetry at all.
-
-    Aut(G) = Aut(Gᶜ): when the pass over ``g`` listed its automorphism
-    group, the complement's pass reuses it instead of searching again.
-    If that listing ran out of budget, the complement's listing is taken
-    as abandoned too, without a second search.  If it never ran, the
-    complement searches on its own.
+    The complement's pass reuses what the two graphs share (see
+    :class:`_Shared`).
     """
-    ctx = _Ctx(g, node_budget)
+    ctx = _Ctx(g, _Shared(g, node_budget))
     base = _classify(ctx)
-    comp_ctx = ctx.for_complement(complement(g))
-    comp = _classify(comp_ctx)
-    bic_complement = Verdict(
-        TARGET_BIC_COMPLEMENT,
-        comp.bic.status,
-        comp.bic.certificate,
-        comp.bic.citation,
-        note=comp.bic.note,
-    )
+    comp = _classify(ctx.complement)
+    bic_complement = replace(comp.bic, target=TARGET_BIC_COMPLEMENT)
     ban = base.ban
     notes = list(base.notes)
     both_commutative = (
         base.bic.status is Status.COMMUTATIVE
         and comp.bic.status is Status.COMMUTATIVE
     )
-    g_qf = ctx.quadrangle_free()
-    comp_qf = comp_ctx.quadrangle_free()
-    if both_commutative and (g_qf or comp_qf):
+    if both_commutative and (ctx.quadrangle_free or ctx.complement.quadrangle_free):
         if ban.status is Status.UNKNOWN:
             cert: Certificate = (
                 QuadrangleFreeSelf(companion=base.bic.certificate)
-                if g_qf
+                if ctx.quadrangle_free
                 else QuadrangleFreeComplement()
             )
             ban = Verdict(
@@ -841,7 +837,7 @@ def classify_line_graph(g: Graph, node_budget: int | None = None) -> Report:
         sigma = _swap(lg.n, edge_vertex(c1.v1, c1.w), edge_vertex(c1.v2, c1.w))
         tau = _swap(lg.n, edge_vertex(c2.v1, c2.w), edge_vertex(c2.v2, c2.w))
         started = time.perf_counter()
-        ctx = _Ctx(lg, node_budget)
+        ctx = _Ctx(lg, _Shared(lg, node_budget))
         detail = f"cherries at {c1.w} and {c2.w}"
         bic = _fire(
             ctx, TARGET_BIC, R_CHERRY, Status.NONCOMMUTATIVE,

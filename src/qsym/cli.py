@@ -321,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="classify a graph and its complement")
     _add_input_flags(p)
-    p.add_argument("--format", default="edges", help="input file encoding")
+    p.add_argument("--format", default="edges", choices=READABLE_FORMATS,
+                   help="input file encoding")
     p.add_argument("--out", metavar="FILE")
     p.add_argument("--budget", type=int, metavar="N",
                    help="node budget for symmetry searches")
@@ -356,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pattern", help="print the forced-zero pattern")
     _add_input_flags(p)
-    p.add_argument("--format", default="edges", help="input file encoding")
+    p.add_argument("--format", default="edges", choices=READABLE_FORMATS,
+                   help="input file encoding")
     p.add_argument("--out", metavar="FILE")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_pattern)

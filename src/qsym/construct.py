@@ -90,9 +90,6 @@ def join(gs: Sequence[Graph]) -> Graph:
 # ---------------------------------------------------------------------------
 # traces
 
-#: Operations a trace step may name.
-_TRACE_OPS = ("cone", "corona_k1", "disjoint_union", "join", "corona")
-
 
 def _apply(op: str, operands: Sequence[Graph]) -> Graph:
     if op == "cone":
@@ -320,9 +317,12 @@ def distinct_orders(gs: Sequence[Graph]) -> tuple[list[Graph], ConstructionTrace
 
     Inputs must be connected and have at least two vertices each
     (pendant expansion cannot separate single vertices, and a
-    single-vertex factor would break the expansion's guarantees).
+    single-vertex factor would break the expansion's guarantees; the
+    expansion of the 0-vertex graph is itself, so it never grows).
     """
     for i, g in enumerate(gs):
+        if g.n == 0:
+            raise K1Input(f"factor {i} has no vertices; cannot be grown apart")
         if g.n == 1:
             raise K1Input(f"factor {i} is a single vertex; cannot be grown apart")
     tb = _TraceBuilder(gs)
@@ -331,31 +331,36 @@ def distinct_orders(gs: Sequence[Graph]) -> tuple[list[Graph], ConstructionTrace
 
 
 def _drop_trivial(tb: _TraceBuilder, gs: Sequence[Graph]) -> list[str]:
+    """Refs of the factors with at least two vertices.  When none is
+    left, the builders return factor 0 unchanged, and the note says so."""
     refs = []
     for i, g in enumerate(gs):
-        if g.n == 1:
-            tb.note(f"dropped factor {i}: a single vertex contributes nothing")
+        if g.n < 2:
+            what = "a single vertex" if g.n else "the graph with no vertices"
+            tb.note(f"dropped factor {i}: {what} contributes nothing")
         else:
             refs.append(f"in{i}")
+    if not refs:
+        result = "the one-vertex graph" if gs[0].n else "the graph with no vertices"
+        tb.note(f"all factors trivial; the result is {result}")
     return refs
 
 
 def build_free(gs: Sequence[Graph]) -> tuple[Graph, ConstructionTrace]:
     """Connected graph whose symmetries compose freely across factors.
 
-    Pipeline: drop single-vertex factors, cone each disconnected factor,
-    grow orders apart, take the disjoint union, and cone once more if
-    more than one factor remains.  Because the pre-cone components have
-    pairwise distinct orders, no symmetry can exchange them, and the
-    automorphism group of the result is the direct product of the
-    factors' groups.
+    Pipeline: drop factors with fewer than two vertices, cone each
+    disconnected factor, grow orders apart, take the disjoint union, and
+    cone once more if more than one factor remains.  Because the
+    pre-cone components have pairwise distinct orders, no symmetry can
+    exchange them, and the automorphism group of the result is the
+    direct product of the factors' groups.
     """
     if not gs:
         raise EmptyInput("build_free needs at least one factor")
     tb = _TraceBuilder(gs)
     refs = _drop_trivial(tb, gs)
     if not refs:
-        tb.note("all factors trivial; the result is the one-vertex graph")
         return tb.graph("in0"), tb.done(["in0"])
     refs = [_connect(tb, r) for r in refs]
     refs = _grow_distinct(tb, refs)
@@ -379,18 +384,17 @@ def build_free(gs: Sequence[Graph]) -> tuple[Graph, ConstructionTrace]:
 def build_tensor(gs: Sequence[Graph]) -> tuple[Graph, ConstructionTrace]:
     """Connected graph whose symmetries compose as a tensor across factors.
 
-    Pipeline: drop single-vertex factors, cone each disconnected factor,
-    pendant-expand *every* factor at least once (this makes each
-    factor's complement connected), grow orders apart, and join.  The
-    complement of the result is then a disjoint union of factors whose
-    complements are connected, one per surviving input.
+    Pipeline: drop factors with fewer than two vertices, cone each
+    disconnected factor, pendant-expand *every* factor at least once
+    (this makes each factor's complement connected), grow orders apart,
+    and join.  The complement of the result is then a disjoint union of
+    factors whose complements are connected, one per surviving input.
     """
     if not gs:
         raise EmptyInput("build_tensor needs at least one factor")
     tb = _TraceBuilder(gs)
     refs = _drop_trivial(tb, gs)
     if not refs:
-        tb.note("all factors trivial; the result is the one-vertex graph")
         return tb.graph("in0"), tb.done(["in0"])
     refs = [_connect(tb, r) for r in refs]
     refs = [

@@ -48,7 +48,8 @@ class NonPositiveCount(QsymError):
 
 
 class K1Input(QsymError):
-    """A single-vertex factor where the construction forbids one."""
+    """A factor with fewer than two vertices where the construction
+    forbids one."""
 
 
 class EmptyInput(QsymError):

@@ -142,9 +142,6 @@ class Graph:
         self._check_vertex(v)
         return self.labels[v] if self.labels is not None else str(v)
 
-    def with_labels(self, labels: Sequence[str] | None) -> "Graph":
-        return Graph(self.adj, labels=labels, provenance=self.provenance)
-
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
             raise IndexOutOfRange(f"vertex {v} outside range(0, {self.n})")

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import signal
+from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
@@ -108,3 +110,21 @@ def hypercube(d: int) -> Graph:
 @pytest.fixture(scope="session")
 def corpus() -> list[Graph]:
     return small_corpus()
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the body once it has run for ``seconds``, so a
+    call that never returns fails its test instead of hanging the suite
+    (SIGALRM: POSIX, main thread only)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -6,15 +6,18 @@ certificates, no inconsistent verdict pairs, and agreement of the two
 targets on quadrangle-free inputs.
 """
 
+import collections
 import dataclasses
+import gc
 import importlib
 import json
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 
-from qsym.automorphisms import Permutation
+from qsym.automorphisms import AutomorphismSet, Permutation
 from qsym.classify import (
     Certificate,
     CoronaRule,
@@ -331,6 +334,91 @@ def test_one_zero_pattern_per_graph(monkeypatch):
     rep = classify(cycle(16))
     assert len(calls) == 1
     assert sum("R-BLOCKS" in line for line in rep.trace) == 2
+
+
+@pytest.mark.parametrize("name", ["fig7", "sc", "t0", "c16", "p48", "c4pn20"])
+def test_graph_pair_facts_are_worked_out_once(monkeypatch, name):
+    # G and Gc share their twins; each graph's complement, quadrangle
+    # test and forest test are computed once, whichever rule asks first
+    counted = ("twin_transpositions", "complement", "contains_quadrangle", "is_forest")
+    calls = {fn: _counting(monkeypatch, fn) for fn in counted}
+    g = gallery(name)
+    classify_with_complement(g)
+    for fn, seen in calls.items():
+        graphs_seen = collections.Counter(args[0] for args in seen)
+        assert max(graphs_seen.values(), default=0) <= 1, fn
+    twinned = {args[0] for args in calls["twin_transpositions"]}
+    assert not any(complement(h) in twinned for h in twinned)
+
+
+def test_the_graph_pair_keeps_no_group_alive(monkeypatch):
+    # the two contexts refer to each other; with the cycle collector off,
+    # the listing must still be freed when the call returns
+    module = importlib.import_module("qsym.classify")
+    real, listed = module.automorphisms, []
+
+    def keep_weakly(*args, **kwargs):
+        auts = real(*args, **kwargs)
+        listed.append(weakref.ref(auts))
+        return auts
+
+    monkeypatch.setattr(module, "automorphisms", keep_weakly)
+    gc.disable()
+    try:
+        classify_with_complement(cycle(9))
+        classify(cycle(8))
+    finally:
+        gc.enable()
+    assert len(listed) == 2
+    assert all(ref() is None for ref in listed)
+
+
+@pytest.mark.parametrize(
+    "g, budget, line, rule, note, cert_type",
+    [
+        pytest.param(
+            corona(path(1), cycle(5)), 100,
+            "ban R-CHAIN: non-commutative via the fine algebra", "R-CHAIN",
+            "transferred from the fine algebra", CoronaRule,
+            id="chain-noncommutative",
+        ),
+        pytest.param(
+            cycle(5), None,
+            "ban R-QF: commutative via the fine algebra", "R-QF",
+            "the algebras coincide on quadrangle-free graphs",
+            QuadrangleFreeSelf,
+            id="qf-commutative",
+        ),
+    ],
+)
+def test_transfer_steps_that_fire(g, budget, line, rule, note, cert_type):
+    rep = classify(g, node_budget=budget)
+    assert rep.trace[-1] == line
+    assert rep.ban.citation.rule == rule
+    assert rep.ban.note == note
+    assert isinstance(rep.ban.certificate, cert_type)
+    assert verify_certificate(g, rep.ban)
+
+
+def test_corona_witness_is_read_from_the_listing(monkeypatch):
+    # C5 has no twins, so R-CORONA lists Aut(C5); its witness is the
+    # listing's second image tuple, with no element list built
+    built = []
+    post_init = Permutation.__post_init__
+
+    def counting(self):
+        built.append(self.images)
+        post_init(self)
+
+    def no_elements(self):
+        raise AssertionError("AutomorphismSet.elements read on the classify path")
+
+    monkeypatch.setattr(Permutation, "__post_init__", counting)
+    monkeypatch.setattr(AutomorphismSet, "elements", property(no_elements))
+    rep = classify(corona(path(1), cycle(5)), node_budget=100)
+    assert isinstance(rep.bic.certificate, CoronaRule)
+    assert built == [(0, 4, 3, 2, 1)]
+    assert rep.bic.certificate.witness.images == (0, 4, 3, 2, 1)
 
 
 def test_line_graph_cherry_shortcut():

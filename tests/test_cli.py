@@ -17,6 +17,8 @@ from qsym.formats import parse_graph
 from qsym.gallery import gallery
 from qsym import are_isomorphic
 
+from .conftest import time_limit
+
 
 def run(capsys, *argv):
     rc = main(list(argv))
@@ -260,6 +262,16 @@ def test_construct_free_emits_graph_and_trace(capsys):
     assert ops == ["corona_k1", "disjoint_union", "cone"]
 
 
+@pytest.mark.parametrize("kind", ["free", "tensor"])
+def test_construct_with_zero_vertex_factors_returns(capsys, kind):
+    with time_limit(2):
+        doc = run_json(
+            capsys, "construct", kind, "--edges", "0", "--edges", "0", "--json"
+        )
+    assert doc["construction"]["final_order"] == 0
+    assert doc["construction"]["steps"] == []
+
+
 def test_construct_json_document(capsys):
     doc = run_json(
         capsys, "construct", "tensor", "--gallery", "k2", "--gallery", "k2", "--json"
@@ -350,6 +362,26 @@ def test_census_out_file(tmp_path, capsys):
     assert rc == 0
     assert out == ""
     assert target.read_text().startswith("n,")
+
+
+@pytest.mark.parametrize("command", ["analyze", "pattern"])
+def test_unknown_input_format_is_rejected(tmp_path, capsys, command):
+    p = tmp_path / "p2.txt"
+    p.write_text("3 2\n0 1\n1 2\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--format", "bogus", str(p)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_product_reads_edges_when_format_names_dot(capsys):
+    # --format is the output format there; dot cannot be read
+    rc, out, _ = run(
+        capsys, "product", "cartesian", "--edges", "2;0 1", "--edges", "2;0 1",
+        "--format", "dot",
+    )
+    assert rc == 0
+    assert out.startswith("graph")
 
 
 def test_pattern_text(capsys):

@@ -33,7 +33,7 @@ from qsym.construct import (
 from qsym.errors import BadParams, EmptyInput, HypothesisFailed, K1Input
 from qsym.graphs import components, is_connected
 
-from .conftest import graphs
+from .conftest import graphs, time_limit
 
 K1 = build(1, [])
 K2 = complete(2)
@@ -146,6 +146,13 @@ def test_distinct_orders_leaves_distinct_inputs_alone():
 def test_distinct_orders_rejects_single_vertices():
     with pytest.raises(K1Input):
         distinct_orders([C3, K1])
+
+
+def test_distinct_orders_rejects_zero_vertex_factors():
+    # pendant expansion leaves the 0-vertex graph as it is, so two of
+    # them could never be grown apart
+    with time_limit(2), pytest.raises(K1Input, match="no vertices"):
+        distinct_orders([edgeless(0), edgeless(0)])
 
 
 @settings(max_examples=25)
@@ -273,6 +280,36 @@ def test_build_tensor_all_trivial_returns_k1():
 def test_build_tensor_rejects_empty():
     with pytest.raises(EmptyInput):
         build_tensor([])
+
+
+# ---------------------------------------------------------------------------
+# factors with no vertices
+
+
+@pytest.mark.parametrize("builder", [build_free, build_tensor])
+@pytest.mark.parametrize(
+    "orders, result, note",
+    [
+        ((0, 0), 0, "the graph with no vertices"),
+        ((0, 1), 0, "the graph with no vertices"),
+        ((1, 0), 1, "the one-vertex graph"),
+    ],
+)
+def test_builders_drop_zero_vertex_factors(builder, orders, result, note):
+    with time_limit(2):
+        g, trace = builder([edgeless(n) for n in orders])
+    assert g.n == result
+    assert trace.steps == ()
+    assert trace.notes[-1] == f"all factors trivial; the result is {note}"
+    assert replay(trace) == g
+
+
+def test_zero_vertex_factor_contributes_nothing():
+    g, trace = build_free([C5, edgeless(0)])
+    assert g == C5
+    assert trace.notes == (
+        "dropped factor 1: the graph with no vertices contributes nothing",
+    )
 
 
 # ---------------------------------------------------------------------------
