@@ -1,26 +1,36 @@
-"""Automorphism groups and isomorphisms by one exhaustive backtracking
-search, and the disjoint-pair searches that drive the non-commutativity
+"""Automorphism groups and isomorphisms by one backtracking search, and
+the disjoint-pair searches that drive the non-commutativity
 certificates.
 
-The enumeration is complete (every element, not generators), which keeps
-the downstream pair searches trivially correct.  That is fine at desk
-scale -- the search is pruned by degree and neighbour-degree profiles and
-counts its nodes against a budget, raising :class:`SizeLimitExceeded`
-rather than silently hanging on a pathological input.
+Aut(g) is first built as a stabiliser chain along the base 0, 1, ...,
+n-1 (Seress, *Permutation Group Algorithms*, 2003).  Level i holds the
+orbit of i under G_i, the automorphisms that fix 0..i-1, and one
+transversal element per orbit point.  The levels are built deepest
+first.  At level i each candidate image x of i -- same degree profile,
+same adjacency to the fixed points 0..i-1, and not yet in the orbit the
+generators found so far give -- is tried by one first-leaf search with
+the prefix fixed (identity on 0..i-1, i -> x); every leaf found is a
+new generator.  |Aut(g)| is the product of the orbit sizes.
+
+The complete listing, which the pair searches read, is then composed
+from the transversals in numpy, one level at a time: every element is
+t_0 t_1 ... t_{n-1}, one transversal element per level, and ordering the
+children of each prefix by where the prefix sends that level's orbit
+point gives the lexicographic order of image tuples exactly.  Support
+masks are taken on the whole table at once; each distinct support keeps
+its first element, which is its lexicographically smallest.
 
 One search node is one unused, profile-compatible candidate image at a
-level of the backtracking, counted before the adjacency test.  That count
-is what ``--budget`` caps; it depends only on the graph, never on the
-machine.  Candidate sets are bitmasks over the vertices.
+level of a first-leaf search, counted before the adjacency test; the
+candidates of a chain level are filtered for free.  Once the group order
+is known, one more node is charged per element, before any element is
+built.  That total is what ``--budget`` caps.  It depends only on the
+graph, never on the machine, and a group too large for the budget is
+refused without being listed.  Candidate sets are bitmasks over the
+vertices.
 
-The search lists each element as its image tuple and tracks supports as
-it goes, so the listing also yields the distinct supports, each with the
-first element found to have it: the lexicographically smallest.  Only
-those representatives become :class:`Permutation` objects up front; the
-full element list is built on demand.
-
-:func:`are_isomorphic` runs the same search from one graph onto another,
-without a budget, and stops at the first leaf.
+:func:`are_isomorphic` runs the same first-leaf search from one graph
+onto another, without a budget.
 """
 
 from __future__ import annotations
@@ -29,13 +39,20 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import LengthMismatch, OutOfRange, SizeLimitExceeded
-from .graphs import Graph, is_isomorphism
+from .graphs import Graph, _mask_vertices, is_isomorphism
 
-#: Default cap on backtracking nodes for one enumeration.
+#: Default cap on search nodes for one listing of Aut(g).
 DEFAULT_NODE_BUDGET = 10_000_000
+
+#: Groups up to this order are listed with Python tuples, larger ones in
+#: numpy, whose fixed cost per call outweighs a small listing; the two
+#: give the same listing.
+_SMALL_ORDER = 32
 
 
 @dataclass(frozen=True)
@@ -122,21 +139,31 @@ def is_automorphism(g: Graph, p: Permutation) -> bool:
     return is_isomorphism(g, g, p.images)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AutomorphismSet:
-    """The full automorphism group of a graph, listed in the deterministic
-    order the search produced (lexicographic by image tuple, so the
-    identity comes first).
+    """The full automorphism group of a graph, listed in lexicographic
+    order of image tuples (so the identity comes first).
 
-    ``images`` holds the elements as image tuples; ``firsts`` maps each
-    non-empty support mask to the first element found with that support,
-    which is the lexicographically smallest one.  :attr:`elements` builds
-    the :class:`Permutation` objects on first use; :attr:`order` and the
-    support views never need them all.
+    ``table`` holds the elements as the rows of a read-only integer
+    array; ``firsts`` maps each non-empty support mask to the first
+    element with that support, which is the lexicographically smallest
+    one.  :attr:`images` and :attr:`elements` build Python tuples and
+    :class:`Permutation` objects on first use; :attr:`order` and the
+    support views never need them all.  Two sets are equal when they
+    list the same elements.
     """
 
-    images: tuple[tuple[int, ...], ...]
-    firsts: dict[int, tuple[int, ...]] = field(compare=False, repr=False)
+    table: np.ndarray
+    firsts: dict[int, tuple[int, ...]] = field(repr=False)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AutomorphismSet):
+            return NotImplemented
+        return np.array_equal(self.table, other.table)
+
+    @cached_property
+    def images(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.table.tolist()))
 
     @cached_property
     def elements(self) -> tuple[Permutation, ...]:
@@ -144,7 +171,7 @@ class AutomorphismSet:
 
     @property
     def order(self) -> int:
-        return len(self.images)
+        return len(self.table)
 
     def nontrivial(self) -> tuple[Permutation, ...]:
         return tuple(p for p in self.elements if not p.is_identity)
@@ -173,136 +200,245 @@ class AutomorphismSet:
 
 def _profiles(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
     """Each vertex's degree and sorted multiset of neighbour degrees."""
-    bits, degrees = g._bits, g.degree_sequence
+    degrees = g.degree_sequence
     return [
-        (degrees[v], tuple(sorted(degrees[u] for u in range(g.n) if bits[v] >> u & 1)))
-        for v in range(g.n)
+        (degrees[v], tuple(sorted([degrees[u] for u in _mask_vertices(nbrs)])))
+        for v, nbrs in enumerate(g._bits)
     ]
 
 
-class _Found(Exception):
-    """Carries the first leaf out of a search that needs only one."""
-
-
-def _backtrack(
-    g: Graph, h: Graph, budget: float, emit: Callable[[tuple[int, ...]], object]
-) -> dict[int, tuple[int, ...]]:
-    """The backtracking search for adjacency-preserving bijections g -> h.
+class _Search:
+    """The backtracking search for adjacency-preserving bijections g -> h,
+    stopped at its first leaf.
 
     Vertices of ``g`` are mapped in index order, each to an unused vertex
     of ``h`` with the same profile, and candidates are tried in increasing
-    order, so ``emit`` receives the leaves (image tuples) in lexicographic
-    order; it may raise to end the search.  Returns, per non-empty
-    support mask, the first leaf with that support (which means something
-    only when ``h`` is ``g``).  Nodes are charged as described in
-    :func:`automorphisms`; past ``budget`` it raises
+    order, so :meth:`first_leaf` returns the lexicographically smallest
+    extension of its prefix.  ``nodes`` adds up over all calls, charged as
+    described in the module docstring; past ``budget`` it raises
     :class:`SizeLimitExceeded`.
     """
-    n = g.n
-    if n == 0:
-        emit(())
-        return {}
-    gprof = _profiles(g)
-    hprof = gprof if h is g else _profiles(h)
-    if sorted(gprof) != sorted(hprof):
-        return {}
-    bits, hbits = g._bits, h._bits
-    cand_mask = [
-        sum(1 << w for w in range(n) if hprof[w] == gprof[v]) for v in range(n)
-    ]
-    # the earlier vertices adjacent, and not adjacent, to each vertex: the
-    # image of v must be adjacent to the images of the first and to none
-    # of the images of the second
-    earlier_adjacent = [
-        tuple(u for u in range(v) if bits[v] >> u & 1) for v in range(n)
-    ]
-    earlier_apart = [
-        tuple(u for u in range(v) if not bits[v] >> u & 1) for v in range(n)
-    ]
-    firsts: dict[int, tuple[int, ...]] = {}
-    images = [0] * n
-    used = 0
-    nodes = 0
-    last = n - 1
 
-    def extend(v: int, moved: int) -> None:
-        # moved: support mask of the partial map on vertices 0..v-1
-        nonlocal used, nodes
-        free = cand_mask[v] & ~used
-        nodes += free.bit_count()
-        if nodes > budget:
-            raise SizeLimitExceeded(budget)
-        for u in earlier_adjacent[v]:
-            free &= hbits[images[u]]
-        for u in earlier_apart[v]:
-            free &= ~hbits[images[u]]
-        if v == last:
-            # leaves inline: at most one vertex is still unused
-            if free:
-                x = free.bit_length() - 1
-                images[v] = x
-                leaf = tuple(images)
-                emit(leaf)
-                mask = moved | ((x != v) << v)
-                if mask and mask not in firsts:
-                    firsts[mask] = leaf
-            return
-        while free:
-            low = free & -free
+    def __init__(self, g: Graph, h: Graph, budget: float):
+        n = g.n
+        gprof = _profiles(g)
+        hprof = gprof if h is g else _profiles(h)
+        #: False when the sorted profiles differ, so no leaf exists
+        self.possible = sorted(gprof) == sorted(hprof)
+        bits = g._bits
+        self.hbits = h._bits
+        classes: dict[tuple, int] = {}
+        for w, prof in enumerate(hprof):
+            classes[prof] = classes.get(prof, 0) | 1 << w
+        self.cand_mask = [classes.get(prof, 0) for prof in gprof]
+        # the earlier vertices adjacent, and not adjacent, to each vertex:
+        # the image of v must be adjacent to the images of the first and
+        # to none of the images of the second
+        self.earlier_adjacent = [
+            _mask_vertices(bits[v] & ((1 << v) - 1)) for v in range(n)
+        ]
+        self.earlier_apart = [
+            _mask_vertices(~bits[v] & ((1 << v) - 1)) for v in range(n)
+        ]
+        self.budget = budget
+        self.nodes = 0
+
+    def charge(self, count: int) -> None:
+        self.nodes += count
+        if self.nodes > self.budget:
+            raise SizeLimitExceeded(self.budget)
+
+    def first_leaf(self, prefix: Sequence[int]) -> tuple[int, ...] | None:
+        """The smallest leaf whose images of ``0..len(prefix)-1`` are
+        ``prefix`` (which must itself preserve adjacency), or ``None``."""
+        cand_mask, hbits = self.cand_mask, self.hbits
+        earlier_adjacent, earlier_apart = self.earlier_adjacent, self.earlier_apart
+        n, budget = len(cand_mask), self.budget
+        images = [*prefix, *[0] * (n - len(prefix))]
+        used = sum(1 << x for x in prefix)
+        nodes = self.nodes
+        last = n - 1
+
+        def extend(v: int) -> bool:
+            nonlocal used, nodes
+            free = cand_mask[v] & ~used
+            nodes += free.bit_count()
+            if nodes > budget:
+                raise SizeLimitExceeded(budget)
+            for u in earlier_adjacent[v]:
+                free &= hbits[images[u]]
+            for u in earlier_apart[v]:
+                free &= ~hbits[images[u]]
+            if v == last:
+                # at most one vertex is still unused
+                images[v] = free.bit_length() - 1
+                return bool(free)
+            while free:
+                low = free & -free
+                images[v] = low.bit_length() - 1
+                used |= low
+                if extend(v + 1):
+                    return True
+                used ^= low
+                free ^= low
+            return False
+
+        try:
+            found = len(prefix) == n or extend(len(prefix))
+        finally:
+            self.nodes = nodes
+        return tuple(images) if found else None
+
+
+def _transversal(
+    point: int, gens: Sequence[tuple[int, ...]], identity: tuple[int, ...]
+) -> dict[int, tuple[int, ...]]:
+    """The orbit of ``point`` under ``gens``, each orbit point x mapped to
+    an element (a product of generators) that sends ``point`` to x;
+    ``point`` itself maps to the identity."""
+    reps = {point: identity}
+    queue = [point]
+    for x in queue:
+        t = reps[x]
+        for s in gens:
+            y = s[x]
+            if y not in reps:
+                reps[y] = tuple(s[w] for w in t)
+                queue.append(y)
+    return reps
+
+
+def _chain(g: Graph, search: _Search) -> list[dict[int, tuple[int, ...]]]:
+    """The stabiliser chain of Aut(g) along the base 0..n-1: per base
+    point i, the transversal (see :func:`_transversal`) of the orbit of i
+    under the automorphisms fixing 0..i-1.  Built deepest level first,
+    so the generators found below level i already fix i."""
+    n, bits = g.n, g._bits
+    identity = tuple(range(n))
+    gens: list[tuple[int, ...]] = []
+    levels = []
+    for i in reversed(range(n)):
+        fixed = (1 << i) - 1
+        row = bits[i] & fixed
+        reps = {i: identity}
+        rest = search.cand_mask[i] & ~fixed & ~(1 << i)
+        while rest:
+            low = rest & -rest
+            rest ^= low
             x = low.bit_length() - 1
-            images[v] = x
-            used |= low
-            extend(v + 1, moved | ((x != v) << v))
-            used ^= low
-            free ^= low
+            if x in reps or bits[x] & fixed != row:
+                continue
+            leaf = search.first_leaf((*range(i), x))
+            if leaf is not None:
+                gens.append(leaf)
+                reps = _transversal(i, gens, identity)
+        levels.append(reps)
+    levels.reverse()
+    return levels
 
-    extend(0, 0)
+
+def _small_listing(
+    n: int, levels: Sequence[dict[int, tuple[int, ...]]]
+) -> tuple[np.ndarray, dict[int, tuple[int, ...]]]:
+    """:func:`_listing` and :func:`_firsts` on Python tuples, for groups
+    so small that numpy's fixed cost per call would dominate."""
+    rows = [tuple(range(n))]
+    for reps in levels:
+        if len(reps) > 1:
+            rows = [
+                tuple([p[w] for w in reps[x]])
+                for p in rows
+                for x in sorted(reps, key=p.__getitem__)
+            ]
+    firsts: dict[int, tuple[int, ...]] = {}
+    for row in rows:
+        mask = sum(1 << v for v, w in enumerate(row) if v != w)
+        if mask and mask not in firsts:
+            firsts[mask] = row
+    table = np.array(rows, dtype=np.min_scalar_type(n)).reshape(len(rows), n)
+    return table, firsts
+
+
+def _listing(n: int, levels: Sequence[dict[int, tuple[int, ...]]]) -> np.ndarray:
+    """Every element t_0 t_1 ... t_{n-1} of the chain, as the rows of one
+    array in lexicographic order.  Level by level, each prefix p is
+    extended by the level's transversal, its children ordered by p(x)
+    for the orbit point x: that is their order by image of the level's
+    base point, the first place where they differ."""
+    table = np.arange(n, dtype=np.min_scalar_type(n))[None, :]
+    for reps in levels:
+        if len(reps) == 1:
+            continue
+        points = np.fromiter(reps, dtype=np.intp, count=len(reps))
+        trans = np.array(list(reps.values()), dtype=np.intp)
+        m, k = len(table), len(points)
+        order = np.argsort(table[:, points], axis=1)
+        table = table[:, trans][np.arange(m)[:, None], order].reshape(m * k, n)
+    return table
+
+
+def _firsts(table: np.ndarray) -> dict[int, tuple[int, ...]]:
+    """Each non-empty support mask of the rows of ``table``, in order of
+    first occurrence, with the row where it first occurs."""
+    count, n = table.shape
+    moved = np.packbits(table != np.arange(n), axis=1, bitorder="little")
+    width = -(-moved.shape[1] // 8)
+    words = np.zeros((count, 8 * width), dtype=np.uint8)
+    words[:, : moved.shape[1]] = moved
+    keys = words.view(np.uint64)
+    if width == 1:
+        _, index = np.unique(keys.ravel(), return_index=True)
+    else:
+        _, index = np.unique(keys, axis=0, return_index=True)
+    firsts = {}
+    for j in np.sort(index).tolist():
+        mask = int.from_bytes(moved[j].tobytes(), "little")
+        if mask:
+            firsts[mask] = tuple(table[j].tolist())
     return firsts
 
 
 def automorphisms(g: Graph, node_budget: int | None = None) -> AutomorphismSet:
-    """Enumerate Aut(g) completely.
+    """Enumerate Aut(g) completely: build the stabiliser chain, charge one
+    node per element of the order it gives, then compose the listing.
 
-    Backtracks over vertices in index order; a vertex may only map to
-    vertices with the same degree and the same sorted multiset of
-    neighbour degrees, and partial maps must already preserve adjacency.
-
-    One search node is one unused, profile-compatible candidate at a
-    level, counted before the adjacency test: at each level the whole
-    candidate set is charged at once, then filtered against the images
-    of the earlier vertices.  When the running total exceeds
-    ``node_budget`` (default :data:`DEFAULT_NODE_BUDGET`)
-    :class:`SizeLimitExceeded` is raised, so a caller never gets a
-    silently truncated group.  This count is the ``--budget`` contract.
+    A vertex may only map to vertices with the same degree and the same
+    sorted multiset of neighbour degrees, and partial maps must already
+    preserve adjacency.  Nodes are charged as the module docstring says;
+    when the running total exceeds ``node_budget`` (default
+    :data:`DEFAULT_NODE_BUDGET`) :class:`SizeLimitExceeded` is raised, so
+    a caller never gets a silently truncated group.  This count is the
+    ``--budget`` contract.
     """
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
-    found: list[tuple[int, ...]] = []
-    firsts = _backtrack(g, g, budget, found.append)
-    return AutomorphismSet(images=tuple(found), firsts=firsts)
+    search = _Search(g, g, budget)
+    levels = _chain(g, search)
+    order = math.prod(map(len, levels))
+    search.charge(order)
+    if order <= _SMALL_ORDER:
+        table, firsts = _small_listing(g.n, levels)
+    else:
+        table = _listing(g.n, levels)
+        firsts = _firsts(table)
+    table.flags.writeable = False
+    return AutomorphismSet(table, firsts)
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> tuple[int, ...] | None:
     """Search for an isomorphism g1 -> g2.
 
     Returns the witness as an image tuple (``result[i]`` is where vertex
-    ``i`` of ``g1`` lands in ``g2``), or ``None``.  The same search as
-    :func:`automorphisms`, run from ``g1`` onto ``g2`` without a node
-    budget and stopped at its first leaf, so the witness is the
-    lexicographically smallest isomorphism and equal inputs always give
-    the same one.  Graphs whose orders, edge counts or sorted vertex
-    profiles differ are rejected before any search.
+    ``i`` of ``g1`` lands in ``g2``), or ``None``.  The first-leaf search
+    of :func:`automorphisms`, run from ``g1`` onto ``g2`` without a node
+    budget, so the witness is the lexicographically smallest isomorphism
+    and equal inputs always give the same one.  Graphs whose orders, edge
+    counts or sorted vertex profiles differ are rejected before any
+    search.
     """
     if g2.n != g1.n or g1.edge_count != g2.edge_count:
         return None
-
-    def stop(leaf: tuple[int, ...]) -> None:
-        raise _Found(leaf)
-
-    try:
-        _backtrack(g1, g2, math.inf, stop)
-    except _Found as hit:
-        return hit.args[0]
-    return None
+    search = _Search(g1, g2, math.inf)
+    return search.first_leaf(()) if search.possible else None
 
 
 def twin_transpositions(g: Graph) -> list[Permutation]:

@@ -360,7 +360,7 @@ def _pattern_soundness(g: Graph, pattern, auts) -> bool:
     """No forced-zero cell may be realised by an actual automorphism."""
     n = g.n
     reachable = np.zeros((n, n), dtype=bool)
-    reachable[np.arange(n), np.asarray(auts.images)] = True
+    reachable[np.arange(n), auts.table] = True
     return not bool((pattern.forced & reachable).any())
 
 

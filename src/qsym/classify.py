@@ -350,6 +350,10 @@ class Verdict:
 
 @dataclass(frozen=True)
 class Report:
+    """The verdicts on one graph, how they were reached, and the graph
+    facts its summary shows, each worked out once when the report is
+    made (``quadrangle_free`` and ``forest`` are the context's own)."""
+
     graph: Graph
     bic: Verdict
     ban: Verdict
@@ -357,6 +361,9 @@ class Report:
     trace: tuple[str, ...]
     notes: tuple[str, ...]
     elapsed_ms: float
+    connected: bool
+    quadrangle_free: bool
+    forest: bool
 
     def summary(self) -> dict:
         g = self.graph
@@ -364,9 +371,9 @@ class Report:
             "n": g.n,
             "edges": g.edge_count,
             "degree_sequence": sorted(g.degree_sequence),
-            "connected": is_connected(g),
-            "quadrangle_free": not contains_quadrangle(g),
-            "forest": is_forest(g),
+            "connected": self.connected,
+            "quadrangle_free": self.quadrangle_free,
+            "forest": self.forest,
         }
 
     def payload(self) -> dict:
@@ -615,7 +622,7 @@ def _corona(ctx: _Ctx, t: str) -> Verdict | None:
                 # the listing starts with the identity, so its second
                 # element is the first non-trivial one
                 if auts.order > 1:
-                    witness = Permutation(auts.images[1])
+                    witness = Permutation(tuple(auts.table[1].tolist()))
             except SizeLimitExceeded:
                 ctx.notes.append("attachment symmetry search abandoned (budget)")
     if witness is None:
@@ -745,24 +752,40 @@ def classify(g: Graph, node_budget: int | None = None) -> Report:
     affected rules are skipped and the verdict may degrade to Unknown
     (recorded in the report's notes).
     """
-    return _classify(_Ctx(g, _Shared(g, node_budget)))
+    ctx = _Ctx(g, _Shared(g, node_budget))
+    bic, ban, elapsed_ms = _classify(ctx)
+    return _report(ctx, bic, ban, elapsed_ms)
 
 
-def _classify(ctx: _Ctx) -> Report:
+def _classify(ctx: _Ctx) -> tuple[Verdict, Verdict, float]:
+    """Both targets' verdicts on ``ctx``'s graph, and the ms they took."""
     started = time.perf_counter()
     bic, ban = _transfer(ctx, _run(ctx, TARGET_BIC), _run(ctx, TARGET_BAN))
-    return _report(ctx, bic, ban, started)
+    return bic, ban, (time.perf_counter() - started) * 1000.0
 
 
-def _report(ctx: _Ctx, bic: Verdict, ban: Verdict, started: float) -> Report:
+def _report(
+    ctx: _Ctx,
+    bic: Verdict,
+    ban: Verdict,
+    elapsed_ms: float,
+    bic_complement: Verdict | None = None,
+    trace: tuple[str, ...] = (),
+    notes: tuple[str, ...] = (),
+) -> Report:
+    """The report on ``ctx``'s graph: its own trace and notes, then
+    ``trace`` and ``notes``."""
     return Report(
         graph=ctx.g,
         bic=bic,
         ban=ban,
-        bic_complement=None,
-        trace=tuple(ctx.trace),
-        notes=tuple(ctx.notes),
-        elapsed_ms=(time.perf_counter() - started) * 1000.0,
+        bic_complement=bic_complement,
+        trace=tuple(ctx.trace) + trace,
+        notes=tuple(ctx.notes) + notes,
+        elapsed_ms=elapsed_ms,
+        connected=is_connected(ctx.g),
+        quadrangle_free=ctx.quadrangle_free,
+        forest=ctx.forest,
     )
 
 
@@ -777,19 +800,17 @@ def classify_with_complement(g: Graph, node_budget: int | None = None) -> Report
     :class:`_Shared`).
     """
     ctx = _Ctx(g, _Shared(g, node_budget))
-    base = _classify(ctx)
-    comp = _classify(ctx.complement)
-    bic_complement = replace(comp.bic, target=TARGET_BIC_COMPLEMENT)
-    ban = base.ban
-    notes = list(base.notes)
+    bic, ban, elapsed_ms = _classify(ctx)
+    comp = ctx.complement
+    comp_bic, _, comp_ms = _classify(comp)
+    notes = []
     both_commutative = (
-        base.bic.status is Status.COMMUTATIVE
-        and comp.bic.status is Status.COMMUTATIVE
+        bic.status is Status.COMMUTATIVE and comp_bic.status is Status.COMMUTATIVE
     )
-    if both_commutative and (ctx.quadrangle_free or ctx.complement.quadrangle_free):
+    if both_commutative and (ctx.quadrangle_free or comp.quadrangle_free):
         if ban.status is Status.UNKNOWN:
             cert: Certificate = (
-                QuadrangleFreeSelf(companion=base.bic.certificate)
+                QuadrangleFreeSelf(companion=bic.certificate)
                 if ctx.quadrangle_free
                 else QuadrangleFreeComplement()
             )
@@ -801,15 +822,14 @@ def classify_with_complement(g: Graph, node_budget: int | None = None) -> Report
                 note="complement-invariance settles the coarse algebra",
             )
         notes.append("no quantum symmetry: both fine algebras are commutative")
-    trace = base.trace + tuple(f"complement {line}" for line in comp.trace)
-    return Report(
-        graph=g,
-        bic=base.bic,
-        ban=ban,
-        bic_complement=bic_complement,
-        trace=trace,
-        notes=tuple(notes) + comp.notes,
-        elapsed_ms=base.elapsed_ms + comp.elapsed_ms,
+    return _report(
+        ctx,
+        bic,
+        ban,
+        elapsed_ms + comp_ms,
+        bic_complement=replace(comp_bic, target=TARGET_BIC_COMPLEMENT),
+        trace=tuple(f"complement {line}" for line in comp.trace),
+        notes=(*notes, *comp.notes),
     )
 
 
@@ -847,7 +867,7 @@ def classify_line_graph(g: Graph, node_budget: int | None = None) -> Report:
             ctx, TARGET_BAN, R_CHERRY, Status.NONCOMMUTATIVE,
             DisjointPair(sigma, tau), detail,
         )
-        return _report(ctx, bic, ban, started)
+        return _report(ctx, bic, ban, (time.perf_counter() - started) * 1000.0)
     return classify(lg, node_budget=node_budget)
 
 

@@ -18,7 +18,11 @@ Exit codes are part of the contract and stay stable:
 
 The default node budget can be overridden per call with ``--budget`` or
 globally through the ``QSYM_BUDGET`` environment variable; either must be
-a non-negative integer.
+a non-negative integer.  It caps each automorphism listing: Aut(G) is
+found as a stabiliser chain by first-leaf searches, each candidate image
+tried at a search level costs one node, and once the chain gives the
+group order, each element costs one more, before any is built.  So a
+group larger than the budget is refused without being listed.
 """
 
 from __future__ import annotations

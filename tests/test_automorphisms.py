@@ -27,10 +27,10 @@ from qsym import (
     support,
 )
 from qsym.automorphisms import twin_transpositions
-from qsym.census import SplitMix64, enumerate_forests, random_graph
+from qsym.census import SplitMix64, random_graph
 from qsym.errors import LengthMismatch, OutOfRange, SizeLimitExceeded
 
-from .conftest import graphs, hypercube, small_corpus
+from .conftest import graphs, hypercube, kernel_corpus, small_corpus, time_limit
 
 # ---------------------------------------------------------------------------
 # brute-force oracle
@@ -50,13 +50,15 @@ def brute_force_aut(g) -> set[tuple[int, ...]]:
 
 
 def reference_listing(g):
-    """Aut(g) with one ``Permutation`` per element, and the distinct
-    supports taken from the full list: every non-identity element sorted
-    stably by support size, keeping the first element per support mask.
-    Same search tree as ``automorphisms``, without the node budget."""
+    """Aut(g) by exhaustive backtracking, with one ``Permutation`` per
+    element in lexicographic order; the first element of each non-empty
+    support in that order, as a dict in order of first occurrence; and
+    the distinct supports taken from the full list: every non-identity
+    element sorted stably by support size, keeping the first element per
+    support mask.  No node budget."""
     n = g.n
     if n == 0:
-        return (Permutation(()),), ()
+        return (Permutation(()),), {}, ()
     bits = g._bits
     degrees = g.degree_sequence
     profile = [
@@ -95,6 +97,11 @@ def reference_listing(g):
             free ^= low
 
     extend(0)
+    firsts = {}
+    for p in found:
+        mask = p.support_mask()
+        if mask and mask not in firsts:
+            firsts[mask] = p.images
     ranked = sorted(
         ((p.support_mask(), p) for p in found if not p.is_identity),
         key=lambda item: item[0].bit_count(),
@@ -105,7 +112,7 @@ def reference_listing(g):
         if mask not in seen:
             seen.add(mask)
             supports.append((mask, p))
-    return tuple(found), tuple(supports)
+    return tuple(found), firsts, tuple(supports)
 
 
 def _symmetric_set():
@@ -129,18 +136,35 @@ def _symmetric_set():
 
 
 def _listing_corpus():
-    """All forests with n <= 9, the first 1,000 0x5EED graphs and their
-    complements, and the symmetric set and its complements; each distinct
-    adjacency matrix once (the random pool repeats K8 and its complement)."""
+    """The kernel corpus and the complements of the first 1,000 0x5EED
+    draws; the symmetric set, the sparse gallery (without star20 and
+    k3_12, whose groups are too large to list one by one) and graphs with
+    n > 64, whose support masks span more than one 64-bit word, each with
+    its complement; each distinct adjacency matrix once (the random pool
+    repeats K8 and its complement)."""
     rng = SplitMix64(0x5EED)
     pool = [random_graph(rng) for _ in range(1000)]
+    sparse = [
+        gallery(name)
+        for name in (
+            "c4", "c16", "c32", "c48", "c64", "p48", "p64", "t0",
+            "c4pn20", "c4pn30", "sc", "fig7",
+        )
+    ]
+    wide = [
+        cycle(65),
+        path(70),
+        disjoint_union([cycle(40), cycle(30)]),
+        cartesian(cycle(11), cycle(6)),
+        disjoint_union([star(3), path(63)]),
+    ]
+    extra = [*_symmetric_set(), *sparse, *wide]
     seen = set()
     for g in [
-        *(f for n in range(1, 10) for f in enumerate_forests(n)),
-        *pool,
+        *kernel_corpus(),
         *map(complement, pool),
-        *_symmetric_set(),
-        *map(complement, _symmetric_set()),
+        *extra,
+        *map(complement, extra),
     ]:
         key = (g.n, g.adj.tobytes())
         if key not in seen:
@@ -149,16 +173,18 @@ def _listing_corpus():
 
 
 def test_listing_equals_the_reference():
-    checked = 0
+    checked = wide = 0
     for g in _listing_corpus():
         auts = automorphisms(g)
-        elements, supports = reference_listing(g)
+        elements, firsts, supports = reference_listing(g)
         assert auts.order == len(elements), g
-        assert auts.elements == elements, g
+        assert auts.images == tuple(p.images for p in elements), g
+        assert list(auts.firsts.items()) == list(firsts.items()), g
         assert auts.distinct_supports == supports, g
         assert auts.support_masks == tuple(mask for mask, _ in supports), g
         checked += 1
-    assert checked == 1481
+        wide += g.n > 64
+    assert (checked, wide) == (1783, 12)
 
 
 def test_each_support_keeps_its_lexicographically_smallest_element():
@@ -291,6 +317,14 @@ def test_budget_raises_instead_of_truncating():
         automorphisms(edgeless(9), node_budget=100)
 
 
+def test_a_group_beyond_the_budget_is_refused_unlisted():
+    # 12! elements exceed the default budget; the order is charged as
+    # soon as the chain gives it, before any element is built
+    with time_limit(10):
+        with pytest.raises(SizeLimitExceeded):
+            automorphisms(edgeless(12))
+
+
 def test_budget_error_carries_budget():
     try:
         automorphisms(edgeless(9), node_budget=50)
@@ -301,18 +335,19 @@ def test_budget_error_carries_budget():
 @pytest.mark.parametrize(
     "g, nodes",
     [
-        pytest.param(hypercube(4), 31_296, id="Q4"),
+        pytest.param(hypercube(4), 766, id="Q4"),
         # a complement's profiles follow from the graph's: same search tree
-        pytest.param(complement(hypercube(4)), 31_296, id="Q4c"),
-        pytest.param(cartesian(complete(4), complete(4)), 60_544, id="K4xK4"),
-        pytest.param(edgeless(7), 13_699, id="edgeless7"),
-        pytest.param(cycle(12), 1_464, id="C12"),
+        pytest.param(complement(hypercube(4)), 766, id="Q4c"),
+        pytest.param(cartesian(complete(4), complete(4)), 1_667, id="K4xK4"),
+        pytest.param(edgeless(7), 5_096, id="edgeless7"),
+        pytest.param(cycle(12), 145, id="C12"),
     ],
 )
 def test_node_accounting_is_pinned(g, nodes):
-    # one node is one unused, profile-compatible candidate at a level,
-    # counted before the adjacency test; these totals are the --budget
-    # contract, so a faster search must reproduce them exactly
+    # one node is one unused, profile-compatible candidate at a level of a
+    # first-leaf search, counted before the adjacency test, plus one per
+    # element of the group; these totals are the --budget contract, so a
+    # faster search must reproduce them exactly
     assert automorphisms(g, node_budget=nodes).order > 1
     with pytest.raises(SizeLimitExceeded):
         automorphisms(g, node_budget=nodes - 1)

@@ -57,12 +57,21 @@ from qsym.graphs import (
     contains_quadrangle,
     cycle,
     edgeless,
+    is_connected,
+    is_forest,
     path,
     star,
 )
 from qsym.products import cartesian, corona, direct
 
-from .conftest import graphs, hypercube, kernel_corpus, relabelled, small_corpus
+from .conftest import (
+    graphs,
+    hypercube,
+    kernel_corpus,
+    relabelled,
+    small_corpus,
+    time_limit,
+)
 
 C = Status.COMMUTATIVE
 NC = Status.NONCOMMUTATIVE
@@ -204,10 +213,10 @@ def test_edgeless_graphs():
 
 
 def test_product_lift_fires_when_search_is_capped():
-    # the product needs ~2200 search nodes, the factor only ~300: a budget
-    # of 1000 forces the engine to fall back to the provenance rule
+    # listing Aut of the product costs 616 nodes, of the factor only 116:
+    # a budget of 300 forces the engine to fall back to the provenance rule
     g = cartesian(t0_graph(), complete(2))
-    rep = classify(g, node_budget=1000)
+    rep = classify(g, node_budget=300)
     assert rep.bic.status is NC
     cert = rep.bic.certificate
     assert isinstance(cert, ProductLift)
@@ -232,7 +241,7 @@ def test_products_without_provenance_fall_back():
     # same adjacency as the capped cartesian case, but built from scratch
     g = cartesian(t0_graph(), complete(2))
     bare = build(g.n, g.edges())
-    rep = classify(bare, node_budget=1000)
+    rep = classify(bare, node_budget=300)
     assert rep.bic.status is U
 
 
@@ -316,16 +325,51 @@ def test_reused_group_gives_the_complement_its_own_verdict(g):
 
 
 def test_complement_pass_does_not_repeat_a_failed_search(monkeypatch):
-    # Q4's listing runs out at 1,000 nodes; Q4c's would spend the same
-    # nodes, so it is abandoned without searching, with the same note
+    # Q4's listing needs 766 nodes and runs out at 500; Q4c's would spend
+    # the same nodes, so it is abandoned without searching, with the same
+    # note
     calls = _counting(monkeypatch, "automorphisms")
-    rep = classify_with_complement(hypercube(4), node_budget=1000)
+    rep = classify_with_complement(hypercube(4), node_budget=500)
     assert sum(args[0].n == 16 for args in calls) == 1
     note = (
-        "automorphism enumeration abandoned after 1000 search nodes; "
+        "automorphism enumeration abandoned after 500 search nodes; "
         "some rules were skipped"
     )
     assert rep.notes.count(note) == 2
+
+
+@pytest.mark.parametrize("name", ["fig7", "c64", "t0", "sc", "p48"])
+def test_payload_recomputes_no_graph_fact(monkeypatch, name):
+    # the summary's quadrangle, forest and connectivity facts are worked
+    # out once, when the report is made; serialising it calls none of them
+    g = gallery(name)
+    rep = classify_with_complement(g)
+    counted = ("contains_quadrangle", "is_forest", "is_connected")
+    calls = {fn: _counting(monkeypatch, fn) for fn in counted}
+    summary = rep.payload()["graph"]
+    assert rep.payload()["graph"] == summary
+    assert {fn: len(seen) for fn, seen in calls.items()} == dict.fromkeys(counted, 0)
+    monkeypatch.undo()
+    assert summary == {
+        "n": g.n,
+        "edges": g.edge_count,
+        "degree_sequence": sorted(g.degree_sequence),
+        "connected": is_connected(g),
+        "quadrangle_free": not contains_quadrangle(g),
+        "forest": is_forest(g),
+    }
+
+
+def test_q6_coarse_algebra_is_decided_within_the_default_budget():
+    # |Aut(Q6)| = 46,080: the listing fits the default budget, so the
+    # disjoint-pair rule decides the coarse algebra
+    g = hypercube(6)
+    with time_limit(30):
+        rep = classify_with_complement(g)
+    assert rep.ban.status is NC
+    assert isinstance(rep.ban.certificate, DisjointPair)
+    assert verify_certificate(g, rep.ban)
+    assert not any("abandoned" in note for note in rep.notes)
 
 
 def test_one_zero_pattern_per_graph(monkeypatch):
@@ -546,7 +590,7 @@ _PRODUCER_CASES = [
     (complete(3), None),  # small-order
     (build(4, [(0, 1), (0, 3), (1, 3)]), None),  # small-blocks
     (build(6, [(0, 1), (0, 4), (1, 2), (1, 3), (1, 5), (3, 5), (4, 5)]), None),  # strip
-    (cartesian(t0_graph(), complete(2)), 1000),  # product-lift
+    (cartesian(t0_graph(), complete(2)), 300),  # product-lift
     (corona(t0_graph(), path(3)), 1000),  # corona-symmetry
 ]
 
