@@ -23,10 +23,11 @@ its first element, which is its lexicographically smallest.
 One search node is one unused, profile-compatible candidate image at a
 level of a first-leaf search, counted before the adjacency test; the
 candidates of a chain level are filtered for free.  Once the group order
-is known, one more node is charged per element, before any element is
-built.  That total is what ``--budget`` caps.  It depends only on the
-graph, never on the machine, and a group too large for the budget is
-refused without being listed.  Candidate sets are bitmasks over the
+is known, one more node is charged per entry of the listing, order times
+n, before any element is built.  That total is what ``--budget`` caps, so
+it bounds the listing's memory as well as the search.  It depends only
+on the graph, never on the machine, and a group too large for the budget
+is refused without being listed.  Candidate sets are bitmasks over the
 vertices.
 
 :func:`are_isomorphic` runs the same first-leaf search from one graph
@@ -48,11 +49,6 @@ from .graphs import Graph, _mask_vertices, is_isomorphism
 
 #: Default cap on search nodes for one listing of Aut(g).
 DEFAULT_NODE_BUDGET = 10_000_000
-
-#: Groups up to this order are listed with Python tuples, larger ones in
-#: numpy, whose fixed cost per call outweighs a small listing; the two
-#: give the same listing.
-_SMALL_ORDER = 32
 
 
 @dataclass(frozen=True)
@@ -337,43 +333,19 @@ def _chain(g: Graph, search: _Search) -> list[dict[int, tuple[int, ...]]]:
     return levels
 
 
-def _small_listing(
-    n: int, levels: Sequence[dict[int, tuple[int, ...]]]
-) -> tuple[np.ndarray, dict[int, tuple[int, ...]]]:
-    """:func:`_listing` and :func:`_firsts` on Python tuples, for groups
-    so small that numpy's fixed cost per call would dominate."""
-    rows = [tuple(range(n))]
-    for reps in levels:
-        if len(reps) > 1:
-            rows = [
-                tuple([p[w] for w in reps[x]])
-                for p in rows
-                for x in sorted(reps, key=p.__getitem__)
-            ]
-    firsts: dict[int, tuple[int, ...]] = {}
-    for row in rows:
-        mask = sum(1 << v for v, w in enumerate(row) if v != w)
-        if mask and mask not in firsts:
-            firsts[mask] = row
-    table = np.array(rows, dtype=np.min_scalar_type(n)).reshape(len(rows), n)
-    return table, firsts
-
-
 def _listing(n: int, levels: Sequence[dict[int, tuple[int, ...]]]) -> np.ndarray:
     """Every element t_0 t_1 ... t_{n-1} of the chain, as the rows of one
     array in lexicographic order.  Level by level, each prefix p is
-    extended by the level's transversal, its children ordered by p(x)
-    for the orbit point x: that is their order by image of the level's
-    base point, the first place where they differ."""
+    extended by the level's transversal, its children p t_x ordered by
+    their image of the level's base point i, p(t_x(i)) = p(x): the first
+    place where they differ."""
     table = np.arange(n, dtype=np.min_scalar_type(n))[None, :]
-    for reps in levels:
-        if len(reps) == 1:
-            continue
-        points = np.fromiter(reps, dtype=np.intp, count=len(reps))
-        trans = np.array(list(reps.values()), dtype=np.intp)
-        m, k = len(table), len(points)
-        order = np.argsort(table[:, points], axis=1)
-        table = table[:, trans][np.arange(m)[:, None], order].reshape(m * k, n)
+    for i, reps in enumerate(levels):
+        if len(reps) > 1:
+            m, k = len(table), len(reps)
+            children = table[:, np.array(list(reps.values()))]
+            order = np.argsort(children[:, :, i], axis=1)
+            table = children[np.arange(m)[:, None], order].reshape(m * k, n)
     return table
 
 
@@ -400,7 +372,8 @@ def _firsts(table: np.ndarray) -> dict[int, tuple[int, ...]]:
 
 def automorphisms(g: Graph, node_budget: int | None = None) -> AutomorphismSet:
     """Enumerate Aut(g) completely: build the stabiliser chain, charge one
-    node per element of the order it gives, then compose the listing.
+    node per entry of the listing the order it gives calls for, then
+    compose the listing.
 
     A vertex may only map to vertices with the same degree and the same
     sorted multiset of neighbour degrees, and partial maps must already
@@ -413,15 +386,10 @@ def automorphisms(g: Graph, node_budget: int | None = None) -> AutomorphismSet:
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     search = _Search(g, g, budget)
     levels = _chain(g, search)
-    order = math.prod(map(len, levels))
-    search.charge(order)
-    if order <= _SMALL_ORDER:
-        table, firsts = _small_listing(g.n, levels)
-    else:
-        table = _listing(g.n, levels)
-        firsts = _firsts(table)
+    search.charge(math.prod(map(len, levels)) * g.n)
+    table = _listing(g.n, levels)
     table.flags.writeable = False
-    return AutomorphismSet(table, firsts)
+    return AutomorphismSet(table, _firsts(table))
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> tuple[int, ...] | None:

@@ -28,6 +28,7 @@ import time
 import weakref
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
+from typing import Mapping
 
 from .automorphisms import (
     AutomorphismSet,
@@ -350,9 +351,12 @@ class Verdict:
 
 @dataclass(frozen=True)
 class Report:
-    """The verdicts on one graph, how they were reached, and the graph
-    facts its summary shows, each worked out once when the report is
-    made (``quadrangle_free`` and ``forest`` are the context's own)."""
+    """The verdicts on one graph and how they were reached.
+
+    ``known`` holds the context's own answers to the summary's
+    quadrangle and forest questions, where it worked them out; the
+    summary works out the rest on first use, so a report nobody
+    serialises costs no graph walk."""
 
     graph: Graph
     bic: Verdict
@@ -361,9 +365,20 @@ class Report:
     trace: tuple[str, ...]
     notes: tuple[str, ...]
     elapsed_ms: float
-    connected: bool
-    quadrangle_free: bool
-    forest: bool
+    known: Mapping[str, bool] = field(default_factory=dict, repr=False, compare=False)
+
+    @cached_property
+    def _facts(self) -> dict[str, bool]:
+        g, known = self.graph, self.known
+        return {
+            "connected": is_connected(g),
+            "quadrangle_free": (
+                known["quadrangle_free"]
+                if "quadrangle_free" in known
+                else not contains_quadrangle(g)
+            ),
+            "forest": known["forest"] if "forest" in known else is_forest(g),
+        }
 
     def summary(self) -> dict:
         g = self.graph
@@ -371,9 +386,7 @@ class Report:
             "n": g.n,
             "edges": g.edge_count,
             "degree_sequence": sorted(g.degree_sequence),
-            "connected": self.connected,
-            "quadrangle_free": self.quadrangle_free,
-            "forest": self.forest,
+            **self._facts,
         }
 
     def payload(self) -> dict:
@@ -783,9 +796,12 @@ def _report(
         trace=tuple(ctx.trace) + trace,
         notes=tuple(ctx.notes) + notes,
         elapsed_ms=elapsed_ms,
-        connected=is_connected(ctx.g),
-        quadrangle_free=ctx.quadrangle_free,
-        forest=ctx.forest,
+        # the cached properties the context has already worked out
+        known={
+            fact: value
+            for fact, value in vars(ctx).items()
+            if fact in ("quadrangle_free", "forest")
+        },
     )
 
 

@@ -21,8 +21,9 @@ globally through the ``QSYM_BUDGET`` environment variable; either must be
 a non-negative integer.  It caps each automorphism listing: Aut(G) is
 found as a stabiliser chain by first-leaf searches, each candidate image
 tried at a search level costs one node, and once the chain gives the
-group order, each element costs one more, before any is built.  So a
-group larger than the budget is refused without being listed.
+group order, each entry of the listing (order times n) costs one more,
+before any element is built.  So a listing larger than the budget is
+refused unbuilt.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import itertools
 
 import numpy as np
@@ -318,11 +319,36 @@ def test_budget_raises_instead_of_truncating():
 
 
 def test_a_group_beyond_the_budget_is_refused_unlisted():
-    # 12! elements exceed the default budget; the order is charged as
-    # soon as the chain gives it, before any element is built
+    # 12! elements exceed the default budget; the listing is charged as
+    # soon as the chain gives the order, before any element is built
     with time_limit(10):
         with pytest.raises(SizeLimitExceeded):
             automorphisms(edgeless(12))
+
+
+def test_a_listing_beyond_the_budget_is_refused_unlisted(monkeypatch):
+    # |Aut| = 20^4 * 4! * 2 = 7,680,000 is under the default budget, but
+    # its listing has 100 entries per element: it is charged per entry,
+    # so the group is refused before the table is composed
+    g = disjoint_union([cycle(10)] * 4 + [path(59)])
+    assert g.n == 100
+
+    def compose(*args):
+        raise AssertionError("the listing was composed")
+
+    # the package re-exports automorphisms(), which hides the module
+    module = importlib.import_module("qsym.automorphisms")
+    monkeypatch.setattr(module, "_listing", compose)
+    with time_limit(10):
+        with pytest.raises(SizeLimitExceeded):
+            automorphisms(g)
+
+
+def test_the_empty_graph_costs_no_node():
+    # its one element, the empty permutation, has no entries
+    assert automorphisms(edgeless(0), node_budget=0).order == 1
+    with pytest.raises(SizeLimitExceeded):
+        automorphisms(edgeless(1), node_budget=0)
 
 
 def test_budget_error_carries_budget():
@@ -335,18 +361,18 @@ def test_budget_error_carries_budget():
 @pytest.mark.parametrize(
     "g, nodes",
     [
-        pytest.param(hypercube(4), 766, id="Q4"),
+        pytest.param(hypercube(4), 6_526, id="Q4"),
         # a complement's profiles follow from the graph's: same search tree
-        pytest.param(complement(hypercube(4)), 766, id="Q4c"),
-        pytest.param(cartesian(complete(4), complete(4)), 1_667, id="K4xK4"),
-        pytest.param(edgeless(7), 5_096, id="edgeless7"),
-        pytest.param(cycle(12), 145, id="C12"),
+        pytest.param(complement(hypercube(4)), 6_526, id="Q4c"),
+        pytest.param(cartesian(complete(4), complete(4)), 18_947, id="K4xK4"),
+        pytest.param(edgeless(7), 35_336, id="edgeless7"),
+        pytest.param(cycle(12), 409, id="C12"),
     ],
 )
 def test_node_accounting_is_pinned(g, nodes):
     # one node is one unused, profile-compatible candidate at a level of a
     # first-leaf search, counted before the adjacency test, plus one per
-    # element of the group; these totals are the --budget contract, so a
+    # entry of the listing (order times n); these totals are the --budget contract, so a
     # faster search must reproduce them exactly
     assert automorphisms(g, node_budget=nodes).order > 1
     with pytest.raises(SizeLimitExceeded):

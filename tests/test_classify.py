@@ -213,10 +213,10 @@ def test_edgeless_graphs():
 
 
 def test_product_lift_fires_when_search_is_capped():
-    # listing Aut of the product costs 616 nodes, of the factor only 116:
-    # a budget of 300 forces the engine to fall back to the provenance rule
+    # listing Aut of the product costs 1,176 nodes, of the factor only 252:
+    # a budget of 1000 forces the engine to fall back to the provenance rule
     g = cartesian(t0_graph(), complete(2))
-    rep = classify(g, node_budget=300)
+    rep = classify(g, node_budget=1000)
     assert rep.bic.status is NC
     cert = rep.bic.certificate
     assert isinstance(cert, ProductLift)
@@ -241,7 +241,7 @@ def test_products_without_provenance_fall_back():
     # same adjacency as the capped cartesian case, but built from scratch
     g = cartesian(t0_graph(), complete(2))
     bare = build(g.n, g.edges())
-    rep = classify(bare, node_budget=300)
+    rep = classify(bare, node_budget=1000)
     assert rep.bic.status is U
 
 
@@ -325,30 +325,38 @@ def test_reused_group_gives_the_complement_its_own_verdict(g):
 
 
 def test_complement_pass_does_not_repeat_a_failed_search(monkeypatch):
-    # Q4's listing needs 766 nodes and runs out at 500; Q4c's would spend
-    # the same nodes, so it is abandoned without searching, with the same
-    # note
+    # Q4's listing needs 6,526 nodes and runs out at 1,000; Q4c's would
+    # spend the same nodes, so it is abandoned without searching, with the
+    # same note
     calls = _counting(monkeypatch, "automorphisms")
-    rep = classify_with_complement(hypercube(4), node_budget=500)
+    rep = classify_with_complement(hypercube(4), node_budget=1000)
     assert sum(args[0].n == 16 for args in calls) == 1
     note = (
-        "automorphism enumeration abandoned after 500 search nodes; "
+        "automorphism enumeration abandoned after 1000 search nodes; "
         "some rules were skipped"
     )
     assert rep.notes.count(note) == 2
 
 
+_FACTS = {
+    "contains_quadrangle": "quadrangle_free",
+    "is_forest": "forest",
+    "is_connected": "connected",
+}
+
+
 @pytest.mark.parametrize("name", ["fig7", "c64", "t0", "sc", "p48"])
-def test_payload_recomputes_no_graph_fact(monkeypatch, name):
-    # the summary's quadrangle, forest and connectivity facts are worked
-    # out once, when the report is made; serialising it calls none of them
+def test_payload_works_out_each_graph_fact_once(monkeypatch, name):
+    # the summary reuses the context's quadrangle and forest answers and
+    # works out the others on the first payload only
     g = gallery(name)
     rep = classify_with_complement(g)
-    counted = ("contains_quadrangle", "is_forest", "is_connected")
-    calls = {fn: _counting(monkeypatch, fn) for fn in counted}
+    calls = {fn: _counting(monkeypatch, fn) for fn in _FACTS}
     summary = rep.payload()["graph"]
     assert rep.payload()["graph"] == summary
-    assert {fn: len(seen) for fn, seen in calls.items()} == dict.fromkeys(counted, 0)
+    assert {fn: len(seen) for fn, seen in calls.items()} == {
+        fn: int(fact not in rep.known) for fn, fact in _FACTS.items()
+    }
     monkeypatch.undo()
     assert summary == {
         "n": g.n,
@@ -358,6 +366,16 @@ def test_payload_recomputes_no_graph_fact(monkeypatch, name):
         "quadrangle_free": not contains_quadrangle(g),
         "forest": is_forest(g),
     }
+
+
+@pytest.mark.parametrize("name", ["fig7", "c64", "t0", "sc", "p48"])
+def test_an_unread_report_works_out_no_summary_fact(monkeypatch, name):
+    # the verdict rules use the forest test but never ask about
+    # connectivity; the report adds no graph walk of its own
+    calls = _counting(monkeypatch, "is_connected")
+    classify(gallery(name))
+    classify_with_complement(gallery(name))
+    assert calls == []
 
 
 def test_q6_coarse_algebra_is_decided_within_the_default_budget():
@@ -590,7 +608,7 @@ _PRODUCER_CASES = [
     (complete(3), None),  # small-order
     (build(4, [(0, 1), (0, 3), (1, 3)]), None),  # small-blocks
     (build(6, [(0, 1), (0, 4), (1, 2), (1, 3), (1, 5), (3, 5), (4, 5)]), None),  # strip
-    (cartesian(t0_graph(), complete(2)), 300),  # product-lift
+    (cartesian(t0_graph(), complete(2)), 1000),  # product-lift
     (corona(t0_graph(), path(3)), 1000),  # corona-symmetry
 ]
 
