@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement, product
 from typing import Iterator, Sequence, TextIO
 
@@ -412,7 +412,7 @@ def oracle_crosschecks(
         if _inject_fault and index == 0:
             forced = np.array(pattern.forced)
             forced[0, 0] = True
-            pattern = type(pattern)(pattern.n, forced, pattern.provenance)
+            pattern = replace(pattern, forced=forced)
         if not _pattern_soundness(g, pattern, auts):
             violations.append(f"{tag} zero pattern forbids a real image")
 

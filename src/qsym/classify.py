@@ -113,6 +113,22 @@ CITATIONS: dict[str, str] = {
 }
 
 
+#: The status each certificate kind can stand behind.  A
+#: ``quadrangle-free`` certificate stands behind whatever its companion
+#: does, since on a quadrangle-free graph the two algebras coincide.
+CERTIFIED_STATUS: dict[str, Status] = {
+    "disjoint-pair": Status.NONCOMMUTATIVE,
+    "edge-free-pair": Status.NONCOMMUTATIVE,
+    "product-lift": Status.NONCOMMUTATIVE,
+    "corona-symmetry": Status.NONCOMMUTATIVE,
+    "small-order": Status.COMMUTATIVE,
+    "quadrangle-free-complement": Status.COMMUTATIVE,
+    "forest-no-disjoint-pair": Status.COMMUTATIVE,
+    "strip": Status.COMMUTATIVE,
+    "small-blocks": Status.COMMUTATIVE,
+}
+
+
 @dataclass(frozen=True)
 class Citation:
     rule: str
@@ -894,9 +910,27 @@ def classify_line_graph(g: Graph, node_budget: int | None = None) -> Report:
 def verify_certificate(g: Graph, verdict: Verdict) -> bool:
     """Re-check a verdict's certificate against the graph from scratch.
 
-    Returns True when the certificate's premises hold of ``g``; raises
-    nothing for a merely wrong certificate (that returns False)."""
+    Returns True when the certificate can stand behind the verdict's
+    status (see :data:`CERTIFIED_STATUS`) and its premises hold of ``g``;
+    raises nothing for a merely wrong certificate (that returns False)."""
     cert = verdict.certificate
     if cert is None:
         return verdict.status is Status.UNKNOWN
-    return cert.holds(g)
+    return _entails(cert, verdict) and cert.holds(g)
+
+
+def _entails(cert: Certificate, verdict: Verdict) -> bool:
+    """Whether a certificate of this kind supports the verdict's claim.
+
+    Bare, a disjoint pair shows only the coarse algebra non-commutative
+    (the fine one also needs the supports joined by no edge), and a forest
+    without an edge-free disjoint pair shows only the fine one
+    commutative.  Under a quadrangle-free wrapper either settles both."""
+    fine = verdict.target != TARGET_BAN
+    if isinstance(cert, DisjointPair) and fine:
+        return False
+    if isinstance(cert, ForestNoDisjointPair) and cert.edge_free_only and not fine:
+        return False
+    while isinstance(cert, QuadrangleFreeSelf):
+        cert = cert.companion
+    return cert is not None and CERTIFIED_STATUS.get(cert.kind) is verdict.status

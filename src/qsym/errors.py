@@ -39,10 +39,6 @@ class SizeLimitExceeded(QsymError):
         super().__init__(message or f"search exceeded node budget of {budget}")
 
 
-class AsymmetricPattern(QsymError):
-    """A zero pattern lost its expected symmetry (internal sanity check)."""
-
-
 class NonPositiveCount(QsymError):
     """A count parameter (copies, census sizes, ...) must be positive."""
 

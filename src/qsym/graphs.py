@@ -82,24 +82,7 @@ class Graph:
         labels: Sequence[str] | None = None,
         provenance: Provenance | None = None,
     ):
-        adj = np.asarray(adj, dtype=bool)
-        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-            raise BadParams(f"adjacency matrix must be square, got {adj.shape}")
-        if adj.diagonal().any():
-            raise LoopEdge("adjacency matrix has a nonzero diagonal")
-        if not np.array_equal(adj, adj.T):
-            raise BadParams("adjacency matrix must be symmetric")
-        n = adj.shape[0]
-        if labels is not None and len(labels) != n:
-            raise BadParams(f"{len(labels)} labels for {n} vertices")
-        adj = adj.copy()
-        adj.flags.writeable = False
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj", adj)
-        object.__setattr__(self, "labels", tuple(labels) if labels is not None else None)
-        object.__setattr__(self, "provenance", provenance)
-        object.__setattr__(self, "_bits", _pack_rows(adj))
-        object.__setattr__(self, "_degrees", tuple(int(d) for d in adj.sum(axis=1)))
+        _init_graph(self, np.array(adj, dtype=bool, order="C"), labels, provenance)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("Graph is immutable")
@@ -164,6 +147,37 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
+def _init_graph(
+    g: Graph,
+    adj: np.ndarray,
+    labels: Sequence[str] | None,
+    provenance: Provenance | None,
+    rows: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
+) -> None:
+    """Check ``adj``, a boolean matrix that ``g`` may own, and fill ``g``'s
+    fields.  ``rows`` holds the neighbour bitmasks and the degrees when
+    the caller already knows them; otherwise they are read off ``adj``."""
+    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+        raise BadParams(f"adjacency matrix must be square, got {adj.shape}")
+    if adj.diagonal().any():
+        raise LoopEdge("adjacency matrix has a nonzero diagonal")
+    if not np.array_equal(adj, adj.T):
+        raise BadParams("adjacency matrix must be symmetric")
+    n = adj.shape[0]
+    if labels is not None and len(labels) != n:
+        raise BadParams(f"{len(labels)} labels for {n} vertices")
+    if rows is None:
+        bits = _pack_rows(adj)
+        rows = bits, tuple(row.bit_count() for row in bits)
+    adj.flags.writeable = False
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", adj)
+    object.__setattr__(g, "labels", tuple(labels) if labels is not None else None)
+    object.__setattr__(g, "provenance", provenance)
+    object.__setattr__(g, "_bits", rows[0])
+    object.__setattr__(g, "_degrees", rows[1])
+
+
 # ---------------------------------------------------------------------------
 # construction
 
@@ -188,10 +202,18 @@ def build(n: int, edges: Iterable[tuple[int, int]], labels: Sequence[str] | None
 
 
 def complement(g: Graph) -> Graph:
-    """The complement graph on the same vertex set (labels preserved)."""
+    """The complement graph on the same vertex set (labels preserved).
+
+    Its neighbour bitmasks and degrees follow from ``g``'s: vertex v's row
+    is every other vertex outside N(v), and its degree is n - 1 - deg(v)."""
+    n = g.n
     adj = ~g.adj
     np.fill_diagonal(adj, False)
-    return Graph(adj, labels=g.labels)
+    full = (1 << n) - 1
+    bits = tuple(full ^ row ^ (1 << v) for v, row in enumerate(g._bits))
+    out = Graph.__new__(Graph)
+    _init_graph(out, adj, g.labels, None, (bits, tuple(n - 1 - d for d in g._degrees)))
+    return out
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:

@@ -10,24 +10,33 @@ Two rules produce forced zeros:
   distance k >= 1 from w has a degree that appears nowhere in the
   distance-k sphere around v (an empty sphere counts: then no degree
   appears at all).  With D_x(k) the set of degrees at distance exactly
-  k from x, that is: D_w(k) is not a subset of D_v(k) for some k >= 1,
-  which the code evaluates for all cells at once as one integer matrix
-  product over the sphere-degree sets.
+  k from x, that is: D_w(k) is not a subset of D_v(k) for some k >= 1.
+
+The degree rule is sphere 0 of the distance-degree rule: D_x(0) is
+{deg(x)}, so D_w(0) is not a subset of D_v(0) exactly when the degrees
+differ.  :func:`zero_pattern` therefore evaluates both rules for all
+cells at once as one integer matrix product over the sphere-degree sets
+of spheres 0, 1, 2, ...
 
 The combined pattern is the union of both, symmetrised: the antipode
 swaps u_ij with u_ji, so a forced zero at (i, j) forces (j, i) too.
 Classically the pattern is a sound over-approximation of "no
 automorphism maps j to i", which is exactly what the soundness tests
 check against enumerated automorphism groups.
+
+Which rule forced which cell (the *provenance*) matters only for display,
+so a pattern works it out on first read, from :func:`degree_pattern` and
+:func:`distance_degree_pattern` run separately.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
-from .errors import AsymmetricPattern
 from .graphs import Graph, distance_matrix, induced_subgraph
 from .graphs import _component_masks, _mask_vertices, _pack_rows
 
@@ -35,19 +44,26 @@ RULE_DEGREE = "degree"
 RULE_DISTANCE_DEGREE = "distance-degree"
 RULE_ANTIPODE = "antipode"
 
+CellRules = dict[tuple[int, int], tuple[str, ...]]
+
 
 @dataclass(frozen=True)
 class ZeroPattern:
     """Forced-zero cells of the n x n fundamental representation.
 
-    ``forced[i, j]`` is True when entry (i, j) must vanish;
-    ``provenance`` maps a forced cell to the rule names that produced
-    it.  The diagonal is never forced (the identity always survives).
+    ``forced[i, j]`` is True when entry (i, j) must vanish; the diagonal
+    is never forced (the identity always survives).  ``provenance`` maps
+    a forced cell to the rule names that produced it; only the display
+    reads it, so ``explain`` works it out on first read.
     """
 
     n: int
     forced: np.ndarray
-    provenance: dict[tuple[int, int], tuple[str, ...]]
+    explain: Callable[[], CellRules] = field(repr=False, compare=False)
+
+    @cached_property
+    def provenance(self) -> CellRules:
+        return self.explain()
 
     def is_forced(self, i: int, j: int) -> bool:
         return bool(self.forced[i, j])
@@ -76,14 +92,16 @@ def _freeze(forced: np.ndarray) -> np.ndarray:
     return forced
 
 
+def _tagged(forced: np.ndarray, rule: str) -> CellRules:
+    """Every forced cell, in row-major order, tagged with ``rule`` alone."""
+    return {(int(i), int(j)): (rule,) for i, j in zip(*np.nonzero(forced))}
+
+
 def degree_pattern(g: Graph) -> ZeroPattern:
     """Forced zeros from the degree rule alone."""
     deg = np.asarray(g.degree_sequence, dtype=np.int64)
-    forced = deg[:, None] != deg[None, :]
-    prov = {
-        (int(i), int(j)): (RULE_DEGREE,) for i, j in zip(*np.nonzero(forced))
-    }
-    return ZeroPattern(n=g.n, forced=_freeze(forced), provenance=prov)
+    forced = _freeze(deg[:, None] != deg[None, :])
+    return ZeroPattern(g.n, forced, partial(_tagged, forced, RULE_DEGREE))
 
 
 def distance_degree_pattern(g: Graph) -> ZeroPattern:
@@ -112,34 +130,56 @@ def distance_degree_pattern(g: Graph) -> ZeroPattern:
         spheres[x, dist[x, q] - 1, deg_class[q]] = 1
         flat = spheres.reshape(n, shape[1] * shape[2])
         forced = (flat @ (1 - flat).T) > 0
-    prov = {
-        (int(i), int(j)): (RULE_DISTANCE_DEGREE,)
-        for i, j in zip(*np.nonzero(forced))
-    }
-    return ZeroPattern(n=g.n, forced=_freeze(forced), provenance=prov)
+    forced = _freeze(forced)
+    return ZeroPattern(g.n, forced, partial(_tagged, forced, RULE_DISTANCE_DEGREE))
 
 
 def zero_pattern(g: Graph) -> ZeroPattern:
     """Union of all rules, closed under the antipode symmetry.
 
+    As in :func:`distance_degree_pattern`, S[x, k, d] marks degree d in
+    D_x(k), but here k starts at sphere 0, which carries the degree rule.
+    Cell (w, v) is forced directly when (S @ (1 - S).T)[w, v] > 0, and
+    the pattern is that matrix or its transpose.  Unreachable vertices
+    (distance -1) index one extra sphere slot, which is cleared before the
+    product.
+
     Provenance per cell lists the rules that fired on the cell itself;
     cells forced only because their mirror was forced carry the
     ``antipode`` tag.
     """
-    parts = [degree_pattern(g), distance_degree_pattern(g)]
+    n = g.n
+    if n == 0:
+        direct = np.zeros((0, 0), dtype=bool)
+    else:
+        dist = distance_matrix(g)
+        degrees = g.degree_sequence
+        deg_class = {d: c for c, d in enumerate(sorted(set(degrees)))}
+        spheres = np.zeros((n, int(dist.max()) + 2, len(deg_class)), dtype=np.int64)
+        spheres[np.arange(n)[:, None], dist, [deg_class[d] for d in degrees]] = 1
+        spheres[:, -1] = 0
+        flat = spheres.reshape(n, -1)
+        direct = (flat @ (1 - flat).T) > 0
+    forced = direct | direct.T
+    forced.flags.writeable = False
+    return ZeroPattern(n, forced, partial(_zero_provenance, g))
+
+
+def _zero_provenance(g: Graph) -> CellRules:
+    """The provenance of ``zero_pattern(g)``: the degree rule's cells,
+    then the distance-degree rule's (appended to a cell both rules
+    force), then the cells forced only by their mirror, each in
+    row-major order."""
     n = g.n
     direct = np.zeros((n, n), dtype=bool)
-    prov: dict[tuple[int, int], tuple[str, ...]] = {}
-    for pat in parts:
+    prov: CellRules = {}
+    for pat in (degree_pattern(g), distance_degree_pattern(g)):
         direct |= pat.forced
         for cell, rules in pat.provenance.items():
             prov[cell] = prov.get(cell, ()) + rules
-    forced = direct | direct.T
-    for i, j in zip(*np.nonzero(forced & ~direct)):
+    for i, j in zip(*np.nonzero(direct.T & ~direct)):
         prov[(int(i), int(j))] = (RULE_ANTIPODE,)
-    if not np.array_equal(forced, forced.T):  # pragma: no cover - paranoia
-        raise AsymmetricPattern("zero pattern failed to symmetrise")
-    return ZeroPattern(n=n, forced=_freeze(forced), provenance=prov)
+    return prov
 
 
 def blocks(pattern: ZeroPattern) -> BlockStructure:

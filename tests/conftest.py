@@ -24,6 +24,13 @@ from qsym import (
 )
 from qsym.census import SplitMix64, enumerate_forests, random_graph
 
+#: The gallery graphs of perfbench's sparse workload: sparse, up to 65
+#: vertices, mostly with small groups.
+SPARSE_GALLERY = (
+    "c4", "c16", "c32", "c48", "c64", "p48", "p64", "t0",
+    "c4pn20", "c4pn30", "star20", "k3_12", "sc", "fig7",
+)
+
 
 @st.composite
 def graphs(draw, min_n: int = 0, max_n: int = 7) -> Graph:

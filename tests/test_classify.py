@@ -19,6 +19,7 @@ from hypothesis import given, settings
 
 from qsym.automorphisms import AutomorphismSet, Permutation
 from qsym.classify import (
+    CERTIFIED_STATUS,
     Certificate,
     CoronaRule,
     DisjointPair,
@@ -39,6 +40,7 @@ from qsym.classify import (
     classify_with_complement,
     verify_certificate,
 )
+from qsym.census import SplitMix64, enumerate_forests, random_graph
 from qsym.cli import report_schema
 from qsym.errors import QsymError
 from qsym.gallery import (
@@ -65,6 +67,7 @@ from qsym.graphs import (
 from qsym.products import cartesian, corona, direct
 
 from .conftest import (
+    SPARSE_GALLERY,
     graphs,
     hypercube,
     kernel_corpus,
@@ -699,6 +702,57 @@ def test_edge_free_pair_rejects_supports_joined_by_an_edge():
     sigma, tau = Permutation((2, 1, 0, 3)), Permutation((0, 3, 2, 1))
     assert verify_certificate(g, Verdict("ban", NC, DisjointPair(sigma, tau)))
     assert not verify_certificate(g, Verdict("bic", NC, EdgeFreePair(sigma, tau)))
+
+
+def test_a_certificate_must_support_the_verdicts_status():
+    # C4's coarse verdict rests on a disjoint pair: that shows the coarse
+    # algebra non-commutative, but neither a commutative algebra nor,
+    # with an edge joining the supports, a non-commutative fine one
+    g = cycle(4)
+    ban = classify(g).ban
+    assert (ban.status, ban.certificate.kind) == (NC, "disjoint-pair")
+    assert verify_certificate(g, ban)
+    assert not verify_certificate(g, dataclasses.replace(ban, status=C))
+    assert not verify_certificate(g, Verdict("bic", NC, ban.certificate))
+    # under a quadrangle-free wrapper the companion's status is what counts
+    c5 = cycle(5)
+    small = QuadrangleFreeSelf(companion=SmallBlocks(((0,), (1,), (2,), (3,), (4,))))
+    assert not verify_certificate(c5, Verdict("ban", NC, small))
+    # no edge-free disjoint pair in a forest settles only the fine algebra
+    k2 = path(1)
+    no_edge_free = ForestNoDisjointPair(edge_free_only=True)
+    assert verify_certificate(k2, Verdict("bic", C, no_edge_free))
+    assert not verify_certificate(k2, Verdict("ban", C, no_edge_free))
+
+
+def _status_sweep():
+    """(graph, verdict) for every decided verdict of
+    ``classify_with_complement`` on the first 500 0x5EED pool graphs, the
+    308 forests with n <= 9, the sparse gallery and the certificate
+    producers; ``bic_complement`` goes with the complement."""
+    rng = SplitMix64(0x5EED)
+    cases = [(random_graph(rng), None) for _ in range(500)]
+    cases += [(f, None) for n in range(1, 10) for f in enumerate_forests(n)]
+    cases += [(gallery(name), None) for name in SPARSE_GALLERY]
+    cases += _PRODUCER_CASES
+    for g, budget in cases:
+        rep = classify_with_complement(g, node_budget=budget)
+        for verdict, h in (
+            (rep.bic, g), (rep.ban, g), (rep.bic_complement, complement(g))
+        ):
+            if verdict.status is not U:
+                yield h, verdict
+
+
+def test_flipping_a_decided_status_is_rejected():
+    flip = {C: NC, NC: C}
+    kinds = set()
+    for h, verdict in _status_sweep():
+        assert verify_certificate(h, verdict), verdict
+        flipped = dataclasses.replace(verdict, status=flip[verdict.status])
+        assert not verify_certificate(h, flipped), flipped
+        kinds.add(verdict.certificate.kind)
+    assert kinds == set(CERTIFIED_STATUS) | {"quadrangle-free"}
 
 
 # ---------------------------------------------------------------------------

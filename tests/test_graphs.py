@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from qsym import (
+    Graph,
     UNREACHABLE,
     are_isomorphic,
     build,
@@ -31,9 +32,11 @@ from qsym import (
     star,
     tree_center,
 )
+from qsym.census import SplitMix64, random_graph
 from qsym.errors import BadParams, IndexOutOfRange, LoopEdge, NotATree
+from qsym.gallery import gallery
 
-from .conftest import graphs, kernel_corpus, relabelled, small_corpus
+from .conftest import graphs, hypercube, kernel_corpus, relabelled, small_corpus
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -149,6 +152,56 @@ def test_complete_bipartite_is_complement_of_two_cliques():
 
     lhs = complement(disjoint_union([complete(3), complete(3)]))
     assert are_isomorphic(lhs, complete_bipartite(3, 3)) is not None
+
+
+def reference_complement(g):
+    """The complement packed afresh from its matrix: ~adj with a zero
+    diagonal, labels kept, provenance dropped."""
+    adj = ~g.adj
+    np.fill_diagonal(adj, False)
+    return Graph(adj, labels=g.labels)
+
+
+def assert_same_graph(got, want):
+    assert got.n == want.n
+    assert got.adj.dtype == want.adj.dtype
+    assert got.adj.tobytes() == want.adj.tobytes()
+    assert got.adj.flags.writeable == want.adj.flags.writeable
+    assert got._bits == want._bits
+    assert got._degrees == want._degrees
+    assert got.labels == want.labels
+    assert got.provenance is None and want.provenance is None
+
+
+def assert_complement_matches_reference(g):
+    assert_same_graph(complement(g), reference_complement(g))
+    for h in (g, complement(g)):
+        rebuilt = Graph(h.adj)
+        assert rebuilt.degree_sequence == tuple(int(d) for d in h.adj.sum(axis=1))
+
+
+def complement_cases():
+    """Labelled gallery graphs, graphs past 64 vertices and a product
+    carrying provenance."""
+    yield from (gallery(name) for name in ("cherry2", "fig7", "sc", "c70", "p64", "star70"))
+    yield from (edgeless(65), complete(66), hypercube(3))
+
+
+def test_complement_equals_the_reference_on_the_pool():
+    rng = SplitMix64(0x5EED)
+    for _ in range(4000):
+        assert_complement_matches_reference(random_graph(rng))
+
+
+@pytest.mark.parametrize("g", list(complement_cases()), ids=repr)
+def test_complement_equals_the_reference_on_labelled_and_large_graphs(g):
+    assert_complement_matches_reference(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_n=9))
+def test_complement_equals_the_reference_on_random_graphs(g):
+    assert_complement_matches_reference(g)
 
 
 # ---------------------------------------------------------------------------

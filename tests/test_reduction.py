@@ -5,6 +5,7 @@ automorphism of the graph maps v to w.  We check that against the
 brute-force automorphism list for the whole small corpus.
 """
 
+import importlib
 from collections import deque
 
 import numpy as np
@@ -20,6 +21,7 @@ from qsym import (
     automorphisms,
     blocks,
     build,
+    classify_with_complement,
     complement,
     complete,
     cycle,
@@ -34,11 +36,12 @@ from qsym import (
     star,
     strip_high_degree,
     strip_high_degree_fixpoint,
+    verify_certificate,
     zero_pattern,
 )
 from qsym.gallery import c4pn_graph, fig7_graph
 
-from .conftest import graphs, kernel_corpus, small_corpus
+from .conftest import SPARSE_GALLERY, graphs, kernel_corpus, small_corpus
 
 
 def movable(g):
@@ -217,7 +220,7 @@ def reference_distance_degree_pattern(g):
         (int(i), int(j)): (RULE_DISTANCE_DEGREE,)
         for i, j in zip(*np.nonzero(forced))
     }
-    return ZeroPattern(n=n, forced=forced, provenance=prov)
+    return ZeroPattern(n=n, forced=forced, explain=lambda: prov)
 
 
 def assert_same_array(got, want):
@@ -236,11 +239,6 @@ def assert_kernels_match_reference(g):
     assert got.provenance == want.provenance
     assert list(got.provenance) == list(want.provenance)
 
-
-SPARSE_GALLERY = (
-    "c4", "c16", "c32", "c48", "c64", "p48", "p64", "t0",
-    "c4pn20", "c4pn30", "star20", "k3_12", "sc", "fig7",
-)
 
 EDGE_CASES = (
     edgeless(0),
@@ -275,6 +273,80 @@ def test_kernels_match_reference_on_sparse_gallery(name):
 @settings(max_examples=100, deadline=None)
 def test_kernels_match_reference_on_random_graphs(g):
     assert_kernels_match_reference(g)
+
+
+def reference_zero_pattern(g):
+    """The union of the two rules as separate patterns, merged cell by
+    cell: the degree rule's cells, then the distance-degree rule's
+    (appended where both fire), then the cells forced only by their
+    mirror, tagged ``antipode``."""
+    n = g.n
+    direct = np.zeros((n, n), dtype=bool)
+    prov = {}
+    for pat in (degree_pattern(g), distance_degree_pattern(g)):
+        direct |= pat.forced
+        for cell, rules in pat.provenance.items():
+            prov[cell] = prov.get(cell, ()) + rules
+    forced = direct | direct.T
+    for i, j in zip(*np.nonzero(forced & ~direct)):
+        prov[(int(i), int(j))] = (RULE_ANTIPODE,)
+    forced.flags.writeable = False
+    return ZeroPattern(n=n, forced=forced, explain=lambda: prov)
+
+
+def assert_zero_pattern_matches_reference(g):
+    got, want = zero_pattern(g), reference_zero_pattern(g)
+    assert got.n == want.n
+    assert_same_array(got.forced, want.forced)
+    assert got.provenance == want.provenance
+    assert list(got.provenance) == list(want.provenance)
+
+
+def test_zero_pattern_equals_the_reference_on_the_kernel_corpus():
+    for g in kernel_corpus():
+        assert_zero_pattern_matches_reference(g)
+        assert_zero_pattern_matches_reference(complement(g))
+
+
+@pytest.mark.parametrize("name", SPARSE_GALLERY)
+def test_zero_pattern_equals_the_reference_on_sparse_gallery(name):
+    g = gallery(name)
+    assert_zero_pattern_matches_reference(g)
+    assert_zero_pattern_matches_reference(complement(g))
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_zero_pattern_equals_the_reference_on_edgeless_graphs(n):
+    assert_zero_pattern_matches_reference(edgeless(n))
+
+
+@given(graphs(max_n=8))
+@settings(max_examples=100, deadline=None)
+def test_zero_pattern_equals_the_reference_on_random_graphs(g):
+    assert_zero_pattern_matches_reference(g)
+
+
+@pytest.mark.parametrize("name", ["fig7", "c4pn20", "p48"])
+def test_verdicts_work_out_no_provenance(monkeypatch, name):
+    # the per-rule patterns only explain cells for display; deciding and
+    # re-checking a verdict reads the forced cells alone
+    module = importlib.import_module("qsym.reduction")
+    calls = []
+    for fn in ("degree_pattern", "distance_degree_pattern"):
+        real = getattr(module, fn)
+        monkeypatch.setattr(
+            module, fn, lambda g, fn=fn, real=real: calls.append(fn) or real(g)
+        )
+    g = gallery(name)
+    report = classify_with_complement(g)
+    for verdict, h in (
+        (report.bic, g), (report.ban, g), (report.bic_complement, complement(g))
+    ):
+        assert verify_certificate(h, verdict)
+    assert calls == []
+    # the counter does see the display path
+    zero_pattern(g).provenance
+    assert calls == ["degree_pattern", "distance_degree_pattern"]
 
 
 def reference_blocks(pattern):
