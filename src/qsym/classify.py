@@ -916,21 +916,35 @@ def verify_certificate(g: Graph, verdict: Verdict) -> bool:
     cert = verdict.certificate
     if cert is None:
         return verdict.status is Status.UNKNOWN
-    return _entails(cert, verdict) and cert.holds(g)
+    return _entails(cert, verdict.target, verdict.status) and cert.holds(g)
 
 
-def _entails(cert: Certificate, verdict: Verdict) -> bool:
-    """Whether a certificate of this kind supports the verdict's claim.
+def _entails(cert: Certificate, target: str, status: Status) -> bool:
+    """Whether a certificate of this kind supports the claim that the
+    ``target`` algebra has ``status``.
 
     Bare, a disjoint pair shows only the coarse algebra non-commutative
-    (the fine one also needs the supports joined by no edge), and a forest
-    without an edge-free disjoint pair shows only the fine one
-    commutative.  Under a quadrangle-free wrapper either settles both."""
-    fine = verdict.target != TARGET_BAN
-    if isinstance(cert, DisjointPair) and fine:
+    (the fine one also needs the supports joined by no edge), and a
+    forest without an edge-free disjoint pair, or a strip, shows only the
+    fine one commutative.  A product lift and a strip rest on a fine
+    verdict about a factor or the stripped core.  Under a quadrangle-free
+    wrapper the two algebras coincide, so the companion may stand for
+    either target.  A ``quadrangle-free-complement`` shows only the fine
+    algebra commutative too, but it is still accepted on the coarse one,
+    where :func:`classify_with_complement` puts it."""
+    if isinstance(cert, QuadrangleFreeSelf):
+        return cert.companion is not None and any(
+            _entails(cert.companion, t, status) for t in (TARGET_BIC, TARGET_BAN)
+        )
+    if CERTIFIED_STATUS.get(getattr(cert, "kind", None)) is not status:
         return False
-    if isinstance(cert, ForestNoDisjointPair) and cert.edge_free_only and not fine:
-        return False
-    while isinstance(cert, QuadrangleFreeSelf):
-        cert = cert.companion
-    return cert is not None and CERTIFIED_STATUS.get(cert.kind) is verdict.status
+    fine = target != TARGET_BAN
+    if isinstance(cert, DisjointPair):
+        return not fine
+    if isinstance(cert, ForestNoDisjointPair):
+        return fine or not cert.edge_free_only
+    if isinstance(cert, ProductLift):
+        return _entails(cert.inner, TARGET_BIC, status)
+    if isinstance(cert, StripToCommutative):
+        return fine and _entails(cert.terminal, TARGET_BIC, status)
+    return True

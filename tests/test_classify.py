@@ -723,6 +723,15 @@ def test_a_certificate_must_support_the_verdicts_status():
     no_edge_free = ForestNoDisjointPair(edge_free_only=True)
     assert verify_certificate(k2, Verdict("bic", C, no_edge_free))
     assert not verify_certificate(k2, Verdict("ban", C, no_edge_free))
+    # a product lift needs a fine verdict on the factor, not C4's coarse one
+    lift = ProductLift("cartesian", 0, ban.certificate)
+    assert not verify_certificate(cartesian(g, complete(2)), Verdict("bic", NC, lift))
+    # stripping preserves the fine algebra only
+    h = build(6, [(0, 1), (0, 4), (1, 2), (1, 3), (1, 5), (3, 5), (4, 5)])
+    strip = classify(h).bic
+    assert isinstance(strip.certificate, StripToCommutative)
+    assert verify_certificate(h, strip)
+    assert not verify_certificate(h, dataclasses.replace(strip, target="ban"))
 
 
 def _status_sweep():
