@@ -8,7 +8,6 @@ from .automorphisms import (
     find_disjoint_pair,
     find_edge_free_disjoint_pair,
     is_automorphism,
-    support,
 )
 from .graphs import (
     UNREACHABLE,
@@ -52,8 +51,6 @@ from .reduction import (
     BlockStructure,
     ZeroPattern,
     blocks,
-    degree_pattern,
-    distance_degree_pattern,
     render_pattern,
     strip_high_degree,
     strip_high_degree_fixpoint,

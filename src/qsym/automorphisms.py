@@ -90,18 +90,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(v == w for v, w in enumerate(self.images))
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for v, w in enumerate(self.images):
-            inv[w] = v
-        return Permutation(tuple(inv))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """``self after other``: v -> self(other(v))."""
-        if other.n != self.n:
-            raise LengthMismatch("composing permutations of different sizes")
-        return Permutation(tuple(self.images[w] for w in other.images))
-
     def cycles(self, names: Sequence[str] | None = None) -> str:
         """Cycle notation for display, e.g. ``(0 2)(1 3)``; ``id`` if
         trivial.  ``names`` substitutes vertex labels for the indices."""
@@ -123,11 +111,6 @@ class Permutation:
         return "".join(parts) if parts else "id"
 
 
-def support(p: Permutation) -> frozenset[int]:
-    """The set of vertices moved by ``p``."""
-    return p.support()
-
-
 def is_automorphism(g: Graph, p: Permutation) -> bool:
     """Re-verify that ``p`` preserves adjacency on ``g``."""
     if p.n != g.n:
@@ -145,17 +128,11 @@ class AutomorphismSet:
     element with that support, which is the lexicographically smallest
     one.  :attr:`images` and :attr:`elements` build Python tuples and
     :class:`Permutation` objects on first use; :attr:`order` and the
-    support views never need them all.  Two sets are equal when they
-    list the same elements.
+    support views never need them all.
     """
 
     table: np.ndarray
     firsts: dict[int, tuple[int, ...]] = field(repr=False)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AutomorphismSet):
-            return NotImplemented
-        return np.array_equal(self.table, other.table)
 
     @cached_property
     def images(self) -> tuple[tuple[int, ...], ...]:
@@ -480,9 +457,7 @@ def _first_pair(
 
 
 def find_disjoint_pair(
-    g: Graph,
-    node_budget: int | None = None,
-    auts: AutomorphismSet | None = None,
+    g: Graph, *, auts: AutomorphismSet | None = None
 ) -> tuple[Permutation, Permutation] | None:
     """First pair of non-trivial automorphisms with disjoint supports.
 
@@ -491,19 +466,17 @@ def find_disjoint_pair(
     support available.  ``None`` when no such pair exists.
     """
     if auts is None:
-        auts = automorphisms(g, node_budget=node_budget)
+        auts = automorphisms(g)
     reps = [p for _, p in auts.distinct_supports]
     return _first_pair(g, reps, auts.support_masks, edge_free=False)
 
 
 def find_edge_free_disjoint_pair(
-    g: Graph,
-    node_budget: int | None = None,
-    auts: AutomorphismSet | None = None,
+    g: Graph, *, auts: AutomorphismSet | None = None
 ) -> tuple[Permutation, Permutation] | None:
     """Like :func:`find_disjoint_pair`, but additionally no edge of ``g``
     may join the two supports."""
     if auts is None:
-        auts = automorphisms(g, node_budget=node_budget)
+        auts = automorphisms(g)
     reps = [p for _, p in auts.distinct_supports]
     return _first_pair(g, reps, auts.support_masks, edge_free=True)

@@ -840,16 +840,13 @@ def classify_with_complement(g: Graph, node_budget: int | None = None) -> Report
         bic.status is Status.COMMUTATIVE and comp_bic.status is Status.COMMUTATIVE
     )
     if both_commutative and (ctx.quadrangle_free or comp.quadrangle_free):
+        # _transfer has already settled ban on a quadrangle-free G, so an
+        # Unknown one here means only Gᶜ is quadrangle-free
         if ban.status is Status.UNKNOWN:
-            cert: Certificate = (
-                QuadrangleFreeSelf(companion=bic.certificate)
-                if ctx.quadrangle_free
-                else QuadrangleFreeComplement()
-            )
             ban = Verdict(
                 TARGET_BAN,
                 Status.COMMUTATIVE,
-                cert,
+                QuadrangleFreeComplement(),
                 Citation.of(R_QF),
                 note="complement-invariance settles the coarse algebra",
             )

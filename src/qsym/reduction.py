@@ -25,8 +25,9 @@ automorphism maps j to i", which is exactly what the soundness tests
 check against enumerated automorphism groups.
 
 Which rule forced which cell (the *provenance*) matters only for display,
-so a pattern works it out on first read, from :func:`degree_pattern` and
-:func:`distance_degree_pattern` run separately.
+so a pattern works it out on first read, from the same tensor: the same
+product over sphere 0 alone gives the degree rule's cells, and over
+spheres 1, 2, ... the distance-degree rule's.
 """
 
 from __future__ import annotations
@@ -65,9 +66,6 @@ class ZeroPattern:
     def provenance(self) -> CellRules:
         return self.explain()
 
-    def is_forced(self, i: int, j: int) -> bool:
-        return bool(self.forced[i, j])
-
     @property
     def forced_count(self) -> int:
         return int(self.forced.sum())
@@ -86,97 +84,61 @@ class BlockStructure:
         return tuple(len(b) for b in self.blocks)
 
 
-def _freeze(forced: np.ndarray) -> np.ndarray:
-    forced = forced.copy()
-    forced.flags.writeable = False
-    return forced
-
-
-def _tagged(forced: np.ndarray, rule: str) -> CellRules:
-    """Every forced cell, in row-major order, tagged with ``rule`` alone."""
-    return {(int(i), int(j)): (rule,) for i, j in zip(*np.nonzero(forced))}
-
-
-def degree_pattern(g: Graph) -> ZeroPattern:
-    """Forced zeros from the degree rule alone."""
-    deg = np.asarray(g.degree_sequence, dtype=np.int64)
-    forced = _freeze(deg[:, None] != deg[None, :])
-    return ZeroPattern(g.n, forced, partial(_tagged, forced, RULE_DEGREE))
-
-
-def distance_degree_pattern(g: Graph) -> ZeroPattern:
-    """Forced zeros from the distance-degree rule alone.
-
-    Cell (w, v) is forced when a witness vertex p with 1 <= d(w, p) = k
-    exists whose degree is missing from {deg(q) : d(v, q) = k}.
-    Unreachable distances never produce or satisfy a witness.
-
-    Equivalently, with D_x(k) the set of degrees at distance exactly k
-    from x (empty when k exceeds the eccentricity of x), cell (w, v) is
-    forced exactly when D_w(k) is not a subset of D_v(k) for some
-    k >= 1.  A 0/1 tensor S[x, k, d] marks degree d in D_x(k); flattened
-    to rows, the integer product S @ (1 - S).T counts, per cell, the
-    (k, d) pairs in D_w(k) and not in D_v(k).
-    """
+def _spheres(g: Graph) -> np.ndarray:
+    """The 0/1 tensor S[x, k, d] marking degree class d in D_x(k), for
+    the spheres k = 0, 1, 2, ... and one last slot, always empty, which
+    the unreachable vertices (distance -1) index."""
     n = g.n
     if n == 0:
-        forced = np.zeros((0, 0), dtype=bool)
-    else:
-        dist = distance_matrix(g)
-        _, deg_class = np.unique(g.degree_sequence, return_inverse=True)
-        shape = (n, int(dist.max()), int(deg_class.max()) + 1)
-        x, q = np.nonzero(dist >= 1)
-        spheres = np.zeros(shape, dtype=np.int64)
-        spheres[x, dist[x, q] - 1, deg_class[q]] = 1
-        flat = spheres.reshape(n, shape[1] * shape[2])
-        forced = (flat @ (1 - flat).T) > 0
-    forced = _freeze(forced)
-    return ZeroPattern(g.n, forced, partial(_tagged, forced, RULE_DISTANCE_DEGREE))
+        return np.zeros((0, 1, 0), dtype=np.int64)
+    dist = distance_matrix(g)
+    degrees = g.degree_sequence
+    deg_class = {d: c for c, d in enumerate(sorted(set(degrees)))}
+    spheres = np.zeros((n, int(dist.max()) + 2, len(deg_class)), dtype=np.int64)
+    spheres[np.arange(n)[:, None], dist, [deg_class[d] for d in degrees]] = 1
+    spheres[:, -1] = 0
+    return spheres
+
+
+def _exceeds(spheres: np.ndarray) -> np.ndarray:
+    """Cells (w, v) where some (k, d) marked for w is not marked for v:
+    flattened to rows, the integer product S @ (1 - S).T counts them."""
+    n, radius, classes = spheres.shape
+    flat = spheres.reshape(n, radius * classes)
+    return (flat @ (1 - flat).T) > 0
 
 
 def zero_pattern(g: Graph) -> ZeroPattern:
     """Union of all rules, closed under the antipode symmetry.
 
-    As in :func:`distance_degree_pattern`, S[x, k, d] marks degree d in
-    D_x(k), but here k starts at sphere 0, which carries the degree rule.
-    Cell (w, v) is forced directly when (S @ (1 - S).T)[w, v] > 0, and
-    the pattern is that matrix or its transpose.  Unreachable vertices
-    (distance -1) index one extra sphere slot, which is cleared before the
-    product.
+    With S[x, k, d] marking degree d in D_x(k) from sphere 0 on, cell
+    (w, v) is forced directly when (S @ (1 - S).T)[w, v] > 0, and the
+    pattern is that matrix or its transpose.
 
     Provenance per cell lists the rules that fired on the cell itself;
     cells forced only because their mirror was forced carry the
     ``antipode`` tag.
     """
-    n = g.n
-    if n == 0:
-        direct = np.zeros((0, 0), dtype=bool)
-    else:
-        dist = distance_matrix(g)
-        degrees = g.degree_sequence
-        deg_class = {d: c for c, d in enumerate(sorted(set(degrees)))}
-        spheres = np.zeros((n, int(dist.max()) + 2, len(deg_class)), dtype=np.int64)
-        spheres[np.arange(n)[:, None], dist, [deg_class[d] for d in degrees]] = 1
-        spheres[:, -1] = 0
-        flat = spheres.reshape(n, -1)
-        direct = (flat @ (1 - flat).T) > 0
+    spheres = _spheres(g)
+    direct = _exceeds(spheres)
     forced = direct | direct.T
     forced.flags.writeable = False
-    return ZeroPattern(n, forced, partial(_zero_provenance, g))
+    return ZeroPattern(g.n, forced, partial(_zero_provenance, spheres, direct))
 
 
-def _zero_provenance(g: Graph) -> CellRules:
-    """The provenance of ``zero_pattern(g)``: the degree rule's cells,
-    then the distance-degree rule's (appended to a cell both rules
-    force), then the cells forced only by their mirror, each in
+def _zero_provenance(spheres: np.ndarray, direct: np.ndarray) -> CellRules:
+    """The provenance of a zero pattern from its sphere tensor and its
+    directly forced cells: the degree rule's cells (sphere 0), then the
+    distance-degree rule's (spheres 1, 2, ...; appended to a cell both
+    rules force), then the cells forced only by their mirror, each in
     row-major order."""
-    n = g.n
-    direct = np.zeros((n, n), dtype=bool)
     prov: CellRules = {}
-    for pat in (degree_pattern(g), distance_degree_pattern(g)):
-        direct |= pat.forced
-        for cell, rules in pat.provenance.items():
-            prov[cell] = prov.get(cell, ()) + rules
+    for rule, block in (
+        (RULE_DEGREE, spheres[:, :1]), (RULE_DISTANCE_DEGREE, spheres[:, 1:])
+    ):
+        for i, j in zip(*np.nonzero(_exceeds(block))):
+            cell = (int(i), int(j))
+            prov[cell] = prov.get(cell, ()) + (rule,)
     for i, j in zip(*np.nonzero(direct.T & ~direct)):
         prov[(int(i), int(j))] = (RULE_ANTIPODE,)
     return prov

@@ -17,10 +17,16 @@ import weakref
 import pytest
 from hypothesis import given, settings
 
-from qsym.automorphisms import AutomorphismSet, Permutation
+from qsym.automorphisms import (
+    AutomorphismSet,
+    Permutation,
+    find_disjoint_pair,
+    find_edge_free_disjoint_pair,
+)
 from qsym.classify import (
     CERTIFIED_STATUS,
     Certificate,
+    Citation,
     CoronaRule,
     DisjointPair,
     EdgeFreePair,
@@ -35,6 +41,9 @@ from qsym.classify import (
     StripToCommutative,
     Verdict,
     _complete_bipartite_parts,
+    _Ctx,
+    _Shared,
+    _transfer,
     classify,
     classify_line_graph,
     classify_with_complement,
@@ -463,6 +472,60 @@ def test_transfer_steps_that_fire(g, budget, line, rule, note, cert_type):
     assert rep.ban.note == note
     assert isinstance(rep.ban.certificate, cert_type)
     assert verify_certificate(g, rep.ban)
+
+
+def _transferred(g, bic, ban):
+    """``_transfer`` on ``g``'s own context with hand-built verdicts, and
+    the trace it logs."""
+    ctx = _Ctx(g, _Shared(g, None))
+    return (*_transfer(ctx, bic, ban), ctx.trace)
+
+
+def test_transfer_lifts_a_coarse_commutative_verdict_to_the_fine_algebra():
+    g = fig7_graph()
+    cert = SmallBlocks(((0, 1), (2,), (3,), (4,), (5,)))
+    ban = Verdict("ban", C, cert, Citation.of("R-BLOCKS"))
+    bic, kept, trace = _transferred(g, Verdict("bic", U), ban)
+    assert kept is ban
+    assert (bic.target, bic.status, bic.certificate) == ("bic", C, cert)
+    assert bic.citation.rule == "R-CHAIN"
+    assert trace == ["bic R-CHAIN: commutative via the coarse algebra"]
+    assert verify_certificate(g, bic)
+
+
+def test_transfer_lifts_a_coarse_pair_on_a_quadrangle_free_graph():
+    g = star(4)  # the disjoint pair of two ray swaps is edge-free too
+    ban = Verdict("ban", NC, DisjointPair(*find_disjoint_pair(g)))
+    bic, _, trace = _transferred(g, Verdict("bic", U), ban)
+    assert bic.status is NC and bic.citation.rule == "R-QF"
+    assert bic.certificate == QuadrangleFreeSelf(companion=ban.certificate)
+    assert trace == ["bic R-QF: non-commutative via the coarse algebra"]
+    assert verify_certificate(g, bic)
+    # a graph with a quadrangle keeps its fine verdict open
+    square = cycle(4)
+    ban = Verdict("ban", NC, DisjointPair(*find_disjoint_pair(square)))
+    bic, _, trace = _transferred(square, Verdict("bic", U), ban)
+    assert bic.status is U and trace == []
+
+
+def test_transfer_rewrites_an_edge_free_pair_for_the_coarse_algebra():
+    g = star(4)
+    sigma, tau = find_edge_free_disjoint_pair(g)
+    bic = Verdict("bic", NC, EdgeFreePair(sigma, tau))
+    kept, ban, trace = _transferred(g, bic, Verdict("ban", U))
+    assert kept is bic
+    assert ban.status is NC and ban.citation.rule == "R-CHAIN"
+    assert ban.certificate == DisjointPair(sigma, tau)
+    assert trace == ["ban R-CHAIN: non-commutative via the fine algebra"]
+    assert verify_certificate(g, ban)
+
+
+def test_transfer_refuses_inconsistent_verdicts():
+    g = star(4)
+    bic = Verdict("bic", NC, EdgeFreePair(*find_edge_free_disjoint_pair(g)))
+    ban = Verdict("ban", C, SmallBlocks(((0,), (1, 2, 3, 4))))
+    with pytest.raises(QsymError, match="inconsistent verdicts"):
+        _transferred(g, bic, ban)
 
 
 def test_corona_witness_is_read_from_the_listing(monkeypatch):

@@ -4,6 +4,8 @@ Everything goes through ``main(argv)`` so exit codes and output are
 checked exactly as a shell user would see them.
 """
 
+import dataclasses
+import io
 import json
 import subprocess
 import sys
@@ -354,6 +356,24 @@ def test_census_oracle_runs_clean(capsys):
     rc, out, _ = run(capsys, "census", "oracle", "--count", "40", "--seed", "7")
     assert rc == 0
     assert out.splitlines()[0].endswith("violations")
+
+
+def test_census_with_violations_is_exit_1(capsys, monkeypatch):
+    from qsym import cli
+    from qsym.census import check_forest_dichotomy, write_csv
+
+    found = ("n=3: forest #0 first", "n=4: forest #1 second", "n=4: forest #2 third")
+    bad = dataclasses.replace(check_forest_dichotomy(4), violations=found)
+    monkeypatch.setattr(cli, "check_forest_dichotomy", lambda n_max: bad)
+    rc, out, err = run(capsys, "census", "forests", "--n-max", "4")
+    assert rc == 1
+    csv = io.StringIO()
+    write_csv(bad, csv)
+    assert out == csv.getvalue()
+    assert [row.split(",")[-1] for row in out.splitlines()] == [
+        "violations", "0", "0", "1", "2"
+    ]
+    assert err.splitlines() == [f"violation: {v}" for v in found]
 
 
 def test_census_out_file(tmp_path, capsys):

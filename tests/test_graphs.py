@@ -79,6 +79,25 @@ def test_build_rejects_out_of_range():
         build(2, [(-1, 0)])
 
 
+def test_graph_rejects_a_bad_adjacency_matrix():
+    with pytest.raises(BadParams):
+        Graph(np.zeros((2, 3), dtype=bool))
+    with pytest.raises(LoopEdge):
+        Graph(np.eye(3, dtype=bool))
+    with pytest.raises(BadParams):
+        Graph(np.array([[0, 1], [0, 0]], dtype=bool))
+    with pytest.raises(BadParams):
+        Graph(np.zeros((3, 3), dtype=bool), labels=["a", "b"])
+
+
+def test_negative_orders_and_vertices_are_rejected():
+    with pytest.raises(IndexOutOfRange):
+        path(2).degree(3)
+    for make in (lambda: build(-1, []), lambda: edgeless(-1), lambda: complete(-1)):
+        with pytest.raises(BadParams):
+            make()
+
+
 def test_build_collapses_duplicates():
     g = build(3, [(0, 1), (1, 0), (0, 1)])
     assert g.edge_count == 1

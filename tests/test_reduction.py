@@ -7,6 +7,7 @@ brute-force automorphism list for the whole small corpus.
 
 import importlib
 from collections import deque
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,9 +26,7 @@ from qsym import (
     complement,
     complete,
     cycle,
-    degree_pattern,
     disjoint_union,
-    distance_degree_pattern,
     distance_matrix,
     edgeless,
     gallery,
@@ -42,6 +41,53 @@ from qsym import (
 from qsym.gallery import c4pn_graph, fig7_graph
 
 from .conftest import SPARSE_GALLERY, graphs, kernel_corpus, small_corpus
+
+
+# ---------------------------------------------------------------------------
+# each rule as its own pattern: oracles for the sphere tensor, which
+# evaluates both rules in one product
+
+
+def _tagged(forced, rule):
+    """Every forced cell, in row-major order, tagged with ``rule`` alone."""
+    return {(int(i), int(j)): (rule,) for i, j in zip(*np.nonzero(forced))}
+
+
+def _freeze(forced):
+    forced = forced.copy()
+    forced.flags.writeable = False
+    return forced
+
+
+def degree_pattern(g):
+    """Forced zeros from the degree rule alone."""
+    deg = np.asarray(g.degree_sequence, dtype=np.int64)
+    forced = _freeze(deg[:, None] != deg[None, :])
+    return ZeroPattern(g.n, forced, partial(_tagged, forced, RULE_DEGREE))
+
+
+def distance_degree_pattern(g):
+    """Forced zeros from the distance-degree rule alone.
+
+    With D_x(k) the set of degrees at distance exactly k from x, cell
+    (w, v) is forced exactly when D_w(k) is not a subset of D_v(k) for
+    some k >= 1.  A 0/1 tensor S[x, k, d] marks degree d in D_x(k) for
+    k >= 1 only; flattened to rows, S @ (1 - S).T counts, per cell, the
+    (k, d) pairs in D_w(k) and not in D_v(k)."""
+    n = g.n
+    if n == 0:
+        forced = np.zeros((0, 0), dtype=bool)
+    else:
+        dist = distance_matrix(g)
+        _, deg_class = np.unique(g.degree_sequence, return_inverse=True)
+        shape = (n, int(dist.max()), int(deg_class.max()) + 1)
+        x, q = np.nonzero(dist >= 1)
+        spheres = np.zeros(shape, dtype=np.int64)
+        spheres[x, dist[x, q] - 1, deg_class[q]] = 1
+        flat = spheres.reshape(n, shape[1] * shape[2])
+        forced = (flat @ (1 - flat).T) > 0
+    forced = _freeze(forced)
+    return ZeroPattern(g.n, forced, partial(_tagged, forced, RULE_DISTANCE_DEGREE))
 
 
 def movable(g):
@@ -238,6 +284,13 @@ def assert_kernels_match_reference(g):
     assert_same_array(got.forced, want.forced)
     assert got.provenance == want.provenance
     assert list(got.provenance) == list(want.provenance)
+    # the sphere tensor's distance-degree block forces the same cells
+    tagged = [
+        cell
+        for cell, rules in zero_pattern(g).provenance.items()
+        if RULE_DISTANCE_DEGREE in rules
+    ]
+    assert sorted(tagged) == list(want.provenance)
 
 
 EDGE_CASES = (
@@ -328,15 +381,14 @@ def test_zero_pattern_equals_the_reference_on_random_graphs(g):
 
 @pytest.mark.parametrize("name", ["fig7", "c4pn20", "p48"])
 def test_verdicts_work_out_no_provenance(monkeypatch, name):
-    # the per-rule patterns only explain cells for display; deciding and
-    # re-checking a verdict reads the forced cells alone
+    # provenance only explains cells for display; deciding and re-checking
+    # a verdict reads the forced cells alone
     module = importlib.import_module("qsym.reduction")
     calls = []
-    for fn in ("degree_pattern", "distance_degree_pattern"):
-        real = getattr(module, fn)
-        monkeypatch.setattr(
-            module, fn, lambda g, fn=fn, real=real: calls.append(fn) or real(g)
-        )
+    real = module._zero_provenance
+    monkeypatch.setattr(
+        module, "_zero_provenance", lambda *args: calls.append(args) or real(*args)
+    )
     g = gallery(name)
     report = classify_with_complement(g)
     for verdict, h in (
@@ -346,7 +398,24 @@ def test_verdicts_work_out_no_provenance(monkeypatch, name):
     assert calls == []
     # the counter does see the display path
     zero_pattern(g).provenance
-    assert calls == ["degree_pattern", "distance_degree_pattern"]
+    assert len(calls) == 1
+
+
+def test_pattern_takes_one_product_and_provenance_one_per_rule(monkeypatch):
+    module = importlib.import_module("qsym.reduction")
+    shapes = []
+    real = module._exceeds
+    monkeypatch.setattr(
+        module, "_exceeds", lambda s: shapes.append(s.shape) or real(s)
+    )
+    g = fig7_graph()
+    pattern = zero_pattern(g)
+    assert len(shapes) == 1
+    n, radius, classes = shapes[0]
+    pattern.provenance
+    pattern.provenance
+    # sphere 0 for the degree rule, spheres 1, 2, ... for the other
+    assert shapes[1:] == [(n, 1, classes), (n, radius - 1, classes)]
 
 
 def reference_blocks(pattern):
