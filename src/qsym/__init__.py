@@ -61,7 +61,6 @@ from .classify import (
     Status,
     Verdict,
     classify,
-    classify_line_graph,
     classify_with_complement,
     verify_certificate,
 )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from itertools import combinations_with_replacement, product
 from typing import Iterator, Sequence, TextIO
 
@@ -104,17 +104,6 @@ class CensusResult:
         return r.with_two_cherries / r.trees if r.trees else 0.0
 
 
-_CSV_COLUMNS = (
-    "n",
-    "trees",
-    "forests",
-    "with_disjoint_pair",
-    "with_edge_free_pair",
-    "with_two_cherries",
-    "violations",
-)
-
-
 def write_csv(result: CensusResult, out: TextIO) -> None:
     """Write the survey summary, one row per order.
 
@@ -122,21 +111,11 @@ def write_csv(result: CensusResult, out: TextIO) -> None:
     the full messages live on the result object.
     """
     w = csv.writer(out)
-    w.writerow(_CSV_COLUMNS)
+    w.writerow([f.name for f in fields(CensusRow)] + ["violations"])
     for row in result.rows:
         prefix = f"n={row.n}:"
         n_violations = sum(1 for v in result.violations if v.startswith(prefix))
-        w.writerow(
-            [
-                row.n,
-                row.trees,
-                row.forests,
-                row.with_disjoint_pair,
-                row.with_edge_free_pair,
-                row.with_two_cherries,
-                n_violations,
-            ]
-        )
+        w.writerow([*astuple(row), n_violations])
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,6 @@ R_STRIP = "R-STRIP"
 R_BLOCKS = "R-BLOCKS"
 R_PROD = "R-PROD"
 R_CORONA = "R-CORONA"
-R_CHERRY = "R-CHERRY"
 R_CHAIN = "R-CHAIN"
 
 CITATIONS: dict[str, str] = {
@@ -105,8 +104,6 @@ CITATIONS: dict[str, str] = {
     "from any factor",
     R_CORONA: "attaching copies of a graph with a non-trivial symmetry "
     "to at least two base vertices yields a non-commutative fine algebra",
-    R_CHERRY: "two cherries with distinct centres induce an edge-free "
-    "disjoint pair on the line graph",
     R_CHAIN: "the coarse algebra surjects onto the fine one: a "
     "non-commutative quotient forces a non-commutative source, and a "
     "commutative source forces a commutative quotient",
@@ -860,44 +857,6 @@ def classify_with_complement(g: Graph, node_budget: int | None = None) -> Report
         trace=tuple(f"complement {line}" for line in comp.trace),
         notes=(*notes, *comp.notes),
     )
-
-
-def classify_line_graph(g: Graph, node_budget: int | None = None) -> Report:
-    """Classify the line graph of ``g``, trying the cherry shortcut first.
-
-    Two cherries with distinct centres become two independent edge swaps
-    on the line graph whose supports are disjoint and joined by no edge.
-    With a single shared centre the shortcut is unsound (the swaps
-    overlap), so we fall through to the ordinary pipeline.
-    """
-    from .graphs import find_cherries, line_graph
-
-    lg = line_graph(g)
-    cherries = find_cherries(g)
-    by_center: dict[int, object] = {}
-    for c in cherries:
-        by_center.setdefault(c.w, c)
-    if len(by_center) >= 2:
-        centers = sorted(by_center)
-        c1, c2 = by_center[centers[0]], by_center[centers[1]]
-        edge_index = {e: i for i, e in enumerate(g.edges())}
-        def edge_vertex(v: int, w: int) -> int:
-            return edge_index[(v, w) if v < w else (w, v)]
-        sigma = _swap(lg.n, edge_vertex(c1.v1, c1.w), edge_vertex(c1.v2, c1.w))
-        tau = _swap(lg.n, edge_vertex(c2.v1, c2.w), edge_vertex(c2.v2, c2.w))
-        started = time.perf_counter()
-        ctx = _Ctx(lg, _Shared(lg, node_budget))
-        detail = f"cherries at {c1.w} and {c2.w}"
-        bic = _fire(
-            ctx, TARGET_BIC, R_CHERRY, Status.NONCOMMUTATIVE,
-            EdgeFreePair(sigma, tau), detail,
-        )
-        ban = _fire(
-            ctx, TARGET_BAN, R_CHERRY, Status.NONCOMMUTATIVE,
-            DisjointPair(sigma, tau), detail,
-        )
-        return _report(ctx, bic, ban, (time.perf_counter() - started) * 1000.0)
-    return classify(lg, node_budget=node_budget)
 
 
 # ---------------------------------------------------------------------------

@@ -43,15 +43,7 @@ from .census import (
     write_csv,
 )
 from .classify import Report, classify_with_complement
-from .construct import (
-    ConstructionTrace,
-    TraceStep,
-    build_free,
-    build_tensor,
-    build_wreath,
-    cone,
-    corona_k1,
-)
+from .construct import _TraceBuilder, build_free, build_tensor, build_wreath
 from .errors import BadParams, ParseError, QsymError, SizeLimitExceeded
 from .formats import READABLE_FORMATS, WRITABLE_FORMATS, parse_graph, write_graph
 from .gallery import describe_gallery, gallery
@@ -244,20 +236,14 @@ def _cmd_product(args) -> int:
     return _graph_output(args, _PRODUCTS[args.kind](g1, g2))
 
 
-def _single_step_trace(op: str, g: Graph, out: Graph) -> ConstructionTrace:
-    step = TraceStep(op, ("in0",), (g.n,), out.n)
-    return ConstructionTrace((g,), (step,), ("s0",))
-
-
 def _cmd_construct(args) -> int:
     found = _gather_inputs(args)
     gs = [g for g, _ in found]
     if args.kind in ("cone", "corona-k1"):
         if len(gs) != 1:
             raise BadParams(f"{args.kind} takes exactly one graph, got {len(gs)}")
-        fn = cone if args.kind == "cone" else corona_k1
-        result = fn(gs[0])
-        trace = _single_step_trace(args.kind.replace("-", "_"), gs[0], result)
+        tb = _TraceBuilder(gs)
+        result, trace = tb.finish(tb.add(args.kind.replace("-", "_"), ["in0"]))
     elif args.kind == "wreath":
         if len(gs) != 2:
             raise BadParams(f"wreath takes exactly two graphs, got {len(gs)}")

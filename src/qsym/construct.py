@@ -15,8 +15,8 @@ graph is rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,19 +44,18 @@ __all__ = [
 # primitive operations
 
 
+_K1 = build(1, [])
+
+
 def cone(g: Graph) -> Graph:
-    """One new apex vertex (index ``g.n``) adjacent to every old vertex.
+    """One new apex vertex (index ``g.n``) adjacent to every old vertex,
+    that is, the join with one vertex.
 
     When ``g`` is disconnected the apex glues the pieces together without
     changing the commutativity status of the fine algebra; the builders
     below record that guarantee in their trace notes.
     """
-    n = g.n
-    adj = np.zeros((n + 1, n + 1), dtype=bool)
-    adj[:n, :n] = g.adj
-    adj[n, :n] = True
-    adj[:n, n] = True
-    return Graph(adj)
+    return join([g, _K1])
 
 
 def corona_k1(g: Graph) -> Graph:
@@ -66,7 +65,7 @@ def corona_k1(g: Graph) -> Graph:
     of ``v``.  For ``g.n >= 2`` the complement of the result is
     connected, which is the property the tensor builder relies on.
     """
-    return corona(g, build(1, []))
+    return corona(g, _K1)
 
 
 def join(gs: Sequence[Graph]) -> Graph:
@@ -91,21 +90,30 @@ def join(gs: Sequence[Graph]) -> Graph:
 # traces
 
 
-def _apply(op: str, operands: Sequence[Graph]) -> Graph:
-    if op == "cone":
-        (g,) = operands
-        return cone(g)
-    if op == "corona_k1":
-        (g,) = operands
-        return corona_k1(g)
-    if op == "disjoint_union":
-        return disjoint_union(list(operands))
-    if op == "join":
-        return join(list(operands))
-    if op == "corona":
-        g1, g2 = operands
-        return corona(g1, g2)
-    raise BadParams(f"unknown trace operation {op!r}")
+#: Each trace operation and its operand count; None marks one that
+#: takes its operands as one list of at least one graph.
+_OPS: dict[str, tuple[Callable[..., Graph], int | None]] = {
+    "cone": (cone, 1),
+    "corona_k1": (corona_k1, 1),
+    "corona": (corona, 2),
+    "disjoint_union": (disjoint_union, None),
+    "join": (join, None),
+}
+
+
+def _apply(op: str, operands: list[Graph]) -> Graph:
+    if op not in _OPS:
+        raise BadParams(f"unknown trace operation {op!r}")
+    fn, arity = _OPS[op]
+    if arity is None:
+        if operands:
+            return fn(operands)
+    elif len(operands) == arity:
+        return fn(*operands)
+    raise BadParams(
+        f"trace operation {op!r} takes {arity or 'one or more'} operands, "
+        f"got {len(operands)}"
+    )
 
 
 @dataclass(frozen=True)
@@ -172,39 +180,25 @@ class ConstructionTrace:
         }
 
 
-def _resolve(ref: str, inputs: Sequence[Graph], made: Sequence[Graph]) -> Graph:
-    if ref.startswith("in"):
-        i = int(ref[2:])
-        if not 0 <= i < len(inputs):
-            raise BadParams(f"trace ref {ref!r} has no matching input")
-        return inputs[i]
-    if ref.startswith("s"):
-        k = int(ref[1:])
-        if not 0 <= k < len(made):
-            raise BadParams(f"trace ref {ref!r} points past the last step")
-        return made[k]
-    raise BadParams(f"malformed trace ref {ref!r}")
-
-
 def replay_all(trace: ConstructionTrace) -> tuple[Graph, ...]:
     """Re-execute every step of ``trace`` and return its result graphs.
 
-    Raises :class:`BadParams` if the trace is internally inconsistent
-    (unknown op, dangling ref, or a step whose recorded order disagrees
-    with what the operation actually produces).
+    Each step runs through the builder that records traces, and must
+    come out as the step it replays.  Raises :class:`BadParams` if the
+    trace is internally inconsistent (unknown op, wrong operand count,
+    a ref that names no input or earlier step, or a step whose recorded
+    orders disagree with what the operation actually produces).
     """
-    made: list[Graph] = []
+    tb = _TraceBuilder(trace.inputs)
     for step in trace.steps:
-        operands = [_resolve(r, trace.inputs, made) for r in step.args]
-        if tuple(g.n for g in operands) != step.operand_orders:
-            raise BadParams(f"trace step {step.op!r}: operand orders disagree")
-        out = _apply(step.op, operands)
-        if out.n != step.order:
+        tb.add(step.op, step.args, step.note)
+        made = tb.steps[-1]
+        if made != step:
             raise BadParams(
-                f"trace step {step.op!r}: recorded order {step.order}, got {out.n}"
+                f"trace step {step.op!r}: recorded orders {step.operand_orders} "
+                f"-> {step.order}, replay gives {made.operand_orders} -> {made.order}"
             )
-        made.append(out)
-    return tuple(_resolve(r, trace.inputs, made) for r in trace.results)
+    return tuple(tb.graph(r) for r in trace.results)
 
 
 def replay(trace: ConstructionTrace) -> Graph:
@@ -231,13 +225,15 @@ class _TraceBuilder:
         }
 
     def graph(self, ref: str) -> Graph:
+        if ref not in self._graphs:
+            raise BadParams(f"trace ref {ref!r} names no input or earlier step")
         return self._graphs[ref]
 
     def note(self, text: str) -> None:
         self.notes.append(text)
 
     def add(self, op: str, args: Sequence[str], note: str = "") -> str:
-        operands = [self._graphs[a] for a in args]
+        operands = [self.graph(a) for a in args]
         out = _apply(op, operands)
         ref = f"s{len(self.steps)}"
         self.steps.append(
@@ -256,6 +252,10 @@ class _TraceBuilder:
         return ConstructionTrace(
             self.inputs, tuple(self.steps), tuple(results), tuple(self.notes)
         )
+
+    def finish(self, ref: str) -> tuple[Graph, ConstructionTrace]:
+        """The graph under ``ref`` and the trace with it as its one result."""
+        return self.graph(ref), self.done([ref])
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +305,10 @@ def make_connected_preserving(g: Graph) -> tuple[Graph, ConstructionTrace]:
     algebra is commutative.
     """
     tb = _TraceBuilder([g])
-    if is_connected(g):
-        tb.note("input already connected; returned unchanged")
-        return g, tb.done(["in0"])
     ref = _connect(tb, "in0")
-    return tb.graph(ref), tb.done([ref])
+    if ref == "in0":
+        tb.note("input already connected; returned unchanged")
+    return tb.finish(ref)
 
 
 def distinct_orders(gs: Sequence[Graph]) -> tuple[list[Graph], ConstructionTrace]:
@@ -330,20 +329,31 @@ def distinct_orders(gs: Sequence[Graph]) -> tuple[list[Graph], ConstructionTrace
     return [tb.graph(r) for r in refs], tb.done(refs)
 
 
-def _drop_trivial(tb: _TraceBuilder, gs: Sequence[Graph]) -> list[str]:
-    """Refs of the factors with at least two vertices.  When none is
-    left, the builders return factor 0 unchanged, and the note says so."""
+def _prepare(
+    name: str, gs: Sequence[Graph], expansion: str | None
+) -> tuple[_TraceBuilder, list[str]]:
+    """The phase :func:`build_free` and :func:`build_tensor` share: drop
+    factors with fewer than two vertices, cone each disconnected factor,
+    pendant-expand every factor once when ``expansion`` gives the step's
+    note, and grow orders apart.  When every factor is trivial no ref
+    comes back, the builders return factor 0 unchanged, and the note
+    says so."""
+    if not gs:
+        raise EmptyInput(f"{name} needs at least one factor")
+    tb = _TraceBuilder(gs)
     refs = []
     for i, g in enumerate(gs):
-        if g.n < 2:
+        if g.n >= 2:
+            refs.append(_connect(tb, f"in{i}"))
+        else:
             what = "a single vertex" if g.n else "the graph with no vertices"
             tb.note(f"dropped factor {i}: {what} contributes nothing")
-        else:
-            refs.append(f"in{i}")
     if not refs:
         result = "the one-vertex graph" if gs[0].n else "the graph with no vertices"
         tb.note(f"all factors trivial; the result is {result}")
-    return refs
+    if expansion:
+        refs = [tb.add("corona_k1", [r], note=expansion) for r in refs]
+    return tb, _grow_distinct(tb, refs)
 
 
 def build_free(gs: Sequence[Graph]) -> tuple[Graph, ConstructionTrace]:
@@ -356,29 +366,23 @@ def build_free(gs: Sequence[Graph]) -> tuple[Graph, ConstructionTrace]:
     exchange them, and the automorphism group of the result is the
     direct product of the factors' groups.
     """
-    if not gs:
-        raise EmptyInput("build_free needs at least one factor")
-    tb = _TraceBuilder(gs)
-    refs = _drop_trivial(tb, gs)
-    if not refs:
-        return tb.graph("in0"), tb.done(["in0"])
-    refs = [_connect(tb, r) for r in refs]
-    refs = _grow_distinct(tb, refs)
-    if len(refs) == 1:
-        return tb.graph(refs[0]), tb.done([refs[0]])
-    union = tb.add(
-        "disjoint_union",
-        refs,
-        note="components now have pairwise distinct orders, so none "
-        "can be exchanged",
-    )
-    apex = tb.add(
-        "cone",
-        [union],
-        note="apex over the (disconnected) union restores connectivity "
-        "and preserves the fine-algebra status",
-    )
-    return tb.graph(apex), tb.done([apex])
+    tb, refs = _prepare("build_free", gs, None)
+    if len(refs) > 1:
+        union = tb.add(
+            "disjoint_union",
+            refs,
+            note="components now have pairwise distinct orders, so none "
+            "can be exchanged",
+        )
+        refs = [
+            tb.add(
+                "cone",
+                [union],
+                note="apex over the (disconnected) union restores "
+                "connectivity and preserves the fine-algebra status",
+            )
+        ]
+    return tb.finish(refs[0] if refs else "in0")
 
 
 def build_tensor(gs: Sequence[Graph]) -> tuple[Graph, ConstructionTrace]:
@@ -390,31 +394,21 @@ def build_tensor(gs: Sequence[Graph]) -> tuple[Graph, ConstructionTrace]:
     and join.  The complement of the result is then a disjoint union of
     factors whose complements are connected, one per surviving input.
     """
-    if not gs:
-        raise EmptyInput("build_tensor needs at least one factor")
-    tb = _TraceBuilder(gs)
-    refs = _drop_trivial(tb, gs)
-    if not refs:
-        return tb.graph("in0"), tb.done(["in0"])
-    refs = [_connect(tb, r) for r in refs]
-    refs = [
-        tb.add(
-            "corona_k1",
-            [r],
-            note="pendant expansion makes the factor's complement connected",
-        )
-        for r in refs
-    ]
-    refs = _grow_distinct(tb, refs)
-    if len(refs) == 1:
-        return tb.graph(refs[0]), tb.done([refs[0]])
-    out = tb.add(
-        "join",
-        refs,
-        note="join of factors with connected complements and pairwise "
-        "distinct orders",
+    tb, refs = _prepare(
+        "build_tensor",
+        gs,
+        "pendant expansion makes the factor's complement connected",
     )
-    return tb.graph(out), tb.done([out])
+    if len(refs) > 1:
+        refs = [
+            tb.add(
+                "join",
+                refs,
+                note="join of factors with connected complements and "
+                "pairwise distinct orders",
+            )
+        ]
+    return tb.finish(refs[0] if refs else "in0")
 
 
 def build_wreath(g1: Graph, g2: Graph) -> tuple[Graph, ConstructionTrace]:
@@ -436,10 +430,11 @@ def build_wreath(g1: Graph, g2: Graph) -> tuple[Graph, ConstructionTrace]:
             "single-vertex base with a dominating attachment vertex: "
             "the wreath composition law does not hold"
         )
-    out = tb.add(
-        "corona",
-        [ref1, "in1"],
-        note="corona over a connected base realises the wreath-shaped "
-        "symmetry composition",
+    return tb.finish(
+        tb.add(
+            "corona",
+            [ref1, "in1"],
+            note="corona over a connected base realises the wreath-shaped "
+            "symmetry composition",
+        )
     )
-    return tb.graph(out), tb.done([out])

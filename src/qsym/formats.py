@@ -174,8 +174,14 @@ def _write_dot(g: Graph) -> str:
 
 
 def parse_graph(fmt: str, data: bytes | str) -> Graph:
-    """Parse ``data`` in the named readable format ('edges' or 'graph6')."""
-    text = data.decode("ascii") if isinstance(data, bytes) else data
+    """Parse ``data`` in the named readable format ('edges' or 'graph6').
+    Both are ASCII, so any other byte is a :class:`ParseError`."""
+    try:
+        text = data.decode("ascii") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"byte {exc.start}: {data[exc.start]:#04x} is not ASCII"
+        ) from None
     if fmt == "edges":
         return _parse_edge_list(text)
     if fmt == "graph6":

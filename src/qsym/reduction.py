@@ -179,37 +179,46 @@ def render_pattern(g: Graph, pattern: ZeroPattern) -> str:
 # high-degree stripping
 
 
+def _high_degree(bits: tuple[int, ...], alive: int) -> int:
+    """The vertices of ``alive`` whose degree in the subgraph it induces
+    is m-1 or m-2, m its order, as a bitmask."""
+    floor = alive.bit_count() - 2
+    out = 0
+    for v in _mask_vertices(alive):
+        if (bits[v] & alive).bit_count() >= floor:
+            out |= 1 << v
+    return out
+
+
 def strip_high_degree(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     """Remove every vertex of degree n-1 or n-2 (n the current order), in
     one pass.  Returns the induced remainder and the removed vertices (as
     indices into ``g``)."""
-    n = g.n
-    removed = tuple(v for v in range(n) if g.degree(v) in (n - 1, n - 2))
+    alive = (1 << g.n) - 1
+    removed = _high_degree(g._bits, alive)
     if not removed:
         return g, ()
-    keep = [v for v in range(n) if v not in set(removed)]
-    return induced_subgraph(g, keep), removed
+    return induced_subgraph(g, _mask_vertices(alive ^ removed)), _mask_vertices(removed)
 
 
 def strip_high_degree_fixpoint(
     g: Graph,
 ) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
-    """Iterate :func:`strip_high_degree` until nothing qualifies.
+    """Repeat the pass of :func:`strip_high_degree` until nothing
+    qualifies.
 
-    The chain records, pass by pass, the removed vertices *as indices
-    into the original graph*, so a certificate consumer can replay the
-    reduction without tracking renumbering.
+    The passes walk ``g``'s own neighbour bitmasks under a mask of the
+    vertices still alive, so the chain records, pass by pass, the
+    removed vertices *as indices into the original graph*, and a
+    certificate consumer can replay the reduction without tracking
+    renumbering.  The remainder is induced once, at the end; when
+    nothing strips it is ``g`` itself.
     """
+    alive = (1 << g.n) - 1
     chain: list[tuple[int, ...]] = []
-    current = g
-    original_ids = list(range(g.n))
-    while True:
-        nxt, removed = strip_high_degree(current)
-        if not removed:
-            return current, tuple(chain)
-        chain.append(tuple(original_ids[v] for v in removed))
-        removed_set = set(removed)
-        original_ids = [
-            orig for v, orig in enumerate(original_ids) if v not in removed_set
-        ]
-        current = nxt
+    while removed := _high_degree(g._bits, alive):
+        chain.append(_mask_vertices(removed))
+        alive ^= removed
+    if not chain:
+        return g, ()
+    return induced_subgraph(g, _mask_vertices(alive)), tuple(chain)

@@ -34,6 +34,8 @@ from qsym.classify import (
     ProductLift,
     QuadrangleFreeComplement,
     QuadrangleFreeSelf,
+    R_BAN_1,
+    R_BIC_1,
     Report,
     SmallBlocks,
     SmallOrder,
@@ -45,11 +47,10 @@ from qsym.classify import (
     _Shared,
     _transfer,
     classify,
-    classify_line_graph,
     classify_with_complement,
     verify_certificate,
 )
-from qsym.census import SplitMix64, enumerate_forests, random_graph
+from qsym.census import SplitMix64, enumerate_forests, enumerate_trees, random_graph
 from qsym.cli import report_schema
 from qsym.errors import QsymError
 from qsym.gallery import (
@@ -68,8 +69,10 @@ from qsym.graphs import (
     contains_quadrangle,
     cycle,
     edgeless,
+    find_cherries,
     is_connected,
     is_forest,
+    line_graph,
     path,
     star,
 )
@@ -550,7 +553,7 @@ def test_corona_witness_is_read_from_the_listing(monkeypatch):
 
 
 def test_line_graph_cherry_shortcut():
-    rep = classify_line_graph(cherry2_graph())
+    rep = classify(line_graph(cherry2_graph()))
     assert both(rep) == (NC, NC)
     cert = rep.bic.certificate
     assert isinstance(cert, EdgeFreePair)
@@ -558,16 +561,35 @@ def test_line_graph_cherry_shortcut():
     assert rep.graph.n == cherry2_graph().edge_count
 
 
+def test_two_cherry_centres_decide_the_line_graph_by_the_pair_rules():
+    # cherries (v1, v2) at w and (v1', v2') at w' != w: the edges v1w and
+    # v2w are twins in L(T), and so are v1'w' and v2'w', so the twin scan
+    # finds two swaps with disjoint supports and no edge between them
+    trees = [
+        t
+        for n in range(1, 12)
+        for t in enumerate_trees(n)
+        if len({c.w for c in find_cherries(t)}) >= 2
+    ]
+    assert len(trees) == 41
+    for t in trees:
+        rep = classify(line_graph(t))
+        assert both(rep) == (NC, NC)
+        assert (rep.bic.citation.rule, rep.ban.citation.rule) == (R_BIC_1, R_BAN_1)
+        assert verify_certificate(rep.graph, rep.bic)
+        assert verify_certificate(rep.graph, rep.ban)
+
+
 def test_line_graph_single_center_not_shortcut():
-    # three cherries, all centred at the hub: the shortcut must not fire
-    rep = classify_line_graph(star(3))
+    # three cherries, all centred at the hub: their twin swaps overlap
+    rep = classify(line_graph(star(3)))
     assert rep.graph.n == 3  # the triangle
     assert both(rep) == (C, C)
     assert isinstance(rep.bic.certificate, SmallOrder)
 
 
 def test_line_graph_of_quiet_tree():
-    rep = classify_line_graph(path(4))
+    rep = classify(line_graph(path(4)))
     assert both(rep) == (C, C)
 
 

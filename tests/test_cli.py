@@ -166,6 +166,22 @@ def test_malformed_file_is_exit_2(tmp_path, capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize(
+    "command", [["analyze"], ["pattern"], ["product", "cartesian"], ["construct", "cone"]]
+)
+@pytest.mark.parametrize(
+    "name, data, offset",
+    [("bad.txt", b"3 1\n0 1 \xe2\x80\x94\n", 8), ("bad.g6", b"C\xffw\n", 1)],
+)
+def test_non_ascii_file_is_exit_2(tmp_path, capsys, command, name, data, offset):
+    p = tmp_path / name
+    p.write_bytes(data)
+    rc, _, err = run(capsys, *command, str(p))
+    assert rc == 2
+    assert f"parse error: byte {offset}: " in err
+    assert "is not ASCII" in err
+
+
 def test_missing_file_is_exit_2(capsys):
     rc, _, err = run(capsys, "analyze", "/nonexistent/graph.txt")
     assert rc == 2

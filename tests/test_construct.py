@@ -19,6 +19,7 @@ from qsym import (
 from qsym.automorphisms import automorphisms
 from qsym.construct import (
     ConstructionTrace,
+    TraceStep,
     build_free,
     build_tensor,
     build_wreath,
@@ -395,6 +396,42 @@ def test_replay_rejects_dangling_refs():
     trace = ConstructionTrace((K2,), (), ("in5",))
     with pytest.raises(BadParams):
         replay(trace)
+
+
+def _one_step(op, args, operand_orders, order):
+    return ConstructionTrace(
+        (K2, C3), (TraceStep(op, args, operand_orders, order),), ("s0",)
+    )
+
+
+@pytest.mark.parametrize(
+    "trace",
+    [
+        _one_step("cone", ("inx",), (2,), 3),
+        _one_step("cone", ("s0",), (2,), 3),
+        ConstructionTrace((K2,), (TraceStep("cone", ("in0",), (2,), 3),), ("s1",)),
+        ConstructionTrace((K2,), (), ("in1",)),
+        _one_step("suspend", ("in0",), (2,), 3),
+        _one_step("corona", ("in0",), (2,), 6),
+        _one_step("cone", ("in0", "in1"), (2, 3), 6),
+        _one_step("join", (), (), 0),
+        _one_step("disjoint_union", ("in0", "in1"), (3, 2), 5),
+    ],
+    ids=[
+        "malformed-ref",
+        "ref-to-its-own-step",
+        "result-past-the-last-step",
+        "result-to-no-input",
+        "unknown-op",
+        "corona-with-one-operand",
+        "cone-with-two-operands",
+        "join-of-nothing",
+        "operand-orders-disagree",
+    ],
+)
+def test_replay_rejects_inconsistent_traces(trace):
+    with pytest.raises(BadParams):
+        replay_all(trace)
 
 
 def test_replay_wants_exactly_one_result():

@@ -30,6 +30,7 @@ from qsym import (
     distance_matrix,
     edgeless,
     gallery,
+    induced_subgraph,
     path,
     render_pattern,
     star,
@@ -497,6 +498,50 @@ def test_strip_fixpoint_reports_original_ids():
     assert terminal.n == 7 - len(flat)
     # every removed id refers to the original numbering
     assert all(0 <= v < 7 for v in flat)
+
+
+def _strip_reference(g):
+    """The renumbering fixpoint the bitmask walk replaced: strip every
+    vertex of degree n-1 or n-2, renumber the remainder, repeat, and map
+    each pass's removed vertices back to ``g``'s indices."""
+    chain = []
+    current = g
+    original_ids = list(range(g.n))
+    while True:
+        n = current.n
+        removed = [v for v in range(n) if current.degree(v) in (n - 1, n - 2)]
+        if not removed:
+            return current, tuple(chain)
+        chain.append(tuple(original_ids[v] for v in removed))
+        keep = [v for v in range(n) if v not in removed]
+        original_ids = [original_ids[v] for v in keep]
+        current = induced_subgraph(current, keep)
+
+
+def _assert_strips_like_the_reference(g):
+    terminal, chain = strip_high_degree_fixpoint(g)
+    want_terminal, want_chain = _strip_reference(g)
+    assert chain == want_chain
+    assert terminal == want_terminal
+    assert terminal.labels == want_terminal.labels
+    assert (terminal is g) == (want_terminal is g) == (not chain)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=9))
+def test_strip_walk_matches_the_renumbering_reference(g):
+    _assert_strips_like_the_reference(g)
+    _assert_strips_like_the_reference(complement(g))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [complement(path(k)) for k in (0, 1, 2, 3, 4, 5, 8, 13, 31, 47, 63)]
+    + [gallery(name) for name in ("sc", "c4pn2", "fig7", "cherry2")]
+    + [complement(gallery(name)) for name in ("sc", "c4pn2", "fig7", "cherry2")],
+)
+def test_strip_walk_matches_the_reference_on_path_complements_and_labels(g):
+    _assert_strips_like_the_reference(g)
 
 
 def test_strip_fixpoint_terminates_on_fixed_graph():
