@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields
 from itertools import combinations_with_replacement, product
 from typing import Iterator, Sequence, TextIO
 
@@ -343,9 +343,7 @@ def _pattern_soundness(g: Graph, pattern, auts) -> bool:
     return not bool((pattern.forced & reachable).any())
 
 
-def oracle_crosschecks(
-    seed: int = 0x5EED, count: int = 200, _inject_fault: bool = False
-) -> CensusResult:
+def oracle_crosschecks(seed: int = 0x5EED, count: int = 200) -> CensusResult:
     """Replay independent definitions against each other on a seeded
     random corpus (orders 3..8) and record every disagreement.
 
@@ -357,10 +355,8 @@ def oracle_crosschecks(
     coarse commutative, or split verdicts on a quadrangle-free graph),
     with every certificate re-verified from scratch.
 
-    ``_inject_fault`` flips one pattern cell on the first graph; the
-    harness must report exactly that violation.  It exists so the tests
-    can show this function is able to fail.  A ``count`` below one
-    raises :class:`NonPositiveCount`: an empty survey proves nothing.
+    A ``count`` below one raises :class:`NonPositiveCount`: an empty
+    survey proves nothing.
     """
     if count < 1:
         raise NonPositiveCount(f"oracle survey needs count >= 1, got {count}")
@@ -388,10 +384,6 @@ def oracle_crosschecks(
 
         pattern = zero_pattern(g)
         auts = automorphisms(g)
-        if _inject_fault and index == 0:
-            forced = np.array(pattern.forced)
-            forced[0, 0] = True
-            pattern = replace(pattern, forced=forced)
         if not _pattern_soundness(g, pattern, auts):
             violations.append(f"{tag} zero pattern forbids a real image")
 

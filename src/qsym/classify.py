@@ -19,6 +19,13 @@ The classifier applies a fixed battery of sound rules and reports
 ``Unknown`` when none of them fires — it never guesses.  Every
 determined verdict carries a certificate that can be re-checked from
 the graph alone via :func:`verify_certificate`.
+
+A rule only searches: asked about one target, it returns ``(certificate,
+detail)`` when it fires, the reason it did not fire as a string, or None
+when it does not apply (no provenance, not a forest, or the budget ran
+out).  ``_run`` alone logs ``"<target> <rule>: fired (<detail>)"`` or
+``"<target> <rule>: <reason>"`` and builds the verdict, whose status is
+the one :data:`CERTIFIED_STATUS` gives the certificate's kind.
 """
 
 from __future__ import annotations
@@ -543,96 +550,73 @@ def _swap(n: int, a: int, b: int) -> Permutation:
 
 
 # ---------------------------------------------------------------------------
-# the rules: each logs its trace line and returns a Verdict when it fires
+# the rules, which only find (see the module docstring); _run decides
+
+#: A rule's finding: (certificate, detail), a miss reason, or None.
+_Finding = tuple[Certificate, str] | str | None
 
 
-def _fire(
-    ctx: _Ctx, t: str, rule: str, status: Status, cert: Certificate, detail: str
-) -> Verdict:
-    ctx.log(t, rule, f"fired ({detail})")
-    return Verdict(t, status, cert, Citation.of(rule))
-
-
-def _small(ctx: _Ctx, t: str) -> Verdict | None:
+def _small(ctx: _Ctx, t: str) -> _Finding:
     n = ctx.g.n
     if n > 3:
-        ctx.log(t, R_SMALL, f"order {n} is above three")
-        return None
-    return _fire(ctx, t, R_SMALL, Status.COMMUTATIVE, SmallOrder(n), f"order {n}")
+        return f"order {n} is above three"
+    return SmallOrder(n), f"order {n}"
 
 
-def _qfc(ctx: _Ctx, t: str) -> Verdict | None:
+def _qfc(ctx: _Ctx, t: str) -> _Finding:
     if not ctx.complement.quadrangle_free:
-        ctx.log(t, R_QFC, "complement contains a quadrangle")
-        return None
-    return _fire(
-        ctx, t, R_QFC, Status.COMMUTATIVE, QuadrangleFreeComplement(),
-        "complement is quadrangle-free",
-    )
+        return "complement contains a quadrangle"
+    return QuadrangleFreeComplement(), "complement is quadrangle-free"
 
 
-def _kmn(ctx: _Ctx, t: str) -> Verdict | None:
+def _kmn(ctx: _Ctx, t: str) -> _Finding:
     """The non-commutative direction of R-KMN.  The commutative one never
     arises after R-QFC: with both sides at most three, the complement
     K_m ⊔ K_n is quadrangle-free, so R-QFC has already fired."""
     parts = _complete_bipartite_parts(ctx.g)
     if parts is None:
-        ctx.log(t, R_KMN, "not complete bipartite")
-        return None
+        return "not complete bipartite"
     wide = max(parts, key=len)
     sigma = _swap(ctx.g.n, wide[0], wide[1])
     tau = _swap(ctx.g.n, wide[2], wide[3])
-    return _fire(
-        ctx, t, R_KMN, Status.NONCOMMUTATIVE, EdgeFreePair(sigma, tau),
-        f"complete bipartite, side of {len(wide)}",
-    )
+    return EdgeFreePair(sigma, tau), f"complete bipartite, side of {len(wide)}"
 
 
-def _pair(ctx: _Ctx, t: str) -> Verdict | None:
+def _pair(ctx: _Ctx, t: str) -> _Finding:
     """R-BIC-1 on the fine algebra, R-BAN-1 on the coarse one; only the
     fine algebra needs the supports joined by no edge."""
     if t == TARGET_BIC:
-        rule, cert, find = R_BIC_1, EdgeFreePair, find_edge_free_disjoint_pair
+        cert, find = EdgeFreePair, find_edge_free_disjoint_pair
         missing = "no edge-free disjoint pair"
     else:
-        rule, cert, find = R_BAN_1, DisjointPair, find_disjoint_pair
-        missing = "no disjoint pair"
+        cert, find, missing = DisjointPair, find_disjoint_pair, "no disjoint pair"
     # twin swaps first: on graphs such as star20 they find the pair
     # without listing a huge group
     pair = _first_pair(ctx.g, *ctx.shared.twins, cert.edge_free)
     if pair is None:
         auts = ctx.auts()
         if auts is None:
-            ctx.log(t, rule, "skipped (budget exhausted)")
-            return None
+            return "skipped (budget exhausted)"
         pair = find(ctx.g, auts=auts)
         if pair is None:
-            ctx.log(t, rule, missing)
-            return None
+            return missing
     sigma, tau = pair
-    return _fire(
-        ctx, t, rule, Status.NONCOMMUTATIVE, cert(sigma, tau),
-        f"{sigma.cycles()} and {tau.cycles()}",
-    )
+    return cert(sigma, tau), f"{sigma.cycles()} and {tau.cycles()}"
 
 
-def _product(ctx: _Ctx, t: str) -> Verdict | None:
+def _product(ctx: _Ctx, t: str) -> _Finding:
     prov = ctx.g.provenance
     if prov is None or prov.kind not in PRODUCT_KINDS:
         return None
     for idx, factor in enumerate(prov.factors):
         inner = classify(factor, node_budget=ctx.shared.node_budget).bic
         if inner.status is Status.NONCOMMUTATIVE:
-            return _fire(
-                ctx, t, R_PROD, Status.NONCOMMUTATIVE,
-                ProductLift(prov.kind, idx, inner.certificate),
-                f"factor {idx} of {prov.kind} product",
-            )
-    ctx.log(t, R_PROD, "no factor certified non-commutative")
-    return None
+            lift = ProductLift(prov.kind, idx, inner.certificate)
+            return lift, f"factor {idx} of {prov.kind} product"
+    return "no factor certified non-commutative"
 
 
-def _corona(ctx: _Ctx, t: str) -> Verdict | None:
+def _corona(ctx: _Ctx, t: str) -> _Finding:
     prov = ctx.g.provenance
     if prov is None or prov.kind != "corona":
         return None
@@ -652,70 +636,66 @@ def _corona(ctx: _Ctx, t: str) -> Verdict | None:
             except SizeLimitExceeded:
                 ctx.notes.append("attachment symmetry search abandoned (budget)")
     if witness is None:
-        ctx.log(t, R_CORONA, "premises not met")
-        return None
-    return _fire(
-        ctx, t, R_CORONA, Status.NONCOMMUTATIVE, CoronaRule(witness),
-        "attachment has a non-trivial symmetry",
-    )
+        return "premises not met"
+    return CoronaRule(witness), "attachment has a non-trivial symmetry"
 
 
-def _forest(ctx: _Ctx, t: str) -> Verdict | None:
+def _forest(ctx: _Ctx, t: str) -> _Finding:
     """The pair rule ran before this one and came up empty, which settles
     a forest, unless the budget cut that search short."""
     if ctx.budget_hit or not ctx.forest:
         return None
     edge_free = t == TARGET_BIC
     pair = "an edge-free disjoint pair" if edge_free else "a disjoint pair"
-    return _fire(
-        ctx, t, R_FOREST, Status.COMMUTATIVE,
-        ForestNoDisjointPair(edge_free_only=edge_free), f"forest without {pair}",
-    )
+    return ForestNoDisjointPair(edge_free_only=edge_free), f"forest without {pair}"
 
 
-def _strip(ctx: _Ctx, t: str) -> Verdict | None:
+def _strip(ctx: _Ctx, t: str) -> _Finding:
     terminal, chain = strip_high_degree_fixpoint(ctx.g)
     if not chain:
-        ctx.log(t, R_STRIP, "nothing to strip")
-        return None
+        return "nothing to strip"
     sub = classify(terminal, node_budget=ctx.shared.node_budget).bic
     if sub.status is not Status.COMMUTATIVE:
-        ctx.log(t, R_STRIP, f"stripped core is {sub.status.value}")
-        return None
-    return _fire(
-        ctx, t, R_STRIP, Status.COMMUTATIVE,
-        StripToCommutative(chain, sub.certificate),
-        f"stripped {sum(len(s) for s in chain)} vertices to a commutative core",
-    )
+        return f"stripped core is {sub.status.value}"
+    cert = StripToCommutative(chain, sub.certificate)
+    return cert, f"stripped {sum(len(s) for s in chain)} vertices to a commutative core"
 
 
-def _blocks(ctx: _Ctx, t: str) -> Verdict | None:
+def _blocks(ctx: _Ctx, t: str) -> _Finding:
     part = ctx.blocks
     sizes = sorted(part.sizes)
     if not _blocks_small_enough(part.sizes):
-        ctx.log(t, R_BLOCKS, f"blocks too coarse (sizes {sizes})")
-        return None
-    return _fire(
-        ctx, t, R_BLOCKS, Status.COMMUTATIVE, SmallBlocks(part.blocks),
-        f"block sizes {sizes}",
-    )
+        return f"blocks too coarse (sizes {sizes})"
+    return SmallBlocks(part.blocks), f"block sizes {sizes}"
 
 
-#: Each target's rules in the order they are tried; the first to fire
-#: decides, and a target where none fires stays Unknown.
+#: Each target's rules in the order they are tried, under the rule id each
+#: stands for there; the first to fire decides, and a target where none
+#: fires stays Unknown.
 _PIPELINES = {
     TARGET_BIC: (
-        _small, _qfc, _kmn, _pair, _product, _corona, _forest, _strip, _blocks
+        (R_SMALL, _small), (R_QFC, _qfc), (R_KMN, _kmn), (R_BIC_1, _pair),
+        (R_PROD, _product), (R_CORONA, _corona), (R_FOREST, _forest),
+        (R_STRIP, _strip), (R_BLOCKS, _blocks),
     ),
-    TARGET_BAN: (_small, _pair, _forest, _blocks),
+    TARGET_BAN: (
+        (R_SMALL, _small), (R_BAN_1, _pair), (R_FOREST, _forest),
+        (R_BLOCKS, _blocks),
+    ),
 }
 
 
 def _run(ctx: _Ctx, t: str) -> Verdict:
-    for rule in _PIPELINES[t]:
-        verdict = rule(ctx, t)
-        if verdict is not None:
-            return verdict
+    """The one place a finding becomes a trace line and a verdict, whose
+    status is the one :data:`CERTIFIED_STATUS` gives the certificate."""
+    for rule, find in _PIPELINES[t]:
+        found = find(ctx, t)
+        if isinstance(found, str):
+            ctx.log(t, rule, found)
+        elif found is not None:
+            cert, detail = found
+            ctx.log(t, rule, f"fired ({detail})")
+            return Verdict(t, CERTIFIED_STATUS[cert.kind], cert, Citation.of(rule))
     return Verdict(t, Status.UNKNOWN)
 
 
@@ -723,46 +703,34 @@ def _transfer(ctx: _Ctx, bic: Verdict, ban: Verdict) -> tuple[Verdict, Verdict]:
     """Carry a verdict over to the other target along the quotient map or,
     on quadrangle-free graphs, along the identification of the two
     algebras.  Each step fills the one Unknown, so at most one applies."""
+
+    def carry(rule: str, cert: Certificate) -> Verdict:
+        """The Unknown target's verdict: the other target's status, now
+        standing on ``rule`` and ``cert``."""
+        if ban.status is Status.UNKNOWN:
+            t, status, source = TARGET_BAN, bic.status, "fine"
+        else:
+            t, status, source = TARGET_BIC, ban.status, "coarse"
+        claim = "non-commutative" if status is Status.NONCOMMUTATIVE else "commutative"
+        ctx.log(t, rule, f"{claim} via the {source} algebra")
+        if rule == R_CHAIN:
+            note = f"transferred from the {source} algebra"
+        else:
+            note = "the algebras coincide on quadrangle-free graphs"
+        return Verdict(t, status, cert, Citation.of(rule), note=note)
+
     pair = (bic.status, ban.status)
     if pair == (Status.NONCOMMUTATIVE, Status.UNKNOWN):
         cert = bic.certificate
         if isinstance(cert, EdgeFreePair):
             cert = DisjointPair(cert.sigma, cert.tau)
-        ban = Verdict(
-            TARGET_BAN,
-            Status.NONCOMMUTATIVE,
-            cert,
-            Citation.of(R_CHAIN),
-            note="transferred from the fine algebra",
-        )
-        ctx.log(TARGET_BAN, R_CHAIN, "non-commutative via the fine algebra")
+        ban = carry(R_CHAIN, cert)
     elif pair == (Status.UNKNOWN, Status.COMMUTATIVE):
-        bic = Verdict(
-            TARGET_BIC,
-            Status.COMMUTATIVE,
-            ban.certificate,
-            Citation.of(R_CHAIN),
-            note="transferred from the coarse algebra",
-        )
-        ctx.log(TARGET_BIC, R_CHAIN, "commutative via the coarse algebra")
+        bic = carry(R_CHAIN, ban.certificate)
     elif pair == (Status.COMMUTATIVE, Status.UNKNOWN) and ctx.quadrangle_free:
-        ban = Verdict(
-            TARGET_BAN,
-            Status.COMMUTATIVE,
-            QuadrangleFreeSelf(companion=bic.certificate),
-            Citation.of(R_QF),
-            note="the algebras coincide on quadrangle-free graphs",
-        )
-        ctx.log(TARGET_BAN, R_QF, "commutative via the fine algebra")
+        ban = carry(R_QF, QuadrangleFreeSelf(companion=bic.certificate))
     elif pair == (Status.UNKNOWN, Status.NONCOMMUTATIVE) and ctx.quadrangle_free:
-        bic = Verdict(
-            TARGET_BIC,
-            Status.NONCOMMUTATIVE,
-            QuadrangleFreeSelf(companion=ban.certificate),
-            Citation.of(R_QF),
-            note="the algebras coincide on quadrangle-free graphs",
-        )
-        ctx.log(TARGET_BIC, R_QF, "non-commutative via the coarse algebra")
+        bic = carry(R_QF, QuadrangleFreeSelf(companion=ban.certificate))
     if bic.status is Status.NONCOMMUTATIVE and ban.status is Status.COMMUTATIVE:
         raise QsymError(
             "inconsistent verdicts: the fine algebra cannot be "

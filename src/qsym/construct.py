@@ -16,7 +16,7 @@ graph is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -156,15 +156,13 @@ class ConstructionTrace:
     results: tuple[str, ...]
     notes: tuple[str, ...] = ()
 
-    def _order_of(self, ref: str) -> int:
-        if ref.startswith("in"):
-            return self.inputs[int(ref[2:])].n
-        return self.steps[int(ref[1:])].order
-
     @property
     def orders(self) -> tuple[int, ...]:
-        """Vertex counts of the results, in order."""
-        return tuple(self._order_of(r) for r in self.results)
+        """Vertex counts of the results, in order; a ref that names no
+        input or step raises :class:`BadParams`, as in :func:`replay`."""
+        orders = {f"in{i}": g.n for i, g in enumerate(self.inputs)}
+        orders.update((f"s{k}", step.order) for k, step in enumerate(self.steps))
+        return tuple(_resolve(orders, r) for r in self.results)
 
     @property
     def final_order(self) -> int:
@@ -209,6 +207,16 @@ def replay(trace: ConstructionTrace) -> Graph:
     return outs[0]
 
 
+_T = TypeVar("_T")
+
+
+def _resolve(refs: Mapping[str, _T], ref: str) -> _T:
+    """What ``ref`` names in ``refs``, keyed ``in<i>`` and ``s<k>``."""
+    if ref not in refs:
+        raise BadParams(f"trace ref {ref!r} names no input or earlier step")
+    return refs[ref]
+
+
 class _TraceBuilder:
     """Accumulates steps while a construction runs.
 
@@ -225,9 +233,7 @@ class _TraceBuilder:
         }
 
     def graph(self, ref: str) -> Graph:
-        if ref not in self._graphs:
-            raise BadParams(f"trace ref {ref!r} names no input or earlier step")
-        return self._graphs[ref]
+        return _resolve(self._graphs, ref)
 
     def note(self, text: str) -> None:
         self.notes.append(text)

@@ -24,6 +24,14 @@ from .errors import BadParams, IndexOutOfRange, LoopEdge, NotATree
 #: Sentinel used in distance matrices for "no path".
 UNREACHABLE = -1
 
+#: The most vertices :func:`build` accepts.  A declared order is checked
+#: before anything is allocated, so ``k1000000`` or an edge-list header of
+#: 10**9 is refused rather than exhausting memory on its n x n matrix.  At
+#: the cap that matrix takes 16 MiB; the largest graph any test, demo or
+#: benchmark builds has 66 vertices, and the searches are meant for small
+#: graphs anyway.
+MAX_ORDER = 4096
+
 
 @dataclass(frozen=True)
 class Provenance:
@@ -185,12 +193,16 @@ def _init_graph(
 def build(n: int, edges: Iterable[tuple[int, int]], labels: Sequence[str] | None = None) -> Graph:
     """Build a graph from an explicit edge list.
 
-    Raises :class:`LoopEdge` on an edge ``(v, v)`` and
-    :class:`IndexOutOfRange` on a vertex outside ``range(n)``.  Duplicate
-    edges (in either orientation) collapse silently.
+    Raises :class:`LoopEdge` on an edge ``(v, v)``,
+    :class:`IndexOutOfRange` on a vertex outside ``range(n)`` and
+    :class:`BadParams` on ``n`` above :data:`MAX_ORDER`.  Duplicate edges
+    (in either orientation) collapse silently.  The families below pass
+    their edges as generators, so an order over the cap lists none.
     """
     if n < 0:
         raise BadParams(f"vertex count must be >= 0, got {n}")
+    if n > MAX_ORDER:
+        raise BadParams(f"vertex count {n} is above the limit of {MAX_ORDER}")
     adj = np.zeros((n, n), dtype=bool)
     for u, v in edges:
         if u == v:
@@ -434,30 +446,30 @@ def edgeless(n: int) -> Graph:
 def complete(n: int) -> Graph:
     if n < 0:
         raise BadParams("need n >= 0")
-    return build(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return build(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise BadParams("a cycle needs at least 3 vertices")
-    return build(n, [(i, (i + 1) % n) for i in range(n)])
+    return build(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def path(k: int) -> Graph:
     """The path with ``k`` edges, hence ``k + 1`` vertices."""
     if k < 0:
         raise BadParams("need k >= 0 edges")
-    return build(k + 1, [(i, i + 1) for i in range(k)])
+    return build(k + 1, ((i, i + 1) for i in range(k)))
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
     if m < 1 or n < 1:
         raise BadParams("both sides must be nonempty")
-    return build(m + n, [(i, m + j) for i in range(m) for j in range(n)])
+    return build(m + n, ((i, m + j) for i in range(m) for j in range(n)))
 
 
 def star(n: int) -> Graph:
     """The star with ``n`` rays: hub vertex 0 joined to ``1..n``."""
     if n < 1:
         raise BadParams("need at least one ray")
-    return build(n + 1, [(0, i) for i in range(1, n + 1)])
+    return build(n + 1, ((0, i) for i in range(1, n + 1)))

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 from collections import defaultdict
 
+import numpy as np
 import pytest
 
+import qsym.census
 from qsym import build, complete_bipartite, disjoint_union, path
 from qsym.automorphisms import find_disjoint_pair, find_edge_free_disjoint_pair
 from qsym.census import (
@@ -308,8 +311,27 @@ def test_oracle_crosschecks_clean_on_default_corpus():
     assert result.ok, result.violations
 
 
-def test_oracle_crosschecks_detect_injected_fault():
-    result = oracle_crosschecks(count=3, _inject_fault=True)
+def _flip_first_pattern_cell(monkeypatch):
+    """Make the survey's zero pattern forbid cell (0, 0) on its first
+    graph, where the identity maps vertex 0 to itself."""
+    real = qsym.census.zero_pattern
+    calls = []
+
+    def faulty(g):
+        pattern = real(g)
+        calls.append(g)
+        if len(calls) == 1:
+            forced = np.array(pattern.forced)
+            forced[0, 0] = True
+            pattern = dataclasses.replace(pattern, forced=forced)
+        return pattern
+
+    monkeypatch.setattr(qsym.census, "zero_pattern", faulty)
+
+
+def test_oracle_crosschecks_detect_injected_fault(monkeypatch):
+    _flip_first_pattern_cell(monkeypatch)
+    result = oracle_crosschecks(count=3)
     assert not result.ok
     assert len(result.violations) == 1
     assert "zero pattern" in result.violations[0]
@@ -332,7 +354,7 @@ def test_oracle_rows_count_sampled_graphs():
 # CSV
 
 
-def test_csv_shape_and_violation_column():
+def test_csv_shape_and_violation_column(monkeypatch):
     result = cherry_census(5)
     buf = io.StringIO()
     write_csv(result, buf)
@@ -341,7 +363,8 @@ def test_csv_shape_and_violation_column():
     assert len(lines) == 6
     assert lines[4].split(",")[:2] == ["4", "2"]
 
-    faulty = oracle_crosschecks(count=3, _inject_fault=True)
+    _flip_first_pattern_cell(monkeypatch)
+    faulty = oracle_crosschecks(count=3)
     buf = io.StringIO()
     write_csv(faulty, buf)
     rows = [line.split(",") for line in buf.getvalue().strip().splitlines()[1:]]

@@ -207,6 +207,30 @@ def test_unknown_gallery_name_is_exit_3(capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--gallery", "k1000000"),
+        ("--edges", "1000000000"),
+        ("--edges", "1000000000;0 1"),
+    ],
+)
+def test_huge_declared_order_is_exit_3(capsys, argv):
+    with time_limit(10):
+        rc, _, err = run(capsys, "analyze", *argv)
+    assert rc == 3
+    assert "above the limit" in err
+
+
+def test_huge_edge_list_header_is_exit_3(tmp_path, capsys):
+    f = tmp_path / "huge.txt"
+    f.write_text("1000000000 1\n0 1\n")
+    with time_limit(10):
+        rc, _, err = run(capsys, "analyze", str(f))
+    assert rc == 3
+    assert "above the limit" in err
+
+
 def test_census_out_of_range_is_exit_3(capsys):
     rc, _, _ = run(capsys, "census", "forests", "--n-max", "12")
     assert rc == 3

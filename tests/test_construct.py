@@ -398,6 +398,20 @@ def test_replay_rejects_dangling_refs():
         replay(trace)
 
 
+@pytest.mark.parametrize("ref", ["inx", "s3", "in-1"])
+@pytest.mark.parametrize(
+    "read",
+    [lambda t: t.orders, lambda t: t.final_order, lambda t: t.payload()],
+    ids=["orders", "final_order", "payload"],
+)
+def test_trace_orders_reject_refs_that_replay_rejects(ref, read):
+    trace = ConstructionTrace((K2,), (), (ref,))
+    with pytest.raises(BadParams, match="names no input or earlier step"):
+        replay(trace)
+    with pytest.raises(BadParams, match="names no input or earlier step"):
+        read(trace)
+
+
 def _one_step(op, args, operand_orders, order):
     return ConstructionTrace(
         (K2, C3), (TraceStep(op, args, operand_orders, order),), ("s0",)

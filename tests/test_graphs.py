@@ -36,7 +36,14 @@ from qsym.census import SplitMix64, random_graph
 from qsym.errors import BadParams, IndexOutOfRange, LoopEdge, NotATree
 from qsym.gallery import gallery
 
-from .conftest import graphs, hypercube, kernel_corpus, relabelled, small_corpus
+from .conftest import (
+    graphs,
+    hypercube,
+    kernel_corpus,
+    relabelled,
+    small_corpus,
+    time_limit,
+)
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -138,6 +145,45 @@ def test_neighbour_masks_across_byte_boundaries(g):
 def test_edges_sorted_canonically():
     g = build(4, [(3, 1), (2, 0), (1, 0)])
     assert g.edges() == [(0, 1), (0, 2), (1, 3)]
+
+
+#: Orders far above ``MAX_ORDER``: refused by the check, they allocate
+#: nothing; were the check missing, the n x n matrix alone could not fit.
+_HUGE = 10**9
+
+
+def _no_edge_is_read():
+    raise AssertionError("build read an edge of a graph over the cap")
+    yield
+
+
+def test_build_refuses_a_huge_order_before_allocating(monkeypatch):
+    import qsym.graphs
+
+    monkeypatch.setattr(qsym.graphs, "np", None)  # any allocation would fail
+    with pytest.raises(BadParams, match="above the limit"):
+        build(_HUGE, _no_edge_is_read())
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: complete(_HUGE),
+        lambda: complete_bipartite(_HUGE, 1),
+        lambda: complete_bipartite(1, _HUGE),
+        lambda: cycle(_HUGE),
+        lambda: path(_HUGE),
+        lambda: star(_HUGE),
+        lambda: gallery(f"k{_HUGE}"),
+        lambda: gallery(f"k3_{_HUGE}"),
+        lambda: gallery(f"c4pn{_HUGE}"),
+        lambda: gallery(f"prism{_HUGE}"),
+    ],
+    ids=["complete", "kmn", "knm", "cycle", "path", "star", "gk", "gkmn", "c4pn", "prism"],
+)
+def test_families_refuse_a_huge_order_before_listing_edges(make):
+    with time_limit(10), pytest.raises(BadParams, match="above the limit"):
+        make()
 
 
 def test_family_parameter_validation():
