@@ -13,7 +13,10 @@ both ``classify`` and ``classify_with_complement``, in
 ``tests/data/budget_report_digests.json``: the certificate producers,
 product and corona provenance, Q4 at three budgets, an edgeless graph
 and the first 100 pool draws at budgets 0, 3, 20 and 100.  Together they
-show every rule firing and every reason a rule gives for not firing.
+show every rule firing and every reason a rule gives for not firing.  The
+same file pins the symmetric graphs at the default budget, whose large
+groups make the longest pair scans: Q5 and Q6, K4□K4, K3,3□C4 rebuilt
+from its adjacency, the Petersen graph and prism7.
 
 A change that means to alter reports re-records both files, and says
 which reports changed and why:
@@ -29,9 +32,11 @@ import re
 from pathlib import Path
 
 from qsym import (
+    Graph,
     cartesian,
     classify,
     classify_with_complement,
+    complete,
     complete_bipartite,
     corona,
     cycle,
@@ -80,6 +85,13 @@ def budget_cases():
     for budget in (0, 3, 20, 100):
         for index, g in enumerate(pool):
             yield f"pool/{index}@{budget}", g, budget
+    yield "q5@None", hypercube(5), None
+    yield "q6@None", hypercube(6), None
+    yield "k4xk4@None", cartesian(complete(4), complete(4)), None
+    k33c4 = cartesian(complete_bipartite(3, 3), cycle(4))
+    yield "k3_3xc4-adj@None", Graph(k33c4.adj), None
+    yield "petersen@None", _petersen(), None
+    yield "prism7@None", gallery("prism7"), None
 
 
 def _digest(report) -> str:
