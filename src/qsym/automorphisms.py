@@ -12,13 +12,14 @@ generators found so far give -- is tried by one first-leaf search with
 the prefix fixed (identity on 0..i-1, i -> x); every leaf found is a
 new generator.  |Aut(g)| is the product of the orbit sizes.
 
-The complete listing, which the pair searches read, is then composed
-from the transversals in numpy, one level at a time: every element is
-t_0 t_1 ... t_{n-1}, one transversal element per level, and ordering the
-children of each prefix by where the prefix sends that level's orbit
-point gives the lexicographic order of image tuples exactly.  Support
-masks are taken on the whole table at once; each distinct support keeps
-its first element, which is its lexicographically smallest.
+The complete listing is then composed from the transversals in numpy,
+one level at a time: every element is t_0 t_1 ... t_{n-1}, one
+transversal element per level, and ordering the children of each prefix
+by where the prefix sends that level's orbit point gives the
+lexicographic order of image tuples exactly.  Support masks are taken on
+the whole table at once; each distinct support keeps the images of its
+first element, its lexicographically smallest, in the support table that
+the pair searches read.  Only a witness pair becomes Permutations.
 
 One search node is one unused, profile-compatible candidate image at a
 level of a first-leaf search, counted before the adjacency test; the
@@ -40,7 +41,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -124,15 +125,16 @@ class AutomorphismSet:
     order of image tuples (so the identity comes first).
 
     ``table`` holds the elements as the rows of a read-only integer
-    array; ``firsts`` maps each non-empty support mask to the first
-    element with that support, which is the lexicographically smallest
-    one.  :attr:`images` and :attr:`elements` build Python tuples and
-    :class:`Permutation` objects on first use; :attr:`order` and the
-    support views never need them all.
+    array.  ``supports``, the support table, maps each distinct non-empty
+    support mask to the images of its lexicographically smallest element,
+    ordered by support size, then by first occurrence in the listing.
+    :attr:`images` and :attr:`elements` build Python tuples and
+    :class:`Permutation` objects on first use; :attr:`order` and
+    ``supports`` never need them.
     """
 
     table: np.ndarray
-    firsts: dict[int, tuple[int, ...]] = field(repr=False)
+    supports: dict[int, tuple[int, ...]] = field(repr=False)
 
     @cached_property
     def images(self) -> tuple[tuple[int, ...], ...]:
@@ -147,28 +149,7 @@ class AutomorphismSet:
         return len(self.table)
 
     def nontrivial(self) -> tuple[Permutation, ...]:
-        return tuple(p for p in self.elements if not p.is_identity)
-
-    @cached_property
-    def support_masks(self) -> tuple[int, ...]:
-        """The distinct non-empty support masks, ordered by (support size,
-        discovery order)."""
-        return tuple(sorted(self.firsts, key=int.bit_count))
-
-    @cached_property
-    def distinct_supports(self) -> tuple[tuple[int, Permutation], ...]:
-        """Non-identity elements as ``(support mask, element)``, one per
-        distinct support, in :attr:`support_masks` order; each support's
-        element is its lexicographically smallest.
-
-        The pair predicates depend only on supports, so searching over
-        these representatives returns the same first witness as searching
-        over all elements, just without the quadratic blow-up on very
-        symmetric graphs.  Computed once per group, on first use.
-        """
-        return tuple(
-            (mask, Permutation(self.firsts[mask])) for mask in self.support_masks
-        )
+        return self.elements[1:]
 
 
 def _profiles(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
@@ -326,9 +307,10 @@ def _listing(n: int, levels: Sequence[dict[int, tuple[int, ...]]]) -> np.ndarray
     return table
 
 
-def _firsts(table: np.ndarray) -> dict[int, tuple[int, ...]]:
-    """Each non-empty support mask of the rows of ``table``, in order of
-    first occurrence, with the row where it first occurs."""
+def _supports(table: np.ndarray) -> dict[int, tuple[int, ...]]:
+    """Each non-empty support mask of the rows of ``table`` with the row
+    where it first occurs, ordered by support size, then by first
+    occurrence."""
     count, n = table.shape
     moved = np.packbits(table != np.arange(n), axis=1, bitorder="little")
     width = -(-moved.shape[1] // 8)
@@ -339,12 +321,12 @@ def _firsts(table: np.ndarray) -> dict[int, tuple[int, ...]]:
         _, index = np.unique(keys.ravel(), return_index=True)
     else:
         _, index = np.unique(keys, axis=0, return_index=True)
-    firsts = {}
+    rows = []
     for j in np.sort(index).tolist():
         mask = int.from_bytes(moved[j].tobytes(), "little")
         if mask:
-            firsts[mask] = tuple(table[j].tolist())
-    return firsts
+            rows.append((mask, tuple(table[j].tolist())))
+    return dict(sorted(rows, key=lambda row: row[0].bit_count()))
 
 
 def automorphisms(g: Graph, node_budget: int | None = None) -> AutomorphismSet:
@@ -366,7 +348,7 @@ def automorphisms(g: Graph, node_budget: int | None = None) -> AutomorphismSet:
     search.charge(math.prod(map(len, levels)) * g.n)
     table = _listing(g.n, levels)
     table.flags.writeable = False
-    return AutomorphismSet(table, _firsts(table))
+    return AutomorphismSet(table, _supports(table))
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> tuple[int, ...] | None:
@@ -386,6 +368,13 @@ def are_isomorphic(g1: Graph, g2: Graph) -> tuple[int, ...] | None:
     return search.first_leaf(()) if search.possible else None
 
 
+def transposition(n: int, u: int, v: int) -> Permutation:
+    """The permutation of ``0..n-1`` that swaps ``u`` and ``v``."""
+    images = list(range(n))
+    images[u], images[v] = v, u
+    return Permutation(tuple(images))
+
+
 def twin_transpositions(g: Graph) -> list[Permutation]:
     """Transpositions swapping *twin* vertices, ordered by the vertex
     pair (u, v) with u < v, not by image tuple (the twin shortcut in
@@ -399,13 +388,11 @@ def twin_transpositions(g: Graph) -> list[Permutation]:
     symmetric inputs.
     """
     bits = g._bits
-    out = []
-    for u, v in combinations(range(g.n), 2):
-        if (bits[u] & ~(1 << v)) == (bits[v] & ~(1 << u)):
-            images = list(range(g.n))
-            images[u], images[v] = v, u
-            out.append(Permutation(tuple(images)))
-    return out
+    return [
+        transposition(g.n, u, v)
+        for u, v in combinations(range(g.n), 2)
+        if (bits[u] & ~(1 << v)) == (bits[v] & ~(1 << u))
+    ]
 
 
 def _edge_between(g: Graph, mask_a: int, mask_b: int) -> bool:
@@ -416,20 +403,6 @@ def _edge_between(g: Graph, mask_a: int, mask_b: int) -> bool:
             return True
         m &= m - 1
     return False
-
-
-def order_pair(
-    a: Permutation, b: Permutation
-) -> tuple[Permutation, Permutation]:
-    """Stable presentation order for a witness pair: smaller support
-    first, then smaller least moved point, then lexicographic images."""
-
-    def key(p: Permutation) -> tuple[int, int, tuple[int, ...]]:
-        mask = p.support_mask()
-        least = (mask & -mask).bit_length() - 1 if mask else -1
-        return (mask.bit_count(), least, p.images)
-
-    return (a, b) if key(a) <= key(b) else (b, a)
 
 
 def _disjoint_pairs(
@@ -447,12 +420,16 @@ def _disjoint_pairs(
 
 
 def _first_pair(
-    g: Graph, perms: Sequence[Permutation], masks: Sequence[int], edge_free: bool
+    g: Graph, supports: Mapping[int, tuple[int, ...]], edge_free: bool
 ) -> tuple[Permutation, Permutation] | None:
-    """The first pair :func:`_disjoint_pairs` finds, ``masks[i]`` being the
-    support of ``perms[i]``, in presentation order; ``None`` if none."""
+    """The first pair :func:`_disjoint_pairs` finds among the masks of a
+    support table (see :class:`AutomorphismSet`), as permutations in
+    presentation order: smaller support first, then smaller least moved
+    point, which two disjoint supports never share.  ``None`` if none."""
+    masks = list(supports)
     for i, j in _disjoint_pairs(g, masks, edge_free):
-        return order_pair(perms[i], perms[j])
+        a, b = sorted((masks[i], masks[j]), key=lambda m: (m.bit_count(), m & -m))
+        return Permutation(supports[a]), Permutation(supports[b])
     return None
 
 
@@ -467,8 +444,7 @@ def find_disjoint_pair(
     """
     if auts is None:
         auts = automorphisms(g)
-    reps = [p for _, p in auts.distinct_supports]
-    return _first_pair(g, reps, auts.support_masks, edge_free=False)
+    return _first_pair(g, auts.supports, edge_free=False)
 
 
 def find_edge_free_disjoint_pair(
@@ -478,5 +454,4 @@ def find_edge_free_disjoint_pair(
     may join the two supports."""
     if auts is None:
         auts = automorphisms(g)
-    reps = [p for _, p in auts.distinct_supports]
-    return _first_pair(g, reps, auts.support_masks, edge_free=True)
+    return _first_pair(g, auts.supports, edge_free=True)

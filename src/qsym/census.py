@@ -278,7 +278,7 @@ def check_forest_dichotomy(n_max: int) -> CensusResult:
         for idx, f in enumerate(enumerate_forests(n)):
             forests += 1
             trees += is_tree(f)
-            masks = automorphisms(f).support_masks
+            masks = list(automorphisms(f).supports)
             disjoint = crossing = 0
             for i, j in _disjoint_pairs(f, masks, edge_free=False):
                 disjoint += 1

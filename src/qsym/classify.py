@@ -46,6 +46,7 @@ from .automorphisms import (
     find_disjoint_pair,
     find_edge_free_disjoint_pair,
     is_automorphism,
+    transposition,
     twin_transpositions,
 )
 from .errors import QsymError, SizeLimitExceeded
@@ -467,10 +468,11 @@ class _Shared:
             return None
 
     @cached_property
-    def twins(self) -> tuple[list[Permutation], list[int]]:
-        """The twin swaps sorted by image tuple, and their support masks."""
+    def twins(self) -> dict[int, tuple[int, ...]]:
+        """The twin swaps sorted by image tuple, as a support table (see
+        :class:`AutomorphismSet`)."""
         swaps = sorted(twin_transpositions(self.g), key=lambda p: p.images)
-        return swaps, [p.support_mask() for p in swaps]
+        return {p.support_mask(): p.images for p in swaps}
 
 
 class _Ctx:
@@ -543,12 +545,6 @@ def _blocks_small_enough(
     return len(big) <= 1 and all(s <= 3 for s in big)
 
 
-def _swap(n: int, a: int, b: int) -> Permutation:
-    images = list(range(n))
-    images[a], images[b] = images[b], images[a]
-    return Permutation(tuple(images))
-
-
 # ---------------------------------------------------------------------------
 # the rules, which only find (see the module docstring); _run decides
 
@@ -577,8 +573,8 @@ def _kmn(ctx: _Ctx, t: str) -> _Finding:
     if parts is None:
         return "not complete bipartite"
     wide = max(parts, key=len)
-    sigma = _swap(ctx.g.n, wide[0], wide[1])
-    tau = _swap(ctx.g.n, wide[2], wide[3])
+    sigma = transposition(ctx.g.n, wide[0], wide[1])
+    tau = transposition(ctx.g.n, wide[2], wide[3])
     return EdgeFreePair(sigma, tau), f"complete bipartite, side of {len(wide)}"
 
 
@@ -586,18 +582,17 @@ def _pair(ctx: _Ctx, t: str) -> _Finding:
     """R-BIC-1 on the fine algebra, R-BAN-1 on the coarse one; only the
     fine algebra needs the supports joined by no edge."""
     if t == TARGET_BIC:
-        cert, find = EdgeFreePair, find_edge_free_disjoint_pair
-        missing = "no edge-free disjoint pair"
+        cert, missing = EdgeFreePair, "no edge-free disjoint pair"
     else:
-        cert, find, missing = DisjointPair, find_disjoint_pair, "no disjoint pair"
+        cert, missing = DisjointPair, "no disjoint pair"
     # twin swaps first: on graphs such as star20 they find the pair
     # without listing a huge group
-    pair = _first_pair(ctx.g, *ctx.shared.twins, cert.edge_free)
+    pair = _first_pair(ctx.g, ctx.shared.twins, cert.edge_free)
     if pair is None:
         auts = ctx.auts()
         if auts is None:
             return "skipped (budget exhausted)"
-        pair = find(ctx.g, auts=auts)
+        pair = _first_pair(ctx.g, auts.supports, cert.edge_free)
         if pair is None:
             return missing
     sigma, tau = pair

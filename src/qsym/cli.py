@@ -16,21 +16,19 @@ Exit codes are part of the contract and stay stable:
   gallery names, out-of-range census sizes, ...),
 * 4 -- a search exceeded its node budget where that is fatal.
 
-The default node budget can be overridden per call with ``--budget`` or
-globally through the ``QSYM_BUDGET`` environment variable; either must be
-a non-negative integer.  It caps each automorphism listing: Aut(G) is
-found as a stabiliser chain by first-leaf searches, each candidate image
-tried at a search level costs one node, and once the chain gives the
-group order, each entry of the listing (order times n) costs one more,
-before any element is built.  So a listing larger than the budget is
-refused unbuilt.
+The default node budget can be overridden per call with ``--budget``,
+which must be a non-negative integer.  It caps each automorphism
+listing: Aut(G) is found as a stabiliser chain by first-leaf searches,
+each candidate image tried at a search level costs one node, and once
+the chain gives the group order, each entry of the listing (order times
+n) costs one more, before any element is built.  So a listing larger
+than the budget is refused unbuilt.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from importlib import resources
 
@@ -135,20 +133,9 @@ def _one_input(args) -> tuple[Graph, dict]:
 
 
 def _budget(args) -> int | None:
-    if getattr(args, "budget", None) is not None:
-        if args.budget < 0:
-            raise BadParams(f"--budget must be non-negative, got {args.budget}")
-        return args.budget
-    env = os.environ.get("QSYM_BUDGET")
-    if env:
-        try:
-            budget = int(env)
-        except ValueError:
-            raise BadParams(f"QSYM_BUDGET is not an integer: {env!r}")
-        if budget < 0:
-            raise BadParams(f"QSYM_BUDGET must be non-negative, got {budget}")
-        return budget
-    return None
+    if args.budget is not None and args.budget < 0:
+        raise BadParams(f"--budget must be non-negative, got {args.budget}")
+    return args.budget
 
 
 def _emit(args, text: str) -> None:

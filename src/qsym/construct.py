@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence, TypeVar
 import numpy as np
 
 from .errors import BadParams, EmptyInput, HypothesisFailed, K1Input
-from .graphs import Graph, build, is_connected
+from .graphs import Graph, build, check_order, is_connected
 from .products import corona, disjoint_union
 
 __all__ = [
@@ -77,6 +77,7 @@ def join(gs: Sequence[Graph]) -> Graph:
     if not gs:
         raise EmptyInput("join needs at least one factor")
     n = sum(g.n for g in gs)
+    check_order(n)
     adj = np.ones((n, n), dtype=bool)
     np.fill_diagonal(adj, False)
     off = 0

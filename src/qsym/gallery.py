@@ -13,9 +13,9 @@ import re
 
 from .errors import BadParams, UnknownName
 from .graphs import (
-    MAX_ORDER,
     Graph,
     build,
+    check_order,
     complete,
     complete_bipartite,
     cycle,
@@ -86,8 +86,7 @@ def c4pn_graph(n: int) -> Graph:
     """
     if n < 1:
         raise BadParams("need n >= 1")
-    if 2 * n + 2 > MAX_ORDER:  # before the labels are listed
-        raise BadParams(f"vertex count {2 * n + 2} is above the limit of {MAX_ORDER}")
+    check_order(2 * n + 2)  # before the labels are listed
     labels = ["a", "b"]
     for i in range(1, n + 1):
         labels += [str(i), f"{i}'"]

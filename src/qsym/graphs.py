@@ -24,13 +24,21 @@ from .errors import BadParams, IndexOutOfRange, LoopEdge, NotATree
 #: Sentinel used in distance matrices for "no path".
 UNREACHABLE = -1
 
-#: The most vertices :func:`build` accepts.  A declared order is checked
-#: before anything is allocated, so ``k1000000`` or an edge-list header of
-#: 10**9 is refused rather than exhausting memory on its n x n matrix.  At
-#: the cap that matrix takes 16 MiB; the largest graph any test, demo or
-#: benchmark builds has 66 vertices, and the searches are meant for small
-#: graphs anyway.
+#: The most vertices any constructor accepts.  Each one passes its
+#: declared order to :func:`check_order` before anything is allocated, so
+#: ``k1000000``, an edge-list header of 10**9 or a product of two large
+#: factors is refused rather than exhausting memory on its n x n matrix.
+#: At the cap that matrix takes 16 MiB; the largest graph the demos and
+#: the benchmark build has 66 vertices, and the searches are meant for
+#: small graphs anyway.
 MAX_ORDER = 4096
+
+
+def check_order(n: int) -> None:
+    """Refuse a declared order above :data:`MAX_ORDER` with
+    :class:`BadParams`, before its matrix is allocated."""
+    if n > MAX_ORDER:
+        raise BadParams(f"vertex count {n} is above the limit of {MAX_ORDER}")
 
 
 @dataclass(frozen=True)
@@ -201,8 +209,7 @@ def build(n: int, edges: Iterable[tuple[int, int]], labels: Sequence[str] | None
     """
     if n < 0:
         raise BadParams(f"vertex count must be >= 0, got {n}")
-    if n > MAX_ORDER:
-        raise BadParams(f"vertex count {n} is above the limit of {MAX_ORDER}")
+    check_order(n)
     adj = np.zeros((n, n), dtype=bool)
     for u, v in edges:
         if u == v:
@@ -247,6 +254,7 @@ def line_graph(g: Graph) -> Graph:
     """
     es = g.edges()
     m = len(es)
+    check_order(m)
     adj = np.zeros((m, m), dtype=bool)
     for a in range(m):
         ua, va = es[a]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadParams, NonPositiveCount
-from .graphs import Graph, Provenance
+from .graphs import Graph, Provenance, check_order
 
 
 def _eye(n: int) -> np.ndarray:
@@ -33,6 +33,7 @@ def _ones(n: int) -> np.ndarray:
 def cartesian(g1: Graph, g2: Graph) -> Graph:
     """Cartesian product: move along an edge in one coordinate, stand
     still in the other.  Matrix form A1 (x) I + I (x) A2."""
+    check_order(g1.n * g2.n)
     adj = np.kron(g1.adj, _eye(g2.n)) | np.kron(_eye(g1.n), g2.adj)
     return Graph(adj, provenance=Provenance("cartesian", (g1, g2)))
 
@@ -40,6 +41,7 @@ def cartesian(g1: Graph, g2: Graph) -> Graph:
 def direct(g1: Graph, g2: Graph) -> Graph:
     """Direct (tensor) product: move in both coordinates at once.
     Matrix form A1 (x) A2."""
+    check_order(g1.n * g2.n)
     adj = np.kron(g1.adj, g2.adj)
     return Graph(adj, provenance=Provenance("direct", (g1, g2)))
 
@@ -47,6 +49,7 @@ def direct(g1: Graph, g2: Graph) -> Graph:
 def strong(g1: Graph, g2: Graph) -> Graph:
     """Strong product: move-or-stay in each coordinate, but not both
     staying.  Matrix form (A1 + I) (x) (A2 + I) - I, clipped to 0/1."""
+    check_order(g1.n * g2.n)
     adj = np.kron(g1.adj | _eye(g1.n), g2.adj | _eye(g2.n))
     np.fill_diagonal(adj, False)
     return Graph(adj, provenance=Provenance("strong", (g1, g2)))
@@ -55,6 +58,7 @@ def strong(g1: Graph, g2: Graph) -> Graph:
 def lexicographic(g1: Graph, g2: Graph) -> Graph:
     """Lexicographic product, second factor outermost (see module note).
     Matrix form A1 (x) I + J (x) A2, clipped to 0/1."""
+    check_order(g1.n * g2.n)
     adj = np.kron(g1.adj, _eye(g2.n)) | np.kron(_ones(g1.n), g2.adj)
     return Graph(adj, provenance=Provenance("lexicographic", (g1, g2)))
 
@@ -68,6 +72,7 @@ def corona(g1: Graph, g2: Graph) -> Graph:
     """
     n, m = g1.n, g2.n
     total = n + n * m
+    check_order(total)
     adj = np.zeros((total, total), dtype=bool)
     adj[:n, :n] = g1.adj
     for alpha in range(n):
@@ -91,6 +96,7 @@ def disjoint_union(graphs: list[Graph]) -> Graph:
     """Disjoint union, blocks in input order.  Empty input gives the
     empty graph."""
     total = sum(g.n for g in graphs)
+    check_order(total)
     adj = np.zeros((total, total), dtype=bool)
     offset = 0
     for g in graphs:
@@ -110,6 +116,7 @@ def edge_rule_product(kind: str, g1: Graph, g2: Graph) -> Graph:
     algebra.  Same vertex packing as the formula-based constructors, so
     the outputs must be *equal*, not just isomorphic."""
     n, m = g1.n, g2.n
+    check_order(n * m)
     adj = np.zeros((n * m, n * m), dtype=bool)
     for i in range(n):
         for alpha in range(m):

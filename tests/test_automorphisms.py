@@ -51,14 +51,13 @@ def brute_force_aut(g) -> set[tuple[int, ...]]:
 
 def reference_listing(g):
     """Aut(g) by exhaustive backtracking, with one ``Permutation`` per
-    element in lexicographic order; the first element of each non-empty
-    support in that order, as a dict in order of first occurrence; and
-    the distinct supports taken from the full list: every non-identity
-    element sorted stably by support size, keeping the first element per
-    support mask.  No node budget."""
+    element in lexicographic order, and the distinct supports taken from
+    the full list as ``(mask, element)``: every non-identity element
+    sorted stably by support size, keeping the first element per support
+    mask.  No node budget."""
     n = g.n
     if n == 0:
-        return (Permutation(()),), {}, ()
+        return (Permutation(()),), ()
     bits = g._bits
     degrees = g.degree_sequence
     profile = [
@@ -97,11 +96,6 @@ def reference_listing(g):
             free ^= low
 
     extend(0)
-    firsts = {}
-    for p in found:
-        mask = p.support_mask()
-        if mask and mask not in firsts:
-            firsts[mask] = p.images
     ranked = sorted(
         ((p.support_mask(), p) for p in found if not p.is_identity),
         key=lambda item: item[0].bit_count(),
@@ -112,7 +106,7 @@ def reference_listing(g):
         if mask not in seen:
             seen.add(mask)
             supports.append((mask, p))
-    return tuple(found), firsts, tuple(supports)
+    return tuple(found), tuple(supports)
 
 
 def _symmetric_set():
@@ -176,12 +170,12 @@ def test_listing_equals_the_reference():
     checked = wide = 0
     for g in _listing_corpus():
         auts = automorphisms(g)
-        elements, firsts, supports = reference_listing(g)
+        elements, supports = reference_listing(g)
         assert auts.order == len(elements), g
         assert auts.images == tuple(p.images for p in elements), g
-        assert list(auts.firsts.items()) == list(firsts.items()), g
-        assert auts.distinct_supports == supports, g
-        assert auts.support_masks == tuple(mask for mask, _ in supports), g
+        assert list(auts.supports.items()) == [
+            (mask, p.images) for mask, p in supports
+        ], g
         checked += 1
         wide += g.n > 64
     assert (checked, wide) == (1783, 12)
@@ -190,8 +184,8 @@ def test_listing_equals_the_reference():
 def test_each_support_keeps_its_lexicographically_smallest_element():
     for g in small_corpus() + [edgeless(6), star(5), _symmetric_set()[1]]:
         auts = automorphisms(g)
-        for mask, p in auts.distinct_supports:
-            assert p.images == min(
+        for mask, images in auts.supports.items():
+            assert images == min(
                 q.images for q in auts.elements if q.support_mask() == mask
             )
 
@@ -202,28 +196,46 @@ def test_nontrivial_lists_every_element_but_the_identity():
     for g in [*small_corpus(), *forests]:
         auts = automorphisms(g)
         assert auts.nontrivial() == auts.elements[1:], g
-        assert {p.support_mask() for p in auts.nontrivial()} == set(auts.support_masks)
+        assert {p.support_mask() for p in auts.nontrivial()} == set(auts.supports)
         checked += 1
     assert checked > 100
 
 
-def test_supports_and_order_build_one_permutation_per_support(monkeypatch):
-    built = 0
+def _count_permutations(monkeypatch) -> list[None]:
+    """A list that grows by one for every ``Permutation`` built from now on."""
+    built = []
     check = Permutation.__post_init__
 
     def counting(self):
-        nonlocal built
-        built += 1
+        built.append(None)
         check(self)
 
     monkeypatch.setattr(Permutation, "__post_init__", counting)
+    return built
+
+
+def test_supports_and_order_build_no_permutation(monkeypatch):
+    built = _count_permutations(monkeypatch)
     auts = automorphisms(edgeless(8))
     assert auts.order == 40_320
-    supports = auts.distinct_supports
-    assert len(supports) == 2**8 - 8 - 1
-    assert built <= len(supports)
+    assert len(auts.supports) == 2**8 - 8 - 1
+    assert not built
     assert auts.elements[1].images == (0, 1, 2, 3, 4, 5, 7, 6)
-    assert built == len(supports) + 40_320
+    assert len(built) == 40_320
+
+
+def test_pair_scans_build_permutations_for_the_witnesses_only(monkeypatch):
+    q4, q5, e8 = hypercube(4), hypercube(5), edgeless(8)
+    groups = [automorphisms(g) for g in (q4, q5, e8)]
+    assert [len(auts.supports) for auts in groups] == [49, 257, 247]
+    built = _count_permutations(monkeypatch)
+    for g, auts in zip((q5, e8), groups[1:]):
+        del built[:]
+        assert find_disjoint_pair(g, auts=auts) is not None
+        assert len(built) == 2
+    del built[:]
+    assert find_edge_free_disjoint_pair(q4, auts=groups[0]) is None
+    assert not built
 
 
 def test_enumeration_matches_bruteforce_on_corpus():

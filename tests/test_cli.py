@@ -114,12 +114,6 @@ def test_analyze_budget_gives_unknown_not_failure(capsys):
     assert any("abandoned" in note for note in doc["notes"])
 
 
-def test_analyze_budget_from_environment(capsys, monkeypatch):
-    monkeypatch.setenv("QSYM_BUDGET", "1")
-    doc = run_json(capsys, "analyze", "--gallery", "t0")
-    assert doc["verdicts"]["bic"]["status"] == "Unknown"
-
-
 def test_flag_budget_beats_environment(capsys, monkeypatch):
     monkeypatch.setenv("QSYM_BUDGET", "1")
     doc = run_json(capsys, "analyze", "--gallery", "t0", "--budget", "500000")
@@ -132,20 +126,6 @@ def test_negative_budget_flag_is_rejected(capsys):
     assert "--budget" in err
     rc, _, _ = run(capsys, "analyze", "--gallery", "c5", "--budget", "0")
     assert rc == 0
-
-
-def test_negative_environment_budget_is_rejected(capsys, monkeypatch):
-    monkeypatch.setenv("QSYM_BUDGET", "-7")
-    rc, _, err = run(capsys, "analyze", "--gallery", "c5")
-    assert rc == 3
-    assert "QSYM_BUDGET" in err
-
-
-def test_bad_environment_budget(capsys, monkeypatch):
-    monkeypatch.setenv("QSYM_BUDGET", "lots")
-    rc, _, err = run(capsys, "analyze", "--gallery", "c5")
-    assert rc == 3
-    assert "QSYM_BUDGET" in err
 
 
 def test_analyze_needs_exactly_one_graph(capsys):
@@ -284,6 +264,12 @@ def test_binary_products_run(capsys, kind, order):
     rc, out, _ = run(capsys, "product", kind, "--gallery", "k2", "--gallery", "c4")
     assert rc == 0
     assert parse_graph("edges", out).n == order
+
+
+def test_product_above_the_order_cap_is_exit_3(capsys):
+    rc, out, err = run(capsys, "product", "cartesian", "--edges", "65", "--edges", "65")
+    assert (rc, out) == (3, "")
+    assert "vertex count 4225 is above the limit" in err
 
 
 def test_product_needs_two_graphs(capsys):

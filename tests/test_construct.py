@@ -16,6 +16,7 @@ from qsym import (
     edgeless,
     path,
 )
+import qsym.construct
 from qsym.automorphisms import automorphisms
 from qsym.construct import (
     ConstructionTrace,
@@ -94,6 +95,15 @@ def test_join_matches_complement_formulation(g1, g2):
     )
 
 
+def test_join_refuses_an_order_above_the_cap_before_allocating(monkeypatch):
+    many, big = [edgeless(65)] * 64, edgeless(4096)
+    monkeypatch.setattr(qsym.construct, "np", None)  # any allocation would fail
+    with pytest.raises(BadParams, match="4160 is above the limit"):
+        join(many)
+    with pytest.raises(BadParams, match="4097 is above the limit"):
+        cone(big)
+
+
 def test_join_rejects_empty_input():
     with pytest.raises(EmptyInput):
         join([])
@@ -142,6 +152,12 @@ def test_distinct_orders_leaves_distinct_inputs_alone():
     outs, trace = distinct_orders([K2, C3, C5])
     assert outs == [K2, C3, C5]
     assert trace.steps == ()
+
+
+def test_distinct_orders_stops_at_the_order_cap():
+    # the twelfth C3 would be doubled eleven times, to 6,144 vertices
+    with time_limit(10), pytest.raises(BadParams, match="6144 is above the limit"):
+        distinct_orders([C3] * 12)
 
 
 def test_distinct_orders_rejects_single_vertices():

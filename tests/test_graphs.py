@@ -283,6 +283,12 @@ def test_line_graph_of_star_is_complete():
     assert are_isomorphic(line_graph(star(4)), complete(4)) is not None
 
 
+def test_line_graph_refuses_more_edges_than_the_order_cap():
+    # K92 has 4,186 edges, so its line graph would have 4,186 vertices
+    with time_limit(10), pytest.raises(BadParams, match="4186 is above the limit"):
+        line_graph(complete(92))
+
+
 def test_line_graph_of_triangle_is_triangle():
     assert are_isomorphic(line_graph(cycle(3)), cycle(3)) is not None
 

@@ -18,6 +18,7 @@ from qsym import (
     path,
     strong,
 )
+import qsym.products
 from qsym.errors import BadParams, NonPositiveCount
 from qsym.products import PRODUCT_KINDS, corona_counts, edge_rule_product
 
@@ -45,6 +46,32 @@ def test_matrix_formula_equals_edge_rule(g1, g2):
 def test_edge_rule_rejects_unknown_kind():
     with pytest.raises(BadParams):
         edge_rule_product("zig", complete(2), complete(2))
+
+
+# ---------------------------------------------------------------------------
+# order cap
+
+_E64, _E65 = edgeless(64), edgeless(65)
+
+
+@pytest.mark.parametrize(
+    "make, operands",
+    [
+        *((fn, (_E65, _E65)) for fn in FORMULAS.values()),
+        (lambda g1, g2: edge_rule_product("strong", g1, g2), (_E65, _E65)),
+        (corona, (_E64, _E64)),
+        (disjoint_union, ([_E65] * 64,)),
+        (copies, (_E64, 65)),
+    ],
+    ids=[*FORMULAS, "edge_rule", "corona", "disjoint_union", "copies"],
+)
+def test_products_refuse_an_order_above_the_cap_before_allocating(
+    monkeypatch, make, operands
+):
+    # 65 * 65 = 4,225, 64 + 64 * 64 = 4,160 and 64 * 65 = 4,160 vertices
+    monkeypatch.setattr(qsym.products, "np", None)  # any allocation would fail
+    with pytest.raises(BadParams, match="above the limit"):
+        make(*operands)
 
 
 # ---------------------------------------------------------------------------
