@@ -7,10 +7,16 @@ n-1 (Seress, *Permutation Group Algorithms*, 2003).  Level i holds the
 orbit of i under G_i, the automorphisms that fix 0..i-1, and one
 transversal element per orbit point.  The levels are built deepest
 first.  At level i each candidate image x of i -- same degree profile,
-same adjacency to the fixed points 0..i-1, and not yet in the orbit the
-generators found so far give -- is tried by one first-leaf search with
-the prefix fixed (identity on 0..i-1, i -> x); every leaf found is a
-new generator.  |Aut(g)| is the product of the orbit sizes.
+same distance class to each fixed point 0..i-1, and not yet in the orbit
+the generators found so far give -- is tried by one first-leaf search
+with the prefix fixed (identity on 0..i-1, i -> x); every leaf found is
+a new generator.  |Aut(g)| is the product of the orbit sizes.
+
+The search maps each vertex to one with the same degree profile and the
+same distance class (see :func:`_distance_classes`) to the image of
+every earlier vertex, a first step of individualise-and-refine (McKay
+and Piperno, "Practical graph isomorphism II", 2014) that adds no work
+per node.
 
 The complete listing is then composed from the transversals in numpy,
 one level at a time: every element is t_0 t_1 ... t_{n-1}, one
@@ -18,18 +24,19 @@ transversal element per level, and ordering the children of each prefix
 by where the prefix sends that level's orbit point gives the
 lexicographic order of image tuples exactly.  Support masks are taken on
 the whole table at once; each distinct support keeps the images of its
-first element, its lexicographically smallest, in the support table that
-the pair searches read.  Only a witness pair becomes Permutations.
+first element, its lexicographically smallest, in the support table.
+The pair searches read only its inclusion-minimal masks, and only a
+witness pair becomes Permutations.
 
 One search node is one unused, profile-compatible candidate image at a
-level of a first-leaf search, counted before the adjacency test; the
-candidates of a chain level are filtered for free.  Once the group order
-is known, one more node is charged per entry of the listing, order times
-n, before any element is built.  That total is what ``--budget`` caps, so
-it bounds the listing's memory as well as the search.  It depends only
-on the graph, never on the machine, and a group too large for the budget
-is refused without being listed.  Candidate sets are bitmasks over the
-vertices.
+level of a first-leaf search, counted before the distance-class test;
+the candidates of a chain level are filtered for free.  Once the group
+order is known, one more node is charged per entry of the listing, order
+times n, before any element is built.  That total is what ``--budget``
+caps, so it bounds the listing's memory as well as the search.  It
+depends only on the graph, never on the machine, and a group too large
+for the budget is refused without being listed.  Candidate sets are
+bitmasks over the vertices.
 
 :func:`are_isomorphic` runs the same first-leaf search from one graph
 onto another, without a budget.
@@ -128,13 +135,27 @@ class AutomorphismSet:
     array.  ``supports``, the support table, maps each distinct non-empty
     support mask to the images of its lexicographically smallest element,
     ordered by support size, then by first occurrence in the listing.
-    :attr:`images` and :attr:`elements` build Python tuples and
-    :class:`Permutation` objects on first use; :attr:`order` and
-    ``supports`` never need them.
+    The pair searches scan only its inclusion-minimal masks,
+    :attr:`minimal`.  :attr:`images` and :attr:`elements` build Python
+    tuples and :class:`Permutation` objects on first use; :attr:`order`,
+    ``supports`` and :attr:`minimal` never need them.
     """
 
     table: np.ndarray
     supports: dict[int, tuple[int, ...]] = field(repr=False)
+
+    @cached_property
+    def minimal(self) -> dict[int, tuple[int, ...]]:
+        """The entries of ``supports`` whose mask has no other support mask
+        as a subset, in table order.  A mask with a proper subset in the
+        table has a minimal one, which is smaller and so comes earlier:
+        each mask is checked against the minimal masks kept so far."""
+        kept: dict[int, tuple[int, ...]] = {}
+        for mask, images in self.supports.items():
+            rest = ~mask
+            if all(low & rest for low in kept):
+                kept[mask] = images
+        return kept
 
     @cached_property
     def images(self) -> tuple[tuple[int, ...], ...]:
@@ -161,41 +182,72 @@ def _profiles(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
     ]
 
 
+def _distance_classes(g: Graph) -> list[tuple[int, int, int, int]]:
+    """Per vertex w, the other vertices split four ways as bitmasks: the
+    neighbours u with N[u] | N[w] = V, the other neighbours, the vertices
+    two steps away, and the rest.  Every isomorphism preserves the split,
+    so no leaf is lost; a complement has the same four sets with the
+    labels swapped (first with last, second with third), so a graph and
+    its complement spend the same nodes."""
+    bits = g._bits
+    full = (1 << g.n) - 1
+    out = []
+    for w, nbrs in enumerate(bits):
+        outside = full & ~nbrs & ~(1 << w)
+        spanning = reach = 0
+        rest = nbrs
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            row = bits[low.bit_length() - 1]
+            reach |= row
+            if not outside & ~row:
+                spanning |= low
+        out.append((spanning, nbrs & ~spanning, reach & outside, outside & ~reach))
+    return out
+
+
 class _Search:
-    """The backtracking search for adjacency-preserving bijections g -> h,
-    stopped at its first leaf.
+    """The backtracking search for distance-class-preserving bijections
+    g -> h (see :func:`_distance_classes`), stopped at its first leaf.
 
     Vertices of ``g`` are mapped in index order, each to an unused vertex
-    of ``h`` with the same profile, and candidates are tried in increasing
-    order, so :meth:`first_leaf` returns the lexicographically smallest
-    extension of its prefix.  ``nodes`` adds up over all calls, charged as
-    described in the module docstring; past ``budget`` it raises
+    of ``h`` with the same profile and the same distance class to the
+    image of every earlier vertex as it has to that vertex (built only
+    when the profiles match).  Candidates are tried in increasing order,
+    so :meth:`first_leaf` returns the lexicographically smallest
+    extension of its prefix.  ``nodes`` adds up over all calls, charged
+    as described in the module docstring; past ``budget`` it raises
     :class:`SizeLimitExceeded`.
     """
 
     def __init__(self, g: Graph, h: Graph, budget: float):
-        n = g.n
         gprof = _profiles(g)
         hprof = gprof if h is g else _profiles(h)
         #: False when the sorted profiles differ, so no leaf exists
         self.possible = sorted(gprof) == sorted(hprof)
-        bits = g._bits
-        self.hbits = h._bits
+        self.budget = budget
+        self.nodes = 0
+        if not self.possible:
+            return
         classes: dict[tuple, int] = {}
         for w, prof in enumerate(hprof):
             classes[prof] = classes.get(prof, 0) | 1 << w
         self.cand_mask = [classes.get(prof, 0) for prof in gprof]
-        # the earlier vertices adjacent, and not adjacent, to each vertex:
-        # the image of v must be adjacent to the images of the first and
-        # to none of the images of the second
-        self.earlier_adjacent = [
-            _mask_vertices(bits[v] & ((1 << v) - 1)) for v in range(n)
-        ]
-        self.earlier_apart = [
-            _mask_vertices(~bits[v] & ((1 << v) - 1)) for v in range(n)
-        ]
-        self.budget = budget
-        self.nodes = 0
+        gclasses = _distance_classes(g)
+        # per class, the masks of every vertex of h: the image of v must
+        # lie in the class of the image of u that v has to u, for each
+        # earlier u; so per vertex, its earlier vertices grouped by class,
+        # each group with that class's masks
+        tables = list(zip(*(gclasses if h is g else _distance_classes(h))))
+        self.earlier = []
+        for v, masks in enumerate(gclasses):
+            lower = (1 << v) - 1
+            self.earlier.append([
+                (_mask_vertices(mask & lower), table)
+                for mask, table in zip(masks, tables)
+                if mask & lower
+            ])
 
     def charge(self, count: int) -> None:
         self.nodes += count
@@ -204,9 +256,9 @@ class _Search:
 
     def first_leaf(self, prefix: Sequence[int]) -> tuple[int, ...] | None:
         """The smallest leaf whose images of ``0..len(prefix)-1`` are
-        ``prefix`` (which must itself preserve adjacency), or ``None``."""
-        cand_mask, hbits = self.cand_mask, self.hbits
-        earlier_adjacent, earlier_apart = self.earlier_adjacent, self.earlier_apart
+        ``prefix`` (which must itself preserve the distance classes), or
+        ``None``."""
+        cand_mask, earlier = self.cand_mask, self.earlier
         n, budget = len(cand_mask), self.budget
         images = [*prefix, *[0] * (n - len(prefix))]
         used = sum(1 << x for x in prefix)
@@ -219,10 +271,9 @@ class _Search:
             nodes += free.bit_count()
             if nodes > budget:
                 raise SizeLimitExceeded(budget)
-            for u in earlier_adjacent[v]:
-                free &= hbits[images[u]]
-            for u in earlier_apart[v]:
-                free &= ~hbits[images[u]]
+            for group, table in earlier[v]:
+                for u in group:
+                    free &= table[images[u]]
             if v == last:
                 # at most one vertex is still unused
                 images[v] = free.bit_length() - 1
@@ -267,20 +318,24 @@ def _chain(g: Graph, search: _Search) -> list[dict[int, tuple[int, ...]]]:
     point i, the transversal (see :func:`_transversal`) of the orbit of i
     under the automorphisms fixing 0..i-1.  Built deepest level first,
     so the generators found below level i already fix i."""
-    n, bits = g.n, g._bits
+    n = g.n
     identity = tuple(range(n))
     gens: list[tuple[int, ...]] = []
     levels = []
     for i in reversed(range(n)):
         fixed = (1 << i) - 1
-        row = bits[i] & fixed
         reps = {i: identity}
         rest = search.cand_mask[i] & ~fixed & ~(1 << i)
+        if rest:
+            # the images of i with its distance class to each fixed point
+            for group, table in search.earlier[i]:
+                for u in group:
+                    rest &= table[u]
         while rest:
             low = rest & -rest
             rest ^= low
             x = low.bit_length() - 1
-            if x in reps or bits[x] & fixed != row:
+            if x in reps:
                 continue
             leaf = search.first_leaf((*range(i), x))
             if leaf is not None:
@@ -336,8 +391,8 @@ def automorphisms(g: Graph, node_budget: int | None = None) -> AutomorphismSet:
 
     A vertex may only map to vertices with the same degree and the same
     sorted multiset of neighbour degrees, and partial maps must already
-    preserve adjacency.  Nodes are charged as the module docstring says;
-    when the running total exceeds ``node_budget`` (default
+    preserve the distance classes.  Nodes are charged as the module
+    docstring says; when the running total exceeds ``node_budget`` (default
     :data:`DEFAULT_NODE_BUDGET`) :class:`SizeLimitExceeded` is raised, so
     a caller never gets a silently truncated group.  This count is the
     ``--budget`` contract.
@@ -425,7 +480,11 @@ def _first_pair(
     """The first pair :func:`_disjoint_pairs` finds among the masks of a
     support table (see :class:`AutomorphismSet`), as permutations in
     presentation order: smaller support first, then smaller least moved
-    point, which two disjoint supports never share.  ``None`` if none."""
+    point, which two disjoint supports never share.  ``None`` if none.
+
+    The minimal masks alone give the same pair: a proper subset of a
+    member comes earlier and pairs, as disjoint and edge-free, with the
+    other member at an earlier point of the scan."""
     masks = list(supports)
     for i, j in _disjoint_pairs(g, masks, edge_free):
         a, b = sorted((masks[i], masks[j]), key=lambda m: (m.bit_count(), m & -m))
@@ -440,11 +499,12 @@ def find_disjoint_pair(
 
     Complete search over the enumerated group; elements are considered in
     order of support size, so the returned witness has the smallest
-    support available.  ``None`` when no such pair exists.
+    support available.  Only the minimal supports are scanned (see
+    :func:`_first_pair`).  ``None`` when no such pair exists.
     """
     if auts is None:
         auts = automorphisms(g)
-    return _first_pair(g, auts.supports, edge_free=False)
+    return _first_pair(g, auts.minimal, edge_free=False)
 
 
 def find_edge_free_disjoint_pair(
@@ -454,4 +514,4 @@ def find_edge_free_disjoint_pair(
     may join the two supports."""
     if auts is None:
         auts = automorphisms(g)
-    return _first_pair(g, auts.supports, edge_free=True)
+    return _first_pair(g, auts.minimal, edge_free=True)

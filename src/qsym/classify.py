@@ -440,10 +440,11 @@ class _Shared:
     Aut(G) = Aut(Gᶜ), and the search lists a group in lexicographic
     order of image tuples, so a completed listing of Aut(G) is the exact
     element tuple the complement's own search would produce.  The degree
-    profiles of Gᶜ follow from those of G, so that search would also
-    spend the same number of nodes, and the budget decides both graphs
-    alike: a listing that ran out of budget is not repeated, and each
-    context notes the abandonment the first time it asks.
+    profiles and distance classes of Gᶜ split the vertices as those of G
+    do, so that search would also spend the same number of nodes, and
+    the budget decides both graphs alike: a listing that ran out of
+    budget is not repeated, and each context notes the abandonment the
+    first time it asks.
 
     Twins do not change under complement either: N(u) - v = N(v) - u
     holds in G exactly when it holds in Gᶜ.
@@ -592,7 +593,7 @@ def _pair(ctx: _Ctx, t: str) -> _Finding:
         auts = ctx.auts()
         if auts is None:
             return "skipped (budget exhausted)"
-        pair = _first_pair(ctx.g, auts.supports, cert.edge_free)
+        pair = _first_pair(ctx.g, auts.minimal, cert.edge_free)
         if pair is None:
             return missing
     sigma, tau = pair

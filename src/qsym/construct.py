@@ -286,11 +286,20 @@ def _grow_distinct(tb: _TraceBuilder, refs: list[str]) -> list[str]:
 
     Collisions are resolved left to right and always grow the later
     index, so the outcome is deterministic: orders ``[3, 3, 3]`` become
-    ``[3, 6, 12]``.
+    ``[3, 6, 12]``.  Each expansion doubles the order, so every final
+    order follows from the input orders, and one above the cap is refused
+    before any expansion is built.
     """
+    finals: list[int] = []
+    for ref in refs:
+        n = tb.graph(ref).n
+        while n in finals:
+            n *= 2
+        check_order(n)
+        finals.append(n)
     refs = list(refs)
-    for j in range(len(refs)):
-        while any(tb.graph(refs[i]).n == tb.graph(refs[j]).n for i in range(j)):
+    for j, n in enumerate(finals):
+        while tb.graph(refs[j]).n < n:
             refs[j] = tb.add(
                 "corona_k1",
                 [refs[j]],

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import importlib
 import itertools
+import math
+import random
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from qsym import (
     Permutation,
+    are_isomorphic,
     automorphisms,
     build,
     cartesian,
@@ -30,7 +33,17 @@ from qsym.automorphisms import twin_transpositions
 from qsym.census import SplitMix64, enumerate_forests, random_graph
 from qsym.errors import LengthMismatch, OutOfRange, SizeLimitExceeded
 
-from .conftest import graphs, hypercube, kernel_corpus, small_corpus, time_limit
+from .conftest import (
+    graphs,
+    hypercube,
+    kernel_corpus,
+    relabelled,
+    small_corpus,
+    time_limit,
+)
+
+# the package re-exports automorphisms(), which hides the module
+_module = importlib.import_module("qsym.automorphisms")
 
 # ---------------------------------------------------------------------------
 # brute-force oracle
@@ -109,6 +122,84 @@ def reference_listing(g):
     return tuple(found), tuple(supports)
 
 
+def _k33c4():
+    return cartesian(complete_bipartite(3, 3), cycle(4))
+
+
+def _rebuilt(g):
+    """``g`` from its adjacency alone, without provenance."""
+    return build(g.n, [(u, v) for u, v in itertools.combinations(range(g.n), 2)
+                       if g.has_edge(u, v)])
+
+
+class AdjacencySearch:
+    """The first-leaf search before distance classes: each vertex goes to
+    an unused vertex of the same profile, adjacent to the images of its
+    earlier neighbours and to none of the images of its earlier
+    non-neighbours."""
+
+    def __init__(self, g, h):
+        gprof, hprof = _module._profiles(g), _module._profiles(h)
+        self.possible = sorted(gprof) == sorted(hprof)
+        self.cand_mask = [
+            sum(1 << w for w, q in enumerate(hprof) if q == p) for p in gprof
+        ]
+        self.hbits = h._bits
+        self.earlier_adjacent = [
+            [u for u in range(v) if g._bits[v] >> u & 1] for v in range(g.n)
+        ]
+        self.earlier_apart = [
+            [u for u in range(v) if not g._bits[v] >> u & 1] for v in range(g.n)
+        ]
+
+    def first_leaf(self, prefix):
+        n, hbits = len(self.cand_mask), self.hbits
+        images = [*prefix, *[0] * (n - len(prefix))]
+        used = sum(1 << x for x in prefix)
+
+        def extend(v):
+            nonlocal used
+            if v == n:
+                return True
+            free = self.cand_mask[v] & ~used
+            for u in self.earlier_adjacent[v]:
+                free &= hbits[images[u]]
+            for u in self.earlier_apart[v]:
+                free &= ~hbits[images[u]]
+            while free:
+                low = free & -free
+                images[v] = low.bit_length() - 1
+                used |= low
+                if extend(v + 1):
+                    return True
+                used ^= low
+                free ^= low
+            return False
+
+        return tuple(images) if extend(len(prefix)) else None
+
+
+def reference_isomorphism(g1, g2):
+    if g1.n != g2.n or g1.edge_count != g2.edge_count:
+        return None
+    search = AdjacencySearch(g1, g2)
+    return search.first_leaf(()) if search.possible else None
+
+
+def reference_first_pair(g, supports, edge_free):
+    """The first pair of disjoint masks over the whole support table, as
+    the images of the two elements in presentation order."""
+    masks = list(supports)
+    for i, a in enumerate(masks):
+        for b in masks[i + 1 :]:
+            joined = any(g._bits[u] & b for u in range(g.n) if a >> u & 1)
+            if a & b or (edge_free and joined):
+                continue
+            first, second = sorted((a, b), key=lambda m: (m.bit_count(), m & -m))
+            return supports[first], supports[second]
+    return None
+
+
 def _symmetric_set():
     k2 = complete(2)
     q3 = cartesian(cartesian(k2, k2), k2)
@@ -118,7 +209,7 @@ def _symmetric_set():
         q4,
         cartesian(q4, k2),
         cartesian(complete(4), complete(4)),
-        cartesian(complete_bipartite(3, 3), cycle(4)),
+        _k33c4(),
         build(
             10,
             [(i, (i + 1) % 5) for i in range(5)]
@@ -350,9 +441,7 @@ def test_a_listing_beyond_the_budget_is_refused_unlisted(monkeypatch):
     def compose(*args):
         raise AssertionError("the listing was composed")
 
-    # the package re-exports automorphisms(), which hides the module
-    module = importlib.import_module("qsym.automorphisms")
-    monkeypatch.setattr(module, "_listing", compose)
+    monkeypatch.setattr(_module, "_listing", compose)
     with time_limit(10):
         with pytest.raises(SizeLimitExceeded):
             automorphisms(g)
@@ -381,16 +470,106 @@ def test_budget_error_carries_budget():
         pytest.param(cartesian(complete(4), complete(4)), 18_947, id="K4xK4"),
         pytest.param(edgeless(7), 35_336, id="edgeless7"),
         pytest.param(cycle(12), 409, id="C12"),
+        # 189,364 with adjacency alone: the distance classes prune the
+        # searches for images outside the orbit
+        pytest.param(_rebuilt(_k33c4()), 22_611, id="K33xC4"),
+        pytest.param(complement(_k33c4()), 22_611, id="K33xC4c"),
     ],
 )
 def test_node_accounting_is_pinned(g, nodes):
     # one node is one unused, profile-compatible candidate at a level of a
-    # first-leaf search, counted before the adjacency test, plus one per
-    # entry of the listing (order times n); these totals are the --budget contract, so a
-    # faster search must reproduce them exactly
+    # first-leaf search, counted before the distance-class test, plus one
+    # per entry of the listing (order times n); these totals are the
+    # --budget contract, so a faster search must reproduce them exactly
     assert automorphisms(g, node_budget=nodes).order > 1
     with pytest.raises(SizeLimitExceeded):
         automorphisms(g, node_budget=nodes - 1)
+
+
+def _class_test_corpus():
+    """The kernel corpus, its complements and the symmetric set."""
+    kernel = kernel_corpus()
+    return [*kernel, *map(complement, kernel), *_symmetric_set()]
+
+
+def _chain_calls(g):
+    """Each prefix the chain of Aut(g) searches, with the leaf it got,
+    and the nodes the chain spent."""
+    search = _module._Search(g, g, math.inf)
+    calls = []
+    search_leaf = search.first_leaf
+
+    def recording(prefix):
+        leaf = search_leaf(prefix)
+        calls.append((prefix, leaf))
+        return leaf
+
+    search.first_leaf = recording
+    _module._chain(g, search)
+    return calls, search.nodes
+
+
+def test_chain_prefixes_have_the_adjacency_search_leaves():
+    # the distance classes only drop candidates no isomorphism can use,
+    # so each prefix's first leaf is the one adjacency alone finds
+    prefixes = 0
+    for g in _class_test_corpus():
+        calls, _ = _chain_calls(g)
+        reference = AdjacencySearch(g, g)
+        for prefix, leaf in calls:
+            assert reference.first_leaf(prefix) == leaf, (g, prefix)
+        prefixes += len(calls)
+    assert prefixes > 5_000
+
+
+def test_isomorphism_witnesses_match_the_adjacency_search():
+    rng = random.Random(15)
+    last = {}
+    found = 0
+    for g in _class_test_corpus():
+        h, _ = relabelled(g, rng)
+        witness = are_isomorphic(g, h)
+        assert witness is not None and witness == reference_isomorphism(g, h), g
+        # and against the last graph with the same order and edge count,
+        # isomorphic or not
+        other = last.get((g.n, g.edge_count), g)
+        witness = are_isomorphic(g, other)
+        assert witness == reference_isomorphism(g, other), (g, other)
+        found += witness is not None
+        last[g.n, g.edge_count] = g
+    assert found > 1_000
+
+
+def test_a_complement_costs_the_same_nodes():
+    # the four distance classes of a complement are the graph's, with the
+    # labels swapped; adjacency, two steps and the rest alone would not be
+    for g in [*kernel_corpus(), _rebuilt(_k33c4())]:
+        assert _chain_calls(g)[1] == _chain_calls(complement(g))[1], g
+
+
+def test_pair_scans_match_the_full_support_scan():
+    for g in _class_test_corpus():
+        auts = automorphisms(g)
+        assert set(auts.minimal) <= set(auts.supports)
+        for edge_free, find in (
+            (False, find_disjoint_pair),
+            (True, find_edge_free_disjoint_pair),
+        ):
+            pair = find(g, auts=auts)
+            expected = reference_first_pair(g, auts.supports, edge_free)
+            assert (pair and tuple(p.images for p in pair)) == expected, g
+
+
+def test_minimal_supports_are_the_inclusion_minimal_ones_in_table_order():
+    for g in [hypercube(4), edgeless(6), star(5), cycle(6)]:
+        auts = automorphisms(g)
+        masks = list(auts.supports)
+        expected = [
+            m for m in masks if not any(k != m and k & ~m == 0 for k in masks)
+        ]
+        assert list(auts.minimal.items()) == [(m, auts.supports[m]) for m in expected]
+    # the transpositions of edgeless(6), the 15 pairs of points
+    assert len(automorphisms(edgeless(6)).minimal) == 15
 
 
 def test_enumeration_is_the_lexicographic_oracle_list():

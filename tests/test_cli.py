@@ -13,6 +13,7 @@ import sys
 import jsonschema
 import pytest
 
+from qsym import cli
 from qsym.cli import main, report_schema
 from qsym.errors import SizeLimitExceeded
 from qsym.formats import parse_graph
@@ -32,6 +33,35 @@ def run_json(capsys, *argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 0, err
     return json.loads(out)
+
+
+# ---------------------------------------------------------------------------
+# the parser
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    build_parser = cli.build_parser
+
+    def counting():
+        built.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        for argv in (
+            ["gallery"],
+            ["gallery", "c4"],
+            ["analyze", "--gallery", "c4"],
+            ["pattern", "--gallery", "p48"],
+            ["product", "cartesian", "--gallery", "c4", "--gallery", "c4"],
+        ):
+            assert run(capsys, *argv)[0] == 0, argv
+        assert run(capsys, "census", "forests", "--n-max", "0")[0] == 3
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,23 @@ def test_distinct_orders_stops_at_the_order_cap():
         distinct_orders([C3] * 12)
 
 
+def test_distinct_orders_refuses_before_any_expansion(monkeypatch):
+    # the final orders follow from the input orders, so the cap is
+    # checked before the first pendant expansion is built
+    expansions = []
+
+    def counting(g):
+        expansions.append(g.n)
+        return corona_k1(g)
+
+    monkeypatch.setitem(qsym.construct._OPS, "corona_k1", (counting, 1))
+    with pytest.raises(BadParams, match="6144 is above the limit"):
+        distinct_orders([C3] * 12)
+    assert expansions == []
+    outs, _ = distinct_orders([C3] * 3)
+    assert expansions == [3, 3, 6]
+
+
 def test_distinct_orders_rejects_single_vertices():
     with pytest.raises(K1Input):
         distinct_orders([C3, K1])
