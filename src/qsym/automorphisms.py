@@ -425,29 +425,29 @@ def are_isomorphic(g1: Graph, g2: Graph) -> tuple[int, ...] | None:
 
 def transposition(n: int, u: int, v: int) -> Permutation:
     """The permutation of ``0..n-1`` that swaps ``u`` and ``v``."""
+    return Permutation(_swap_images(n, u, v))
+
+
+def _swap_images(n: int, u: int, v: int) -> tuple[int, ...]:
     images = list(range(n))
     images[u], images[v] = v, u
-    return Permutation(tuple(images))
+    return tuple(images)
+
+
+def _twin_pairs(g: Graph) -> Iterator[tuple[int, int]]:
+    """The *twin* pairs u < v, in order of u, then v: N(u) - {v} = N(v) - {u},
+    so swapping u and v is an automorphism.  They are a cheap O(n^2)
+    source of automorphisms that needs no listing of a large group, and a
+    graph and its complement have the same twins."""
+    bits = g._bits
+    for u, v in combinations(range(g.n), 2):
+        if (bits[u] & ~(1 << v)) == (bits[v] & ~(1 << u)):
+            yield u, v
 
 
 def twin_transpositions(g: Graph) -> list[Permutation]:
-    """Transpositions swapping *twin* vertices, ordered by the vertex
-    pair (u, v) with u < v, not by image tuple (the twin shortcut in
-    :mod:`qsym.classify` re-sorts them that way).
-
-    Vertices u, v are twins when N(u) - {v} = N(v) - {u}; swapping them
-    and fixing everything else is always an automorphism.  The relation
-    does not change under complement, so a graph and its complement have
-    the same twin swaps.  This is a cheap O(n^2) source of certified
-    automorphisms that avoids a full group enumeration on large, highly
-    symmetric inputs.
-    """
-    bits = g._bits
-    return [
-        transposition(g.n, u, v)
-        for u, v in combinations(range(g.n), 2)
-        if (bits[u] & ~(1 << v)) == (bits[v] & ~(1 << u))
-    ]
+    """The swaps of the twin pairs of :func:`_twin_pairs`, in its order."""
+    return [transposition(g.n, u, v) for u, v in _twin_pairs(g)]
 
 
 def _edge_between(g: Graph, mask_a: int, mask_b: int) -> bool:

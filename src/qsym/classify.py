@@ -18,7 +18,8 @@ graphs the two coincide outright.
 The classifier applies a fixed battery of sound rules and reports
 ``Unknown`` when none of them fires — it never guesses.  Every
 determined verdict carries a certificate that can be re-checked from
-the graph alone via :func:`verify_certificate`.
+the graph alone via :func:`verify_certificate`: R-PROD and R-CORONA read
+a graph's provenance only to find a pair of its own automorphisms.
 
 A rule only searches: asked about one target, it returns ``(certificate,
 detail)`` when it fires, the reason it did not fire as a string, or None
@@ -42,6 +43,8 @@ from .automorphisms import (
     Permutation,
     _edge_between,
     _first_pair,
+    _swap_images,
+    _twin_pairs,
     automorphisms,
     find_disjoint_pair,
     find_edge_free_disjoint_pair,
@@ -124,8 +127,6 @@ CITATIONS: dict[str, str] = {
 CERTIFIED_STATUS: dict[str, Status] = {
     "disjoint-pair": Status.NONCOMMUTATIVE,
     "edge-free-pair": Status.NONCOMMUTATIVE,
-    "product-lift": Status.NONCOMMUTATIVE,
-    "corona-symmetry": Status.NONCOMMUTATIVE,
     "small-order": Status.COMMUTATIVE,
     "quadrangle-free-complement": Status.COMMUTATIVE,
     "forest-no-disjoint-pair": Status.COMMUTATIVE,
@@ -240,10 +241,17 @@ class SmallOrder(Certificate):
 
 @dataclass(frozen=True)
 class QuadrangleFreeComplement(Certificate):
+    """The complement is quadrangle-free; ``companion``, when given, shows
+    the complement's fine algebra commutative."""
+
+    companion: Certificate | None = None
     kind: str = field(default="quadrangle-free-complement", init=False)
 
     def holds(self, g: Graph) -> bool:
-        return not contains_quadrangle(complement(g))
+        h = complement(g)
+        if contains_quadrangle(h):
+            return False
+        return self.companion is None or self.companion.holds(h)
 
 
 @dataclass(frozen=True)
@@ -295,44 +303,6 @@ class SmallBlocks(Certificate):
     def holds(self, g: Graph) -> bool:
         part = pattern_blocks(zero_pattern(g))
         return part.blocks == self.blocks and _blocks_small_enough(part.sizes)
-
-
-@dataclass(frozen=True)
-class ProductLift(Certificate):
-    product_kind: str
-    factor_index: int
-    inner: Certificate
-    kind: str = field(default="product-lift", init=False)
-
-    def holds(self, g: Graph) -> bool:
-        prov = g.provenance
-        if prov is None or prov.kind != self.product_kind:
-            return False
-        if prov.kind not in PRODUCT_KINDS:
-            return False
-        if not (0 <= self.factor_index < len(prov.factors)):
-            return False
-        return self.inner.holds(prov.factors[self.factor_index])
-
-
-@dataclass(frozen=True)
-class CoronaRule(Certificate):
-    witness: Permutation
-    kind: str = field(default="corona-symmetry", init=False)
-
-    def holds(self, g: Graph) -> bool:
-        prov = g.provenance
-        if prov is None or prov.kind != "corona":
-            return False
-        base, attachment = prov.factors
-        if base.n < 2:
-            return False
-        w = self.witness
-        return (
-            len(w.images) == attachment.n
-            and not w.is_identity
-            and is_automorphism(attachment, w)
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -470,10 +440,11 @@ class _Shared:
 
     @cached_property
     def twins(self) -> dict[int, tuple[int, ...]]:
-        """The twin swaps sorted by image tuple, as a support table (see
-        :class:`AutomorphismSet`)."""
-        swaps = sorted(twin_transpositions(self.g), key=lambda p: p.images)
-        return {p.support_mask(): p.images for p in swaps}
+        """The twin swaps as a support table (see :class:`AutomorphismSet`),
+        in order of image tuple: the swap of u < v sends u to v, so a
+        larger u comes first, then a smaller v."""
+        pairs = sorted(_twin_pairs(self.g), key=lambda uv: (-uv[0], uv[1]))
+        return {1 << u | 1 << v: _swap_images(self.g.n, u, v) for u, v in pairs}
 
 
 class _Ctx:
@@ -520,9 +491,7 @@ class _Ctx:
         return pattern_blocks(zero_pattern(self.g))
 
 
-def _complete_bipartite_parts(
-    g: Graph,
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+def _complete_bipartite_parts(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Recognise a complete bipartite graph; return its two sides: A, the
     vertices not adjacent to vertex 0 (0 among them), then B = N(0).  The
     graph is K_{A,B} exactly when every vertex of A has neighbourhood B
@@ -538,9 +507,7 @@ def _complete_bipartite_parts(
     return _mask_vertices(side_a), _mask_vertices(side_b)
 
 
-def _blocks_small_enough(
-    sizes: tuple[int, ...]
-) -> bool:
+def _blocks_small_enough(sizes: tuple[int, ...]) -> bool:
     """At most one block of size >= 2, and that block of size <= 3."""
     big = [s for s in sizes if s >= 2]
     return len(big) <= 1 and all(s <= 3 for s in big)
@@ -600,40 +567,71 @@ def _pair(ctx: _Ctx, t: str) -> _Finding:
     return cert(sigma, tau), f"{sigma.cycles()} and {tau.cycles()}"
 
 
+def _acting_on(n: int, copies: list[range], images: tuple[int, ...]) -> Permutation:
+    """``images`` applied to each copy at once (``copy[k]`` stands for k),
+    fixing every other vertex of ``0..n-1``."""
+    out = list(range(n))
+    for copy in copies:
+        for k, image in enumerate(images):
+            out[copy[k]] = copy[image]
+    return Permutation(tuple(out))
+
+
 def _product(ctx: _Ctx, t: str) -> _Finding:
+    """A factor's fine pair lifted to the product, vertex (i, α) being
+    i·m + α: on factor 1 as id × σ, on factor 0 as σ × id, except in the
+    lexicographic product, whose levels V1 × {α} are modules joined
+    wholesale by the second factor's edges: there σ acts on level 0."""
     prov = ctx.g.provenance
     if prov is None or prov.kind not in PRODUCT_KINDS:
         return None
+    n, m = (factor.n for factor in prov.factors)
     for idx, factor in enumerate(prov.factors):
         inner = classify(factor, node_budget=ctx.shared.node_budget).bic
         if inner.status is Status.NONCOMMUTATIVE:
-            lift = ProductLift(prov.kind, idx, inner.certificate)
-            return lift, f"factor {idx} of {prov.kind} product"
+            pair = inner.certificate
+            if isinstance(pair, QuadrangleFreeSelf):
+                # on a quadrangle-free factor a disjoint pair is edge-free
+                pair = pair.companion
+            if idx == 1:
+                copies = [range(i * m, i * m + m) for i in range(n)]
+            else:
+                levels = (0,) if prov.kind == "lexicographic" else range(m)
+                copies = [range(a, n * m, m) for a in levels]
+            sigma, tau = (
+                _acting_on(ctx.g.n, copies, p.images) for p in (pair.sigma, pair.tau)
+            )
+            return EdgeFreePair(sigma, tau), f"factor {idx} of {prov.kind} product"
     return "no factor certified non-commutative"
 
 
 def _corona(ctx: _Ctx, t: str) -> _Finding:
+    """An attachment symmetry applied to the copies at base vertices 0
+    and 1 (layout in :func:`qsym.products.corona`): each copy is joined
+    to its base vertex alone, so this is an edge-free pair."""
     prov = ctx.g.provenance
     if prov is None or prov.kind != "corona":
         return None
     base, attachment = prov.factors
-    witness = None
-    if base.n >= 2:
-        tw = twin_transpositions(attachment)
-        if tw:
-            witness = tw[0]
-        else:
-            try:
-                auts = automorphisms(attachment, node_budget=ctx.shared.node_budget)
-                # the listing starts with the identity, so its second
-                # element is the first non-trivial one
-                if auts.order > 1:
-                    witness = Permutation(tuple(auts.table[1].tolist()))
-            except SizeLimitExceeded:
-                ctx.notes.append("attachment symmetry search abandoned (budget)")
-    if witness is None:
+    if base.n < 2:
         return "premises not met"
-    return CoronaRule(witness), "attachment has a non-trivial symmetry"
+    twins = twin_transpositions(attachment)
+    if twins:
+        witness = twins[0].images
+    else:
+        try:
+            auts = automorphisms(attachment, node_budget=ctx.shared.node_budget)
+        except SizeLimitExceeded:
+            ctx.notes.append("attachment symmetry search abandoned (budget)")
+            return "premises not met"
+        if auts.order == 1:
+            return "premises not met"
+        witness = tuple(auts.table[1].tolist())  # the listing's first non-identity
+    n, m = base.n, attachment.n
+    sigma, tau = (
+        _acting_on(ctx.g.n, [range(n + a * m, n + a * m + m)], witness) for a in (0, 1)
+    )
+    return EdgeFreePair(sigma, tau), "attachment has a non-trivial symmetry"
 
 
 def _forest(ctx: _Ctx, t: str) -> _Finding:
@@ -807,7 +805,7 @@ def classify_with_complement(g: Graph, node_budget: int | None = None) -> Report
             ban = Verdict(
                 TARGET_BAN,
                 Status.COMMUTATIVE,
-                QuadrangleFreeComplement(),
+                QuadrangleFreeComplement(companion=comp_bic.certificate),
                 Citation.of(R_QF),
                 note="complement-invariance settles the coarse algebra",
             )
@@ -844,18 +842,18 @@ def _entails(cert: Certificate, target: str, status: Status) -> bool:
     ``target`` algebra has ``status``.
 
     Bare, a disjoint pair shows only the coarse algebra non-commutative
-    (the fine one also needs the supports joined by no edge), and a
-    forest without an edge-free disjoint pair, or a strip, shows only the
-    fine one commutative.  A product lift and a strip rest on a fine
-    verdict about a factor or the stripped core.  Under a quadrangle-free
-    wrapper the two algebras coincide, so the companion may stand for
-    either target.  A ``quadrangle-free-complement`` shows only the fine
-    algebra commutative too, but it is still accepted on the coarse one,
-    where :func:`classify_with_complement` puts it."""
+    (the fine one also needs the supports joined by no edge).  A forest
+    without an edge-free disjoint pair, a strip (which rests on a fine
+    verdict about the stripped core) and a bare quadrangle-free
+    complement show only the fine one commutative.  With a companion
+    showing the complement's fine algebra commutative, the last shows
+    the coarse one commutative too: on a quadrangle-free complement the
+    two algebras coincide, and the coarse one is complement-invariant.
+    Under a quadrangle-free wrapper the two algebras coincide, so the
+    companion may stand for either target.  A missing companion supports
+    nothing."""
     if isinstance(cert, QuadrangleFreeSelf):
-        return cert.companion is not None and any(
-            _entails(cert.companion, t, status) for t in (TARGET_BIC, TARGET_BAN)
-        )
+        return any(_entails(cert.companion, t, status) for t in (TARGET_BIC, TARGET_BAN))
     if CERTIFIED_STATUS.get(getattr(cert, "kind", None)) is not status:
         return False
     fine = target != TARGET_BAN
@@ -863,8 +861,8 @@ def _entails(cert: Certificate, target: str, status: Status) -> bool:
         return not fine
     if isinstance(cert, ForestNoDisjointPair):
         return fine or not cert.edge_free_only
-    if isinstance(cert, ProductLift):
-        return _entails(cert.inner, TARGET_BIC, status)
+    if isinstance(cert, QuadrangleFreeComplement):
+        return fine or _entails(cert.companion, TARGET_BIC, status)
     if isinstance(cert, StripToCommutative):
         return fine and _entails(cert.terminal, TARGET_BIC, status)
     return True

@@ -8,12 +8,15 @@ targets on quadrangle-free inputs.
 
 import collections
 import dataclasses
+import functools
 import gc
 import importlib
 import json
 import random
 import weakref
 
+import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -22,20 +25,22 @@ from qsym.automorphisms import (
     Permutation,
     find_disjoint_pair,
     find_edge_free_disjoint_pair,
+    twin_transpositions,
 )
 from qsym.classify import (
     CERTIFIED_STATUS,
     Certificate,
     Citation,
-    CoronaRule,
     DisjointPair,
     EdgeFreePair,
     ForestNoDisjointPair,
-    ProductLift,
     QuadrangleFreeComplement,
     QuadrangleFreeSelf,
     R_BAN_1,
     R_BIC_1,
+    TARGET_BAN,
+    TARGET_BIC,
+    TARGET_BIC_COMPLEMENT,
     Report,
     SmallBlocks,
     SmallOrder,
@@ -76,7 +81,7 @@ from qsym.graphs import (
     path,
     star,
 )
-from qsym.products import cartesian, corona, direct
+from qsym.products import PRODUCT_KINDS, cartesian, corona, direct, lexicographic, strong
 
 from .conftest import (
     SPARSE_GALLERY,
@@ -224,32 +229,122 @@ def test_edgeless_graphs():
 
 
 # ---------------------------------------------------------------------------
-# provenance-gated rules
+# provenance-gated rules, which certify pairs on the graph itself
+
+
+def _verifies_without_provenance(g, verdict) -> bool:
+    """``verdict`` verifies on ``g`` and on ``g`` rebuilt from its edges."""
+    return verify_certificate(g, verdict) and verify_certificate(
+        build(g.n, g.edges()), verdict
+    )
 
 
 def test_product_lift_fires_when_search_is_capped():
     # listing Aut of the product costs 1,176 nodes, of the factor only 252:
-    # a budget of 1000 forces the engine to fall back to the provenance rule
-    g = cartesian(t0_graph(), complete(2))
+    # a budget of 1000 forces the engine to fall back to the provenance
+    # rule, which lifts the factor's pair (σ, τ) to σ × id and τ × id
+    t0 = t0_graph()
+    g = cartesian(t0, complete(2))
     rep = classify(g, node_budget=1000)
     assert rep.bic.status is NC
+    assert "bic R-PROD: fired (factor 0 of cartesian product)" in rep.trace
     cert = rep.bic.certificate
-    assert isinstance(cert, ProductLift)
-    assert cert.product_kind == "cartesian"
-    assert cert.factor_index == 0
-    assert isinstance(cert.inner, EdgeFreePair)
-    assert verify_certificate(g, rep.bic)
+    assert isinstance(cert, EdgeFreePair)
+    inner = classify(t0).bic.certificate
+    for lifted, p in ((cert.sigma, inner.sigma), (cert.tau, inner.tau)):
+        assert lifted.images == tuple(2 * p(i) + a for i in range(t0.n) for a in (0, 1))
+    assert _verifies_without_provenance(g, rep.bic)
     assert any("abandoned" in note for note in rep.notes)
 
 
 def test_corona_rule_fires_when_search_is_capped():
     # a 4-vertex path attachment leaves no twins anywhere, and the corona
-    # has 2^18 automorphisms, so direct search cannot finish in budget
+    # has 2^18 automorphisms, so direct search cannot finish in budget; the
+    # path's reversal acts on the copies at base vertices 0 and 1
+    n = t0_graph().n
     g = corona(t0_graph(), path(3))
     rep = classify(g, node_budget=1000)
     assert rep.bic.status is NC
-    assert isinstance(rep.bic.certificate, CoronaRule)
-    assert verify_certificate(g, rep.bic)
+    cert = rep.bic.certificate
+    assert isinstance(cert, EdgeFreePair)
+    assert cert.sigma.cycles() == f"({n} {n + 3})({n + 1} {n + 2})"
+    assert cert.tau.cycles() == f"({n + 4} {n + 7})({n + 5} {n + 6})"
+    assert _verifies_without_provenance(g, rep.bic)
+
+
+def test_product_lift_unwraps_a_quadrangle_free_factor_pair(monkeypatch):
+    # a factor's fine verdict may stand on its coarse pair under a
+    # quadrangle-free wrapper; on such a factor that pair is edge-free,
+    # and R-PROD lifts it as it lifts an edge-free pair
+    module = importlib.import_module("qsym.classify")
+    t0, real = t0_graph(), module.classify
+    g = cartesian(t0, complete(2))
+    want = real(g, node_budget=1000).bic
+
+    def wrapping(h, node_budget=None):
+        rep = real(h, node_budget=node_budget)
+        if h is t0:
+            pair = rep.bic.certificate
+            wrapped = QuadrangleFreeSelf(companion=DisjointPair(pair.sigma, pair.tau))
+            bic = dataclasses.replace(rep.bic, certificate=wrapped)
+            rep = dataclasses.replace(rep, bic=bic)
+        return rep
+
+    monkeypatch.setattr(module, "classify", wrapping)
+    assert real(g, node_budget=1000).bic == want
+
+
+#: Factors for the product and corona sweep: trees without twins, a
+#: cycle, a star and two small paths.
+_LIFT_FACTORS = (t0_graph(), path(3), cycle(5), star(4), path(2), complete(2))
+
+
+def test_lowered_product_and_corona_pairs_hold_on_the_bare_graph():
+    # R-PROD and R-CORONA fire where the listing of Aut(G) is cut short.
+    # Over every product and corona of two factors above at two budgets,
+    # each pair they lower holds on the graph rebuilt from its edges and
+    # passes the 2x2 oracle, and every lift is exercised: each factor of
+    # each product, and factor 0 of a lexicographic product whose second
+    # factor has an edge
+    fired = set()
+    for op in (cartesian, direct, strong, lexicographic, corona):
+        for g1 in _LIFT_FACTORS:
+            for g2 in _LIFT_FACTORS:
+                g = op(g1, g2)
+                for budget in (50, 1000):
+                    rep = classify(g, node_budget=budget)
+                    if rep.bic.citation is None or rep.bic.citation.rule not in (
+                        "R-PROD", "R-CORONA"
+                    ):
+                        continue
+                    cert = rep.bic.certificate
+                    assert isinstance(cert, EdgeFreePair)
+                    assert _verifies_without_provenance(g, rep.bic)
+                    _pair_oracle(g, cert.sigma, cert.tau, fine=True)
+                    line = next(line for line in rep.trace if ": fired" in line)
+                    factor = line.split("factor ")[-1][:1] if "R-PROD" in line else ""
+                    fired.add((op.__name__, factor, g2.edge_count > 0))
+    lifts = {(kind, factor) for kind, factor, _ in fired}
+    assert lifts >= {(kind, f) for kind in PRODUCT_KINDS for f in "01"}
+    assert ("corona", "") in lifts
+    assert ("lexicographic", "0", True) in fired
+
+
+@pytest.mark.parametrize(
+    "inner",
+    [cartesian(t0_graph(), complete(2)), corona(t0_graph(), path(3))],
+    ids=["product", "corona"],
+)
+def test_a_lift_of_a_lift_holds_on_the_bare_graph(inner):
+    # the factor's own verdict comes from R-PROD or R-CORONA, and its
+    # lowered pair is lifted once more
+    g = cartesian(path(2), inner)
+    rep = classify(g, node_budget=1000)
+    assert "bic R-PROD: fired (factor 1 of cartesian product)" in rep.trace
+    cert = rep.bic.certificate
+    assert isinstance(cert, EdgeFreePair)
+    assert _verifies_without_provenance(g, rep.bic)
+    _pair_oracle(g, cert.sigma, cert.tau, fine=True)
 
 
 def test_products_without_provenance_fall_back():
@@ -272,6 +367,9 @@ def test_complement_settles_coarse_algebra():
     assert isinstance(rep.ban.certificate, QuadrangleFreeComplement)
     assert rep.bic_complement is not None
     assert rep.bic_complement.status is C
+    # the coarse verdict carries the complement's fine certificate
+    assert rep.ban.certificate.companion == rep.bic_complement.certificate
+    assert _verifies_without_provenance(g, rep.ban)
     assert any("no quantum symmetry" in note for note in rep.notes)
 
 
@@ -417,15 +515,25 @@ def test_one_zero_pattern_per_graph(monkeypatch):
 def test_graph_pair_facts_are_worked_out_once(monkeypatch, name):
     # G and Gc share their twins; each graph's complement, quadrangle
     # test and forest test are computed once, whichever rule asks first
-    counted = ("twin_transpositions", "complement", "contains_quadrangle", "is_forest")
+    counted = ("_twin_pairs", "complement", "contains_quadrangle", "is_forest")
     calls = {fn: _counting(monkeypatch, fn) for fn in counted}
     g = gallery(name)
     classify_with_complement(g)
     for fn, seen in calls.items():
         graphs_seen = collections.Counter(args[0] for args in seen)
         assert max(graphs_seen.values(), default=0) <= 1, fn
-    twinned = {args[0] for args in calls["twin_transpositions"]}
+    twinned = {args[0] for args in calls["_twin_pairs"]}
     assert not any(complement(h) in twinned for h in twinned)
+
+
+def test_twin_table_is_the_swaps_sorted_by_image_tuple():
+    # the table built from the twin pairs equals the one the sorted,
+    # validated swaps give, entry for entry and in the same order
+    extra = (complete(6), edgeless(6), star(5), complete_bipartite(3, 4), cycle(4))
+    for g in (*kernel_corpus(), *extra):
+        swaps = sorted(twin_transpositions(g), key=lambda p: p.images)
+        want = [(p.support_mask(), p.images) for p in swaps]
+        assert list(_Shared(g, None).twins.items()) == want
 
 
 def test_the_graph_pair_keeps_no_group_alive(monkeypatch):
@@ -456,7 +564,7 @@ def test_the_graph_pair_keeps_no_group_alive(monkeypatch):
         pytest.param(
             corona(path(1), cycle(5)), 100,
             "ban R-CHAIN: non-commutative via the fine algebra", "R-CHAIN",
-            "transferred from the fine algebra", CoronaRule,
+            "transferred from the fine algebra", DisjointPair,
             id="chain-noncommutative",
         ),
         pytest.param(
@@ -533,7 +641,8 @@ def test_transfer_refuses_inconsistent_verdicts():
 
 def test_corona_witness_is_read_from_the_listing(monkeypatch):
     # C5 has no twins, so R-CORONA lists Aut(C5); its witness is the
-    # listing's second image tuple, with no element list built
+    # listing's second image tuple, with no element list built, and only
+    # the two lifted swaps become Permutations
     built = []
     post_init = Permutation.__post_init__
 
@@ -547,9 +656,12 @@ def test_corona_witness_is_read_from_the_listing(monkeypatch):
     monkeypatch.setattr(Permutation, "__post_init__", counting)
     monkeypatch.setattr(AutomorphismSet, "elements", property(no_elements))
     rep = classify(corona(path(1), cycle(5)), node_budget=100)
-    assert isinstance(rep.bic.certificate, CoronaRule)
-    assert built == [(0, 4, 3, 2, 1)]
-    assert rep.bic.certificate.witness.images == (0, 4, 3, 2, 1)
+    cert = rep.bic.certificate
+    assert isinstance(cert, EdgeFreePair)
+    assert built == [cert.sigma.images, cert.tau.images]
+    # base vertices 0 and 1, then the copies of C5 at 2..6 and 7..11
+    assert cert.sigma.images[2:7] == tuple(2 + v for v in (0, 4, 3, 2, 1))
+    assert cert.tau.images[7:] == tuple(7 + v for v in (0, 4, 3, 2, 1))
 
 
 def test_line_graph_cherry_shortcut():
@@ -696,8 +808,8 @@ _PRODUCER_CASES = [
     (complete(3), None),  # small-order
     (build(4, [(0, 1), (0, 3), (1, 3)]), None),  # small-blocks
     (build(6, [(0, 1), (0, 4), (1, 2), (1, 3), (1, 5), (3, 5), (4, 5)]), None),  # strip
-    (cartesian(t0_graph(), complete(2)), 1000),  # product-lift
-    (corona(t0_graph(), path(3)), 1000),  # corona-symmetry
+    (cartesian(t0_graph(), complete(2)), 1000),  # R-PROD's edge-free-pair
+    (corona(t0_graph(), path(3)), 1000),  # R-CORONA's edge-free-pair
 ]
 
 
@@ -759,17 +871,6 @@ _PAYLOAD_CASES = [
         SmallBlocks(((0,), (1, 2, 3))),
         '{"kind": "small-blocks", "blocks": [[0], [1, 2, 3]]}',
     ),
-    (
-        ProductLift("cartesian", 1, EdgeFreePair(_S01, _S23)),
-        '{"kind": "product-lift", "product_kind": "cartesian", "factor_index": 1, '
-        f'"inner": {{"kind": "edge-free-pair", "sigma": {_S01_TEXT}, '
-        f'"tau": {_S23_TEXT}}}}}',
-    ),
-    (
-        CoronaRule(Permutation((2, 1, 0))),
-        '{"kind": "corona-symmetry", '
-        '"witness": {"images": [2, 1, 0], "cycles": "(0 2)"}}',
-    ),
 ]
 
 
@@ -779,6 +880,52 @@ _PAYLOAD_CASES = [
 def test_certificate_payload_bytes(cert, text):
     assert json.dumps(cert.payload()) == text
     assert cert.payload() == json.loads(text)  # tuples become lists
+
+
+def test_quadrangle_free_complement_payload_inlines_its_companion():
+    cert = QuadrangleFreeComplement(companion=SmallOrder(3))
+    text = (
+        '{"kind": "quadrangle-free-complement", '
+        '"companion": {"kind": "small-order", "n": 3}}'
+    )
+    assert json.dumps(cert.payload()) == text
+
+
+def test_a_bare_quadrangle_free_complement_does_not_settle_the_coarse_algebra():
+    # K4's complement is a perfect matching, which is quadrangle-free, so
+    # K4's fine algebra is commutative; its coarse algebra is C(S4+),
+    # which is not, and the bare certificate must not claim it is
+    k4 = complete(4)
+    bare = QuadrangleFreeComplement()
+    assert verify_certificate(k4, Verdict("bic", C, bare))
+    assert not verify_certificate(k4, Verdict("ban", C, bare))
+    # carrying the complement's fine certificate, it settles the coarse
+    # algebra; a companion that does not hold on the complement, or
+    # that shows no commutative fine algebra, does not
+    g = complement(path(4))
+    companion = classify(complement(g)).bic.certificate
+    assert verify_certificate(
+        g, Verdict("ban", C, QuadrangleFreeComplement(companion=companion))
+    )
+    assert not verify_certificate(
+        g, Verdict("ban", C, QuadrangleFreeComplement(companion=SmallOrder(3)))
+    )
+    assert not verify_certificate(
+        g, Verdict("ban", C, QuadrangleFreeComplement(companion=DisjointPair(_S01, _S23)))
+    )
+
+
+def test_reports_with_lowered_pairs_or_companions_match_the_schema():
+    # the producers' lowered pairs, and every coarse verdict in the sweep
+    # that carries the complement's fine certificate
+    schema, checked = report_schema(), 0
+    for g, rep in _sweep_reports():
+        cert = rep.ban.certificate
+        if isinstance(cert, QuadrangleFreeComplement) or rep.graph.provenance:
+            doc = {"version": "0.0.0", "input": {"source": "sweep"}, **rep.payload()}
+            jsonschema.validate(json.loads(json.dumps(doc)), schema)
+            checked += cert is not None and "companion" in cert.payload()
+    assert checked >= 3
 
 
 def test_edge_free_pair_rejects_supports_joined_by_an_edge():
@@ -808,9 +955,6 @@ def test_a_certificate_must_support_the_verdicts_status():
     no_edge_free = ForestNoDisjointPair(edge_free_only=True)
     assert verify_certificate(k2, Verdict("bic", C, no_edge_free))
     assert not verify_certificate(k2, Verdict("ban", C, no_edge_free))
-    # a product lift needs a fine verdict on the factor, not C4's coarse one
-    lift = ProductLift("cartesian", 0, ban.certificate)
-    assert not verify_certificate(cartesian(g, complete(2)), Verdict("bic", NC, lift))
     # stripping preserves the fine algebra only
     h = build(6, [(0, 1), (0, 4), (1, 2), (1, 3), (1, 5), (3, 5), (4, 5)])
     strip = classify(h).bic
@@ -819,18 +963,25 @@ def test_a_certificate_must_support_the_verdicts_status():
     assert not verify_certificate(h, dataclasses.replace(strip, target="ban"))
 
 
-def _status_sweep():
-    """(graph, verdict) for every decided verdict of
-    ``classify_with_complement`` on the first 500 0x5EED pool graphs, the
-    308 forests with n <= 9, the sparse gallery and the certificate
-    producers; ``bic_complement`` goes with the complement."""
+@functools.cache
+def _sweep_reports() -> tuple:
+    """(graph, report) for ``classify_with_complement`` on the first 500
+    0x5EED pool graphs, the 308 forests with n <= 9, the sparse gallery
+    and the certificate producers."""
     rng = SplitMix64(0x5EED)
     cases = [(random_graph(rng), None) for _ in range(500)]
     cases += [(f, None) for n in range(1, 10) for f in enumerate_forests(n)]
     cases += [(gallery(name), None) for name in SPARSE_GALLERY]
     cases += _PRODUCER_CASES
-    for g, budget in cases:
-        rep = classify_with_complement(g, node_budget=budget)
+    return tuple(
+        (g, classify_with_complement(g, node_budget=budget)) for g, budget in cases
+    )
+
+
+def _status_sweep():
+    """(graph, verdict) for every decided verdict of the sweep's reports;
+    ``bic_complement`` goes with the complement."""
+    for g, rep in _sweep_reports():
         for verdict, h in (
             (rep.bic, g), (rep.ban, g), (rep.bic_complement, complement(g))
         ):
@@ -847,6 +998,107 @@ def test_flipping_a_decided_status_is_rejected():
         assert not verify_certificate(h, flipped), flipped
         kinds.add(verdict.certificate.kind)
     assert kinds == set(CERTIFIED_STATUS) | {"quadrangle-free"}
+
+
+def _settled(fine: Status, coarse: Status) -> dict[str, Status]:
+    """The statuses that decided fine and coarse verdicts settle, closed
+    under the quotient map: a non-commutative fine algebra makes the
+    coarse one non-commutative, and a commutative coarse algebra makes
+    the fine one commutative."""
+    if fine is NC and coarse is U:
+        coarse = NC
+    if coarse is C and fine is U:
+        fine = C
+    return {TARGET_BIC: fine, TARGET_BIC_COMPLEMENT: fine, TARGET_BAN: coarse}
+
+
+def test_no_certificate_verifies_a_claim_that_contradicts_a_verdict():
+    # every certificate produced for G or Gc is tried on every (target,
+    # status) claim about either graph: none may verify a claim against a
+    # decided verdict, and each verifies alike on the graph rebuilt from
+    # its edges, with no labels and no provenance
+    flip = {C: NC, NC: C}
+    claims = [(t, s) for t in _settled(U, U) for s in (C, NC)]
+    accepted = 0
+    for g, rep in _sweep_reports():
+        verdicts = (rep.bic, rep.ban, rep.bic_complement)
+        certs = [v.certificate for v in verdicts if v.certificate is not None]
+        for h, fine in ((g, rep.bic.status), (complement(g), rep.bic_complement.status)):
+            settled = _settled(fine, rep.ban.status)  # ban(Gc) = ban(G)
+            bare = build(h.n, h.edges())
+            for cert in certs:
+                for target, status in claims:
+                    claim = Verdict(target, status, cert)
+                    ok = verify_certificate(h, claim)
+                    assert verify_certificate(bare, claim) is ok, (claim, h)
+                    assert not (ok and settled[target] is flip[status]), (claim, h)
+                    accepted += ok
+    assert accepted > 3000
+
+
+_TWO = 2 * np.eye(2, dtype=np.int64)
+_TWO_P = np.array([[2, 0], [0, 0]])  # 2p, p the projection onto (1, 0)
+_TWO_Q = np.array([[1, 1], [1, 1]])  # 2q, q the projection onto (1, 1)
+
+
+def _pair_oracle(g, sigma, tau, fine: bool) -> None:
+    """Check a pair by an exact representation on 2x2 matrices.
+
+    u_{i,σ(i)} = p and u_ii = 1 - p on supp σ, q and 1 - q the same way
+    on supp τ, and 1 on the diagonal elsewhere.  u must be a magic
+    unitary (each entry a projection, each row and column summing to 1)
+    with uA = Au; with ``fine`` it must also satisfy Bichon's relations
+    u_ij u_kl = u_kl u_ij for i ~ k and j ~ l.  As pq != qp, the algebra
+    then has a non-commutative representation.  The arrays hold 2u, so
+    they are integers, and E = 2e is twice a projection when E² = 2E."""
+    n, adj = g.n, g.adj.astype(np.int64)
+    u = np.zeros((n, n, 2, 2), dtype=np.int64)
+    u[range(n), range(n)] = _TWO
+    moved = []
+    for perm, e in ((sigma, _TWO_P), (tau, _TWO_Q)):
+        for i in perm.support():
+            u[i, perm(i)], u[i, i] = e, _TWO - e
+            moved += [(i, perm(i)), (i, i)]
+    assert (u == u.transpose(0, 1, 3, 2)).all()
+    assert (u @ u == 2 * u).all()
+    assert (u.sum(axis=0) == _TWO).all() and (u.sum(axis=1) == _TWO).all()
+    # uA = Au as four n x n products, one per matrix entry; float64 holds
+    # these small integer sums exactly and multiplies them fast
+    entrywise, fadj = u.transpose(2, 3, 0, 1).astype(float), g.adj.astype(float)
+    assert (entrywise @ fadj == fadj @ entrywise).all()
+    s, t = min(sigma.support()), min(tau.support())
+    x, y = u[s, sigma(s)], u[t, tau(t)]
+    assert (x @ y != y @ x).any()
+    if fine:
+        # every other entry is 0 or 1, which commutes with everything
+        rows, cols = np.array(moved).T
+        left, right = np.nonzero(adj[np.ix_(rows, rows)] & adj[np.ix_(cols, cols)])
+        x, y = u[rows[left], cols[left]], u[rows[right], cols[right]]
+        assert (x @ y == y @ x).all()
+
+
+def test_pair_verdicts_pass_the_2x2_oracle():
+    # every pair the sweep certifies, bare or under a quadrangle-free
+    # wrapper, on the algebra its verdict names
+    checked = 0
+    for h, verdict in _status_sweep():
+        cert = verdict.certificate
+        if isinstance(cert, QuadrangleFreeSelf):
+            cert = cert.companion
+        if isinstance(cert, (DisjointPair, EdgeFreePair)):
+            _pair_oracle(h, cert.sigma, cert.tau, fine=verdict.target != TARGET_BAN)
+            checked += 1
+    assert checked > 500
+
+
+def test_the_oracle_refuses_a_pair_joined_by_an_edge():
+    # C4's (0 2) and (1 3) are disjoint but every edge joins them: the
+    # coarse relations hold, Bichon's do not
+    g = cycle(4)
+    sigma, tau = Permutation((2, 1, 0, 3)), Permutation((0, 3, 2, 1))
+    _pair_oracle(g, sigma, tau, fine=False)
+    with pytest.raises(AssertionError):
+        _pair_oracle(g, sigma, tau, fine=True)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ groups make the longest pair scans: Q5 and Q6, K4□K4, K3,3□C4 rebuilt
 from its adjacency, the Petersen graph and prism7.
 
 A change that means to alter reports re-records both files, and says
-which reports changed and why:
+which reports changed and why.  Before it overwrites a file, the command
+prints how many of its keys changed and their names:
 
     PYTHONPATH=src python -m tests.test_report_digests
 """
@@ -193,8 +194,19 @@ def test_budget_cases_show_every_rule_outcome():
     assert not unexpected, unexpected
 
 
+def _rerecord(path: Path, digests: dict[str, str]) -> None:
+    """Overwrite ``path`` with ``digests``, first printing how many keys
+    changed, were added or were dropped, and their names."""
+    old = json.loads(path.read_text()) if path.exists() else {}
+    changed = [key for key in digests if old.get(key) != digests[key]]
+    changed += [key for key in old if key not in digests]
+    print(f"{path.name}: {len(changed)} changed keys")
+    for key in changed:
+        print(f"  {key}")
+    path.write_text(json.dumps(digests, indent=1) + "\n")
+
+
 if __name__ == "__main__":
     DIGESTS.parent.mkdir(exist_ok=True)
-    DIGESTS.write_text(json.dumps(current_digests(), indent=1) + "\n")
-    BUDGET_DIGESTS.write_text(json.dumps(current_budget_digests(), indent=1) + "\n")
-    print(f"recorded {DIGESTS} and {BUDGET_DIGESTS}")
+    _rerecord(DIGESTS, current_digests())
+    _rerecord(BUDGET_DIGESTS, current_budget_digests())
