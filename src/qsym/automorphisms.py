@@ -136,13 +136,16 @@ class AutomorphismSet:
     support mask to the images of its lexicographically smallest element,
     ordered by support size, then by first occurrence in the listing.
     The pair searches scan only its inclusion-minimal masks,
-    :attr:`minimal`.  :attr:`images` and :attr:`elements` build Python
-    tuples and :class:`Permutation` objects on first use; :attr:`order`,
-    ``supports`` and :attr:`minimal` never need them.
+    :attr:`minimal`.  ``transitive`` says whether the group moves vertex
+    0 to every vertex, which the chain's first level, the orbit of 0,
+    shows.  :attr:`images` and :attr:`elements` build Python tuples and
+    :class:`Permutation` objects on first use; :attr:`order`, ``supports``
+    and :attr:`minimal` never need them.
     """
 
     table: np.ndarray
     supports: dict[int, tuple[int, ...]] = field(repr=False)
+    transitive: bool
 
     @cached_property
     def minimal(self) -> dict[int, tuple[int, ...]]:
@@ -365,22 +368,33 @@ def _listing(n: int, levels: Sequence[dict[int, tuple[int, ...]]]) -> np.ndarray
 def _supports(table: np.ndarray) -> dict[int, tuple[int, ...]]:
     """Each non-empty support mask of the rows of ``table`` with the row
     where it first occurs, ordered by support size, then by first
-    occurrence."""
+    occurrence.  Up to 64 points a row's mask is one integer key, and one
+    stable sort of the keys puts each key's first row first among its
+    equals; wider rows are packed into 64-bit words and compared whole."""
     count, n = table.shape
-    moved = np.packbits(table != np.arange(n), axis=1, bitorder="little")
-    width = -(-moved.shape[1] // 8)
-    words = np.zeros((count, 8 * width), dtype=np.uint8)
-    words[:, : moved.shape[1]] = moved
-    keys = words.view(np.uint64)
-    if width == 1:
-        _, index = np.unique(keys.ravel(), return_index=True)
+    moved = table != np.arange(n)
+    if n <= 64:
+        kind = np.min_scalar_type((1 << n) - 1)
+        keys = moved.astype(kind) @ (1 << np.arange(n, dtype=kind))
+        order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
+        first = np.ones(count, dtype=bool)
+        first[1:] = ranked[1:] != ranked[:-1]
+        index = np.sort(order[first])
+        masks = keys[index].tolist()
     else:
-        _, index = np.unique(keys, axis=0, return_index=True)
-    rows = []
-    for j in np.sort(index).tolist():
-        mask = int.from_bytes(moved[j].tobytes(), "little")
-        if mask:
-            rows.append((mask, tuple(table[j].tolist())))
+        packed = np.packbits(moved, axis=1, bitorder="little")
+        width = -(-packed.shape[1] // 8)
+        words = np.zeros((count, 8 * width), dtype=np.uint8)
+        words[:, : packed.shape[1]] = packed
+        _, index = np.unique(words.view(np.uint64), axis=0, return_index=True)
+        index = np.sort(index)
+        masks = [int.from_bytes(packed[j].tobytes(), "little") for j in index]
+    rows = [
+        (mask, tuple(table[j].tolist()))
+        for mask, j in zip(masks, index.tolist())
+        if mask
+    ]
     return dict(sorted(rows, key=lambda row: row[0].bit_count()))
 
 
@@ -403,7 +417,8 @@ def automorphisms(g: Graph, node_budget: int | None = None) -> AutomorphismSet:
     search.charge(math.prod(map(len, levels)) * g.n)
     table = _listing(g.n, levels)
     table.flags.writeable = False
-    return AutomorphismSet(table, _supports(table))
+    transitive = bool(levels) and len(levels[0]) == g.n
+    return AutomorphismSet(table, _supports(table), transitive)
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> tuple[int, ...] | None:

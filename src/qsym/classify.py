@@ -438,6 +438,12 @@ class _Shared:
             )
             return None
 
+    @property
+    def listed(self) -> AutomorphismSet | None:
+        """The completed listing of Aut(G) if one is already built; unlike
+        :attr:`auts` it never starts one."""
+        return vars(self).get("auts")
+
     @cached_property
     def twins(self) -> dict[int, tuple[int, ...]]:
         """The twin swaps as a support table (see :class:`AutomorphismSet`),
@@ -487,7 +493,16 @@ class _Ctx:
 
     @cached_property
     def blocks(self) -> BlockStructure:
-        """Blocks of the forced-zero pattern, shared by both R-BLOCKS checks."""
+        """Blocks of the forced-zero pattern, shared by both R-BLOCKS checks.
+
+        A zero pattern is sound: it never forces a cell (i, j) that an
+        automorphism sending j to i realises.  So when a completed listing
+        is transitive no cell is forced, and the one block 0..n-1 is
+        returned without building the pattern.  No listing is started for
+        this; without one the pattern is built as usual."""
+        auts = self.shared.listed
+        if auts is not None and auts.transitive:
+            return BlockStructure((tuple(range(self.g.n)),))
         return pattern_blocks(zero_pattern(self.g))
 
 
@@ -581,10 +596,21 @@ def _product(ctx: _Ctx, t: str) -> _Finding:
     """A factor's fine pair lifted to the product, vertex (i, α) being
     i·m + α: on factor 1 as id × σ, on factor 0 as σ × id, except in the
     lexicographic product, whose levels V1 × {α} are modules joined
-    wholesale by the second factor's edges: there σ acts on level 0."""
+    wholesale by the second factor's edges: there σ acts on level 0.
+
+    The lifted pair is an edge-free disjoint pair of automorphisms of G
+    itself, and R-BIC-1, which runs first, scans a completed listing of
+    Aut(G) for exactly such pairs and finds one if any exists (see
+    :func:`qsym.automorphisms._first_pair`).  So once the listing is
+    complete this rule cannot fire, and it gives its miss reason without
+    classifying the factors; it does their work only where the listing
+    was cut short."""
     prov = ctx.g.provenance
     if prov is None or prov.kind not in PRODUCT_KINDS:
         return None
+    missing = "no factor certified non-commutative"
+    if ctx.shared.listed is not None:
+        return missing
     n, m = (factor.n for factor in prov.factors)
     for idx, factor in enumerate(prov.factors):
         inner = classify(factor, node_budget=ctx.shared.node_budget).bic
@@ -602,18 +628,22 @@ def _product(ctx: _Ctx, t: str) -> _Finding:
                 _acting_on(ctx.g.n, copies, p.images) for p in (pair.sigma, pair.tau)
             )
             return EdgeFreePair(sigma, tau), f"factor {idx} of {prov.kind} product"
-    return "no factor certified non-commutative"
+    return missing
 
 
 def _corona(ctx: _Ctx, t: str) -> _Finding:
     """An attachment symmetry applied to the copies at base vertices 0
     and 1 (layout in :func:`qsym.products.corona`): each copy is joined
-    to its base vertex alone, so this is an edge-free pair."""
+    to its base vertex alone, so this is an edge-free pair.
+
+    Like :func:`_product`'s, that pair is one R-BIC-1 finds in a
+    completed listing of Aut(G), so with one built this rule gives its
+    miss reason without listing the attachment's group."""
     prov = ctx.g.provenance
     if prov is None or prov.kind != "corona":
         return None
     base, attachment = prov.factors
-    if base.n < 2:
+    if base.n < 2 or ctx.shared.listed is not None:
         return "premises not met"
     twins = twin_transpositions(attachment)
     if twins:

@@ -34,6 +34,7 @@ from qsym.census import SplitMix64, enumerate_forests, random_graph
 from qsym.errors import LengthMismatch, OutOfRange, SizeLimitExceeded
 
 from .conftest import (
+    SPARSE_GALLERY,
     graphs,
     hypercube,
     kernel_corpus,
@@ -570,6 +571,48 @@ def test_minimal_supports_are_the_inclusion_minimal_ones_in_table_order():
         assert list(auts.minimal.items()) == [(m, auts.supports[m]) for m in expected]
     # the transpositions of edgeless(6), the 15 pairs of points
     assert len(automorphisms(edgeless(6)).minimal) == 15
+
+
+def _packed_supports(table: np.ndarray) -> dict[int, tuple[int, ...]]:
+    """The support table by packed bytes and ``np.unique``, for every
+    width: the reference for :func:`qsym.automorphisms._supports`."""
+    count, n = table.shape
+    moved = np.packbits(table != np.arange(n), axis=1, bitorder="little")
+    width = -(-moved.shape[1] // 8)
+    words = np.zeros((count, 8 * width), dtype=np.uint8)
+    words[:, : moved.shape[1]] = moved
+    keys = words.view(np.uint64)
+    if width == 1:
+        _, index = np.unique(keys.ravel(), return_index=True)
+    else:
+        _, index = np.unique(keys, axis=0, return_index=True)
+    rows = []
+    for j in np.sort(index).tolist():
+        mask = int.from_bytes(moved[j].tobytes(), "little")
+        if mask:
+            rows.append((mask, tuple(table[j].tolist())))
+    return dict(sorted(rows, key=lambda row: row[0].bit_count()))
+
+
+def test_support_table_matches_the_packed_reference():
+    # the same masks, images and order as the packed-byte version, and
+    # the transitive flag says whether the listing moves 0 everywhere;
+    # p64 (n = 65) takes the wide branch.  star20 and k3_12 are left out:
+    # their groups (20! and 12! 3! elements) are refused at any budget
+    # that fits a test
+    rng = SplitMix64(0x5EED)
+    cases = [random_graph(rng) for _ in range(4000)]
+    cases += [f for n in range(1, 10) for f in enumerate_forests(n)]
+    cases += [gallery(name) for name in SPARSE_GALLERY if name not in ("star20", "k3_12")]
+    cases.append(hypercube(6))
+    seen = set()
+    for g in cases:
+        auts = automorphisms(g)
+        want = _packed_supports(auts.table)
+        assert list(auts.supports.items()) == list(want.items()), g
+        assert auts.transitive == (len(set(auts.table[:, 0].tolist())) == g.n), g
+        seen.add((g.n > 64, auts.transitive))
+    assert seen >= {(False, False), (False, True), (True, False)}
 
 
 def test_enumeration_is_the_lexicographic_oracle_list():

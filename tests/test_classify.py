@@ -57,7 +57,7 @@ from qsym.classify import (
 )
 from qsym.census import SplitMix64, enumerate_forests, enumerate_trees, random_graph
 from qsym.cli import report_schema
-from qsym.errors import QsymError
+from qsym.errors import QsymError, SizeLimitExceeded
 from qsym.gallery import (
     c4pn_graph,
     cherry2_graph,
@@ -67,6 +67,7 @@ from qsym.gallery import (
     t0_graph,
 )
 from qsym.graphs import (
+    Graph,
     build,
     complement,
     complete,
@@ -82,6 +83,8 @@ from qsym.graphs import (
     star,
 )
 from qsym.products import PRODUCT_KINDS, cartesian, corona, direct, lexicographic, strong
+from qsym.reduction import blocks as pattern_blocks
+from qsym.reduction import zero_pattern
 
 from .conftest import (
     SPARSE_GALLERY,
@@ -355,6 +358,110 @@ def test_products_without_provenance_fall_back():
     assert rep.bic.status is U
 
 
+#: The products whose search, not just the order charge, runs through the
+#: default budget of ten million nodes (2-6 s each): their listing is
+#: abandoned, so no shortcut can act on them; the budgets 50 and 1000
+#: still sweep them.
+_SEARCH_EXHAUSTS_DEFAULT = {
+    ("direct", 0, 0), ("direct", 0, 3), ("direct", 2, 0), ("direct", 2, 3),
+    ("strong", 0, 0), ("strong", 2, 0),
+}
+
+
+#: Attachments with no symmetry, on which R-CORONA misses after its own
+#: search: K1, a tree on 7 vertices and a graph on 6.
+_RIGID = (
+    complete(1),
+    build(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)]),
+    build(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (2, 5)]),
+)
+
+
+def _shortcut_cases():
+    """(graph, budget) for the shortcut oracle: at budgets None, 50 and
+    1000, every product and corona of two lift factors and every corona
+    of a lift factor with a rigid attachment; then the eight graphs of the
+    symmetric benchmark and the first 500 0x5EED pool graphs."""
+    for budget in (None, 50, 1000):
+        for op in (cartesian, direct, strong, lexicographic, corona):
+            for i, g1 in enumerate(_LIFT_FACTORS):
+                for j, g2 in enumerate(_LIFT_FACTORS):
+                    if budget is None and (op.__name__, i, j) in _SEARCH_EXHAUSTS_DEFAULT:
+                        continue
+                    yield op(g1, g2), budget
+        for g1 in _LIFT_FACTORS:
+            for g2 in _RIGID:
+                yield corona(g1, g2), budget
+    k33c4 = cartesian(complete_bipartite(3, 3), cycle(4))
+    for g in (
+        hypercube(3), hypercube(4), hypercube(5), cartesian(complete(4), complete(4)),
+        k33c4, Graph(k33c4.adj), _petersen(), gallery("prism7"),
+    ):
+        yield g, None
+    rng = SplitMix64(0x5EED)
+    for _ in range(500):
+        yield random_graph(rng), None
+
+
+def _memoise(monkeypatch, name: str) -> None:
+    """Replace ``qsym.classify.<name>``, a function of a graph, by one that
+    computes each graph's value (or exception) once and replays it."""
+    module = importlib.import_module("qsym.classify")
+    real, seen = getattr(module, name), {}
+
+    def memoised(g, *args, **kwargs):
+        key = (g._bits, args, tuple(kwargs.items()))
+        if key not in seen:
+            try:
+                seen[key] = real(g, *args, **kwargs)
+            except SizeLimitExceeded as exc:
+                seen[key] = exc
+        if isinstance(seen[key], SizeLimitExceeded):
+            raise seen[key]
+        return seen[key]
+
+    monkeypatch.setattr(module, name, memoised)
+
+
+def test_listing_shortcuts_change_no_report(monkeypatch):
+    # With a completed listing R-PROD and R-CORONA give their miss reason
+    # at once, and R-BLOCKS reads a transitive listing's one block.  Off
+    # (no rule sees a listing) and on, every classify and
+    # classify_with_complement payload is the same.  Listings and zero
+    # patterns are memoised per graph, so both passes share them.
+    for name in ("automorphisms", "zero_pattern"):
+        _memoise(monkeypatch, name)
+
+    def payloads():
+        out = []
+        for g, budget in _shortcut_cases():
+            for fn in (classify, classify_with_complement):
+                payload = fn(g, node_budget=budget).payload()
+                del payload["elapsed_ms"]
+                out.append(payload)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_Shared, "listed", property(lambda shared: None))
+        off = payloads()
+    transitive = []
+    real_blocks = _Ctx.blocks.func
+
+    def spying(ctx):
+        part = real_blocks(ctx)
+        if ctx.shared.listed is not None and ctx.shared.listed.transitive:
+            transitive.append((ctx.g, ctx.g is ctx.shared.g, part))
+        return part
+
+    monkeypatch.setattr(_Ctx, "blocks", property(spying))
+    assert payloads() == off
+    # the shortcut block is the pattern's own, on G and on Gc
+    assert {h.n for h, _, _ in transitive} >= {8, 10, 14, 16, 24, 32}
+    assert {own for _, own, _ in transitive} == {True, False}
+    for h, _, part in transitive:
+        assert part == pattern_blocks(zero_pattern(h))
+
+
 # ---------------------------------------------------------------------------
 # transfers, complement handling, line graphs
 
@@ -504,11 +611,24 @@ def test_q6_coarse_algebra_is_decided_within_the_default_budget():
 
 
 def test_one_zero_pattern_per_graph(monkeypatch):
-    # both R-BLOCKS checks run on C16 and share one pattern
+    # both R-BLOCKS checks run on fig7, whose group is not transitive, and
+    # share one pattern
     calls = _counting(monkeypatch, "zero_pattern")
-    rep = classify(cycle(16))
+    rep = classify(gallery("fig7"))
     assert len(calls) == 1
     assert sum("R-BLOCKS" in line for line in rep.trace) == 2
+
+
+def test_a_transitive_listing_builds_no_zero_pattern(monkeypatch):
+    # Aut(C16) is transitive, so no cell is forced: both R-BLOCKS checks
+    # read the one block 0..15 and log what the pattern would give
+    calls = _counting(monkeypatch, "zero_pattern")
+    rep = classify(cycle(16))
+    assert calls == []
+    assert [line for line in rep.trace if "R-BLOCKS" in line] == [
+        "bic R-BLOCKS: blocks too coarse (sizes [16])",
+        "ban R-BLOCKS: blocks too coarse (sizes [16])",
+    ]
 
 
 @pytest.mark.parametrize("name", ["fig7", "sc", "t0", "c16", "p48", "c4pn20"])

@@ -5,7 +5,8 @@ For each graph below, ``classify_with_complement(g).payload()`` without
 The digests must equal those recorded in ``tests/data/report_digests.json``,
 so a change that should leave reports alone can show that it changed no
 byte of any of them.  The graphs are the first 300 draws of the 0x5EED
-pool, the 308 forests with n <= 9 and the sparse gallery.
+pool, the 308 forests with n <= 9, the sparse gallery and the cycles C5 to
+C12, whose groups are transitive.
 
 Those graphs carry no provenance and run at the default budget, so a
 second set pins the reports of graphs at an explicit node budget, through
@@ -69,6 +70,8 @@ def pinned_graphs():
             yield f"forest/{n}/{index}", forest
     for name in SPARSE_GALLERY:
         yield f"gallery/{name}", gallery(name)
+    for n in range(5, 13):
+        yield f"cycle/{n}", cycle(n)
 
 
 def budget_cases():
