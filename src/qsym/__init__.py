@@ -56,14 +56,8 @@ from .reduction import (
     strip_high_degree_fixpoint,
     zero_pattern,
 )
-from .classify import (
-    Report,
-    Status,
-    Verdict,
-    classify,
-    classify_with_complement,
-    verify_certificate,
-)
+from .check import Status, verify_certificate
+from .classify import Report, Verdict, classify, classify_with_complement
 from .construct import (
     ConstructionTrace,
     build_free,

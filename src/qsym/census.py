@@ -31,7 +31,8 @@ from .automorphisms import (
     find_disjoint_pair,
     find_edge_free_disjoint_pair,
 )
-from .classify import Status, classify, verify_certificate
+from .check import Status, verify_certificate
+from .classify import classify
 from .errors import NonPositiveCount, OutOfRange
 from .graphs import (
     Graph,

@@ -17,9 +17,11 @@ graphs the two coincide outright.
 
 The classifier applies a fixed battery of sound rules and reports
 ``Unknown`` when none of them fires — it never guesses.  Every
-determined verdict carries a certificate that can be re-checked from
-the graph alone via :func:`verify_certificate`: R-PROD and R-CORONA read
-a graph's provenance only to find a pair of its own automorphisms.
+determined verdict carries a certificate (see :mod:`qsym.check`) that
+can be re-checked from the graph alone via
+:func:`qsym.check.verify_certificate`, which imports nothing from this
+module: R-PROD and R-CORONA read a graph's provenance only to find a
+pair of its own automorphisms.
 
 A rule only searches: asked about one target, it returns ``(certificate,
 detail)`` when it fires, the reason it did not fire as a string, or None
@@ -31,26 +33,38 @@ the one :data:`CERTIFIED_STATUS` gives the certificate's kind.
 
 from __future__ import annotations
 
-import enum
 import time
 import weakref
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .automorphisms import (
     AutomorphismSet,
     Permutation,
-    _edge_between,
     _first_pair,
     _swap_images,
     _twin_pairs,
     automorphisms,
-    find_disjoint_pair,
-    find_edge_free_disjoint_pair,
-    is_automorphism,
     transposition,
     twin_transpositions,
+)
+from .check import (
+    CERTIFIED_STATUS,
+    TARGET_BAN,
+    TARGET_BIC,
+    TARGET_BIC_COMPLEMENT,
+    Certificate,
+    DisjointPair,
+    EdgeFreePair,
+    ForestNoDisjointPair,
+    QuadrangleFreeComplement,
+    QuadrangleFreeSelf,
+    SmallBlocks,
+    SmallOrder,
+    Status,
+    StripToCommutative,
+    _blocks_small_enough,
 )
 from .errors import QsymError, SizeLimitExceeded
 from .graphs import Graph, complement, contains_quadrangle, is_connected, is_forest
@@ -58,20 +72,6 @@ from .graphs import _mask_vertices
 from .products import PRODUCT_KINDS
 from .reduction import BlockStructure, strip_high_degree_fixpoint, zero_pattern
 from .reduction import blocks as pattern_blocks
-
-TARGET_BIC = "bic"
-TARGET_BAN = "ban"
-TARGET_BIC_COMPLEMENT = "bic_complement"
-
-
-class Status(str, enum.Enum):
-    COMMUTATIVE = "Commutative"
-    NONCOMMUTATIVE = "NonCommutative"
-    UNKNOWN = "Unknown"
-
-    def __str__(self) -> str:  # keep CLI output free of enum noise
-        return self.value
-
 
 # ---------------------------------------------------------------------------
 # rule identifiers and the statements they stand on
@@ -121,19 +121,6 @@ CITATIONS: dict[str, str] = {
 }
 
 
-#: The status each certificate kind can stand behind.  A
-#: ``quadrangle-free`` certificate stands behind whatever its companion
-#: does, since on a quadrangle-free graph the two algebras coincide.
-CERTIFIED_STATUS: dict[str, Status] = {
-    "disjoint-pair": Status.NONCOMMUTATIVE,
-    "edge-free-pair": Status.NONCOMMUTATIVE,
-    "small-order": Status.COMMUTATIVE,
-    "quadrangle-free-complement": Status.COMMUTATIVE,
-    "forest-no-disjoint-pair": Status.COMMUTATIVE,
-    "strip": Status.COMMUTATIVE,
-    "small-blocks": Status.COMMUTATIVE,
-}
-
 
 @dataclass(frozen=True)
 class Citation:
@@ -143,166 +130,6 @@ class Citation:
     @staticmethod
     def of(rule: str) -> "Citation":
         return Citation(rule=rule, statement=CITATIONS[rule])
-
-
-# ---------------------------------------------------------------------------
-# certificates
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Base class; concrete certificates are small frozen records.
-
-    ``payload`` serialises any of them: ``kind`` first, then the fields in
-    declaration order, leaving out those that are None.  ``holds``
-    re-checks the certificate's premises against a graph from scratch."""
-
-    def payload(self) -> dict:
-        out = {"kind": self.kind}  # type: ignore[attr-defined]
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name != "kind" and value is not None:
-                out[f.name] = _payload_value(value)
-        return out
-
-    def holds(self, g: Graph) -> bool:
-        return False
-
-
-def _payload_value(value):
-    """Permutations travel as image arrays (re-verifiable data); the
-    cycle string rides along for human readers."""
-    if isinstance(value, Permutation):
-        return {"images": list(value.images), "cycles": value.cycles()}
-    if isinstance(value, Certificate):
-        return value.payload()
-    if isinstance(value, tuple):
-        return [_payload_value(v) for v in value]
-    return value
-
-
-def _relabel_cycles(node, labels: tuple[str, ...]) -> None:
-    """Rewrite the display cycles in a payload tree with vertex labels.
-
-    Image arrays are the machine contract and stay index-based; only the
-    human-readable cycle strings pick up the graph's labels.
-    """
-    if isinstance(node, dict):
-        images = node.get("images")
-        if images is not None and "cycles" in node and len(images) == len(labels):
-            node["cycles"] = Permutation(tuple(images)).cycles(labels)
-        for child in node.values():
-            _relabel_cycles(child, labels)
-    elif isinstance(node, list):
-        for child in node:
-            _relabel_cycles(child, labels)
-
-
-@dataclass(frozen=True)
-class _Pair(Certificate):
-    """Two non-trivial automorphisms with disjoint supports; with
-    ``edge_free`` set, no edge may join the two supports either."""
-
-    sigma: Permutation
-    tau: Permutation
-    edge_free = False
-
-    def holds(self, g: Graph) -> bool:
-        s, t = self.sigma, self.tau
-        if len(s.images) != g.n or len(t.images) != g.n:
-            return False
-        if s.is_identity or t.is_identity:
-            return False
-        if not (is_automorphism(g, s) and is_automorphism(g, t)):
-            return False
-        ms, mt = s.support_mask(), t.support_mask()
-        return not ms & mt and not (self.edge_free and _edge_between(g, ms, mt))
-
-
-@dataclass(frozen=True)
-class DisjointPair(_Pair):
-    kind: str = field(default="disjoint-pair", init=False)
-
-
-@dataclass(frozen=True)
-class EdgeFreePair(_Pair):
-    kind: str = field(default="edge-free-pair", init=False)
-    edge_free = True
-
-
-@dataclass(frozen=True)
-class SmallOrder(Certificate):
-    n: int
-    kind: str = field(default="small-order", init=False)
-
-    def holds(self, g: Graph) -> bool:
-        return g.n == self.n and g.n <= 3
-
-
-@dataclass(frozen=True)
-class QuadrangleFreeComplement(Certificate):
-    """The complement is quadrangle-free; ``companion``, when given, shows
-    the complement's fine algebra commutative."""
-
-    companion: Certificate | None = None
-    kind: str = field(default="quadrangle-free-complement", init=False)
-
-    def holds(self, g: Graph) -> bool:
-        h = complement(g)
-        if contains_quadrangle(h):
-            return False
-        return self.companion is None or self.companion.holds(h)
-
-
-@dataclass(frozen=True)
-class QuadrangleFreeSelf(Certificate):
-    """The graph is quadrangle-free, so the verdict carries over from the
-    other target; ``companion`` is that target's certificate when known."""
-
-    companion: Certificate | None = None
-    kind: str = field(default="quadrangle-free", init=False)
-
-    def holds(self, g: Graph) -> bool:
-        if contains_quadrangle(g):
-            return False
-        return self.companion is None or self.companion.holds(g)
-
-
-@dataclass(frozen=True)
-class ForestNoDisjointPair(Certificate):
-    """No disjoint pair exists (``edge_free_only=False``), or none without
-    edges between the supports (``edge_free_only=True``)."""
-
-    edge_free_only: bool = False
-    kind: str = field(default="forest-no-disjoint-pair", init=False)
-
-    def holds(self, g: Graph) -> bool:
-        if not is_forest(g):
-            return False
-        if self.edge_free_only:
-            return find_edge_free_disjoint_pair(g) is None
-        return find_disjoint_pair(g) is None
-
-
-@dataclass(frozen=True)
-class StripToCommutative(Certificate):
-    chain: tuple[tuple[int, ...], ...]
-    terminal: Certificate
-    kind: str = field(default="strip", init=False)
-
-    def holds(self, g: Graph) -> bool:
-        terminal, chain = strip_high_degree_fixpoint(g)
-        return chain == self.chain and self.terminal.holds(terminal)
-
-
-@dataclass(frozen=True)
-class SmallBlocks(Certificate):
-    blocks: tuple[tuple[int, ...], ...]
-    kind: str = field(default="small-blocks", init=False)
-
-    def holds(self, g: Graph) -> bool:
-        part = pattern_blocks(zero_pattern(g))
-        return part.blocks == self.blocks and _blocks_small_enough(part.sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +153,11 @@ class Verdict:
                 f"a {self.status.value} verdict must carry a certificate"
             )
 
-    def payload(self) -> dict:
+    def payload(self, labels: Sequence[str] | None = None) -> dict:
+        """``labels`` name the points in the certificate's cycle strings."""
         out: dict = {"target": self.target, "status": self.status.value}
         if self.certificate is not None:
-            out["certificate"] = self.certificate.payload()
+            out["certificate"] = self.certificate.payload(labels)
         if self.citation is not None:
             out["citation"] = {
                 "rule": self.citation.rule,
@@ -381,20 +209,19 @@ class Report:
         }
 
     def payload(self) -> dict:
+        labels = self.graph.labels
         out = {
             "graph": self.summary(),
             "verdicts": {
-                TARGET_BIC: self.bic.payload(),
-                TARGET_BAN: self.ban.payload(),
+                TARGET_BIC: self.bic.payload(labels),
+                TARGET_BAN: self.ban.payload(labels),
             },
             "trace": list(self.trace),
             "notes": list(self.notes),
             "elapsed_ms": round(self.elapsed_ms, 3),
         }
         if self.bic_complement is not None:
-            out["verdicts"][TARGET_BIC_COMPLEMENT] = self.bic_complement.payload()
-        if self.graph.labels is not None:
-            _relabel_cycles(out, self.graph.labels)
+            out["verdicts"][TARGET_BIC_COMPLEMENT] = self.bic_complement.payload(labels)
         return out
 
 
@@ -522,12 +349,6 @@ def _complete_bipartite_parts(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...
     return _mask_vertices(side_a), _mask_vertices(side_b)
 
 
-def _blocks_small_enough(sizes: tuple[int, ...]) -> bool:
-    """At most one block of size >= 2, and that block of size <= 3."""
-    big = [s for s in sizes if s >= 2]
-    return len(big) <= 1 and all(s <= 3 for s in big)
-
-
 # ---------------------------------------------------------------------------
 # the rules, which only find (see the module docstring); _run decides
 
@@ -616,9 +437,6 @@ def _product(ctx: _Ctx, t: str) -> _Finding:
         inner = classify(factor, node_budget=ctx.shared.node_budget).bic
         if inner.status is Status.NONCOMMUTATIVE:
             pair = inner.certificate
-            if isinstance(pair, QuadrangleFreeSelf):
-                # on a quadrangle-free factor a disjoint pair is edge-free
-                pair = pair.companion
             if idx == 1:
                 copies = [range(i * m, i * m + m) for i in range(n)]
             else:
@@ -726,7 +544,13 @@ def _run(ctx: _Ctx, t: str) -> Verdict:
 def _transfer(ctx: _Ctx, bic: Verdict, ban: Verdict) -> tuple[Verdict, Verdict]:
     """Carry a verdict over to the other target along the quotient map or,
     on quadrangle-free graphs, along the identification of the two
-    algebras.  Each step fills the one Unknown, so at most one applies."""
+    algebras.  Each step fills the one Unknown, so at most one applies.
+
+    A coarse pair needs no carrying to the fine algebra on a
+    quadrangle-free graph: there every disjoint pair is edge-free (i ~ k
+    with i in supp σ and k in supp τ would close the 4-cycle i, k, σ(i),
+    τ(k)), and R-BIC-1 scans the twin swaps and minimal supports that
+    R-BAN-1 scans, so it has already fired."""
 
     def carry(rule: str, cert: Certificate) -> Verdict:
         """The Unknown target's verdict: the other target's status, now
@@ -753,8 +577,6 @@ def _transfer(ctx: _Ctx, bic: Verdict, ban: Verdict) -> tuple[Verdict, Verdict]:
         bic = carry(R_CHAIN, ban.certificate)
     elif pair == (Status.COMMUTATIVE, Status.UNKNOWN) and ctx.quadrangle_free:
         ban = carry(R_QF, QuadrangleFreeSelf(companion=bic.certificate))
-    elif pair == (Status.UNKNOWN, Status.NONCOMMUTATIVE) and ctx.quadrangle_free:
-        bic = carry(R_QF, QuadrangleFreeSelf(companion=ban.certificate))
     if bic.status is Status.NONCOMMUTATIVE and ban.status is Status.COMMUTATIVE:
         raise QsymError(
             "inconsistent verdicts: the fine algebra cannot be "
@@ -849,50 +671,3 @@ def classify_with_complement(g: Graph, node_budget: int | None = None) -> Report
         trace=tuple(f"complement {line}" for line in comp.trace),
         notes=(*notes, *comp.notes),
     )
-
-
-# ---------------------------------------------------------------------------
-# certificate re-verification
-
-
-def verify_certificate(g: Graph, verdict: Verdict) -> bool:
-    """Re-check a verdict's certificate against the graph from scratch.
-
-    Returns True when the certificate can stand behind the verdict's
-    status (see :data:`CERTIFIED_STATUS`) and its premises hold of ``g``;
-    raises nothing for a merely wrong certificate (that returns False)."""
-    cert = verdict.certificate
-    if cert is None:
-        return verdict.status is Status.UNKNOWN
-    return _entails(cert, verdict.target, verdict.status) and cert.holds(g)
-
-
-def _entails(cert: Certificate, target: str, status: Status) -> bool:
-    """Whether a certificate of this kind supports the claim that the
-    ``target`` algebra has ``status``.
-
-    Bare, a disjoint pair shows only the coarse algebra non-commutative
-    (the fine one also needs the supports joined by no edge).  A forest
-    without an edge-free disjoint pair, a strip (which rests on a fine
-    verdict about the stripped core) and a bare quadrangle-free
-    complement show only the fine one commutative.  With a companion
-    showing the complement's fine algebra commutative, the last shows
-    the coarse one commutative too: on a quadrangle-free complement the
-    two algebras coincide, and the coarse one is complement-invariant.
-    Under a quadrangle-free wrapper the two algebras coincide, so the
-    companion may stand for either target.  A missing companion supports
-    nothing."""
-    if isinstance(cert, QuadrangleFreeSelf):
-        return any(_entails(cert.companion, t, status) for t in (TARGET_BIC, TARGET_BAN))
-    if CERTIFIED_STATUS.get(getattr(cert, "kind", None)) is not status:
-        return False
-    fine = target != TARGET_BAN
-    if isinstance(cert, DisjointPair):
-        return not fine
-    if isinstance(cert, ForestNoDisjointPair):
-        return fine or not cert.edge_free_only
-    if isinstance(cert, QuadrangleFreeComplement):
-        return fine or _entails(cert.companion, TARGET_BIC, status)
-    if isinstance(cert, StripToCommutative):
-        return fine and _entails(cert.terminal, TARGET_BIC, status)
-    return True

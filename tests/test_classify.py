@@ -27,33 +27,36 @@ from qsym.automorphisms import (
     find_edge_free_disjoint_pair,
     twin_transpositions,
 )
-from qsym.classify import (
+from qsym.check import (
     CERTIFIED_STATUS,
+    TARGET_BAN,
+    TARGET_BIC,
+    TARGET_BIC_COMPLEMENT,
     Certificate,
-    Citation,
     DisjointPair,
     EdgeFreePair,
     ForestNoDisjointPair,
     QuadrangleFreeComplement,
     QuadrangleFreeSelf,
-    R_BAN_1,
-    R_BIC_1,
-    TARGET_BAN,
-    TARGET_BIC,
-    TARGET_BIC_COMPLEMENT,
-    Report,
     SmallBlocks,
     SmallOrder,
     Status,
     StripToCommutative,
+    verify_certificate,
+)
+from qsym.classify import (
+    R_BAN_1,
+    R_BIC_1,
+    Citation,
+    Report,
     Verdict,
     _complete_bipartite_parts,
     _Ctx,
+    _run,
     _Shared,
     _transfer,
     classify,
     classify_with_complement,
-    verify_certificate,
 )
 from qsym.census import SplitMix64, enumerate_forests, enumerate_trees, random_graph
 from qsym.cli import report_schema
@@ -273,28 +276,6 @@ def test_corona_rule_fires_when_search_is_capped():
     assert cert.sigma.cycles() == f"({n} {n + 3})({n + 1} {n + 2})"
     assert cert.tau.cycles() == f"({n + 4} {n + 7})({n + 5} {n + 6})"
     assert _verifies_without_provenance(g, rep.bic)
-
-
-def test_product_lift_unwraps_a_quadrangle_free_factor_pair(monkeypatch):
-    # a factor's fine verdict may stand on its coarse pair under a
-    # quadrangle-free wrapper; on such a factor that pair is edge-free,
-    # and R-PROD lifts it as it lifts an edge-free pair
-    module = importlib.import_module("qsym.classify")
-    t0, real = t0_graph(), module.classify
-    g = cartesian(t0, complete(2))
-    want = real(g, node_budget=1000).bic
-
-    def wrapping(h, node_budget=None):
-        rep = real(h, node_budget=node_budget)
-        if h is t0:
-            pair = rep.bic.certificate
-            wrapped = QuadrangleFreeSelf(companion=DisjointPair(pair.sigma, pair.tau))
-            bic = dataclasses.replace(rep.bic, certificate=wrapped)
-            rep = dataclasses.replace(rep, bic=bic)
-        return rep
-
-    monkeypatch.setattr(module, "classify", wrapping)
-    assert real(g, node_budget=1000).bic == want
 
 
 #: Factors for the product and corona sweep: trees without twins, a
@@ -724,15 +705,15 @@ def test_transfer_lifts_a_coarse_commutative_verdict_to_the_fine_algebra():
     assert verify_certificate(g, bic)
 
 
-def test_transfer_lifts_a_coarse_pair_on_a_quadrangle_free_graph():
-    g = star(4)  # the disjoint pair of two ray swaps is edge-free too
+def test_transfer_leaves_a_coarse_pair_to_the_fine_rules():
+    # on a quadrangle-free graph R-BIC-1 has already found any pair that
+    # R-BAN-1 finds (see the sweep below), so a hand-built coarse pair
+    # carries nothing over: the fine verdict stays open
+    g = star(4)
     ban = Verdict("ban", NC, DisjointPair(*find_disjoint_pair(g)))
     bic, _, trace = _transferred(g, Verdict("bic", U), ban)
-    assert bic.status is NC and bic.citation.rule == "R-QF"
-    assert bic.certificate == QuadrangleFreeSelf(companion=ban.certificate)
-    assert trace == ["bic R-QF: non-commutative via the coarse algebra"]
-    assert verify_certificate(g, bic)
-    # a graph with a quadrangle keeps its fine verdict open
+    assert bic.status is U and trace == []
+    # so does a graph with a quadrangle
     square = cycle(4)
     ban = Verdict("ban", NC, DisjointPair(*find_disjoint_pair(square)))
     bic, _, trace = _transferred(square, Verdict("bic", U), ban)
@@ -1002,6 +983,29 @@ def test_certificate_payload_bytes(cert, text):
     assert cert.payload() == json.loads(text)  # tuples become lists
 
 
+def test_report_cycles_use_labels_only_on_a_permutation_of_every_point():
+    # the labels name C5's five points: the wrapped pair acts on all five
+    # and prints them, the strip's nested pair acts on four points and
+    # keeps its indices, as do the image arrays everywhere
+    g = build(5, cycle(5).edges(), labels="abcde")
+    flip = Permutation((0, 4, 3, 2, 1))
+    nested = StripToCommutative(((4,),), DisjointPair(_S01, _S23))
+    rep = Report(
+        graph=g,
+        bic=Verdict("bic", NC, QuadrangleFreeSelf(companion=EdgeFreePair(flip, flip))),
+        ban=Verdict("ban", C, nested),
+        bic_complement=None,
+        trace=(),
+        notes=(),
+        elapsed_ms=0.0,
+    )
+    doc = rep.payload()["verdicts"]
+    pair = doc["bic"]["certificate"]["companion"]
+    assert pair["sigma"] == {"images": [0, 4, 3, 2, 1], "cycles": "(b e)(c d)"}
+    assert doc["ban"]["certificate"] == nested.payload()
+    assert doc["ban"]["certificate"]["terminal"]["sigma"]["cycles"] == "(0 1)"
+
+
 def test_quadrangle_free_complement_payload_inlines_its_companion():
     cert = QuadrangleFreeComplement(companion=SmallOrder(3))
     text = (
@@ -1083,19 +1087,47 @@ def test_a_certificate_must_support_the_verdicts_status():
     assert not verify_certificate(h, dataclasses.replace(strip, target="ban"))
 
 
-@functools.cache
-def _sweep_reports() -> tuple:
-    """(graph, report) for ``classify_with_complement`` on the first 500
-    0x5EED pool graphs, the 308 forests with n <= 9, the sparse gallery
-    and the certificate producers."""
+def _sweep_cases() -> list:
+    """(graph, budget): the first 500 0x5EED pool graphs, the 308 forests
+    with n <= 9 and the sparse gallery at the default budget, then the
+    certificate producers."""
     rng = SplitMix64(0x5EED)
     cases = [(random_graph(rng), None) for _ in range(500)]
     cases += [(f, None) for n in range(1, 10) for f in enumerate_forests(n)]
     cases += [(gallery(name), None) for name in SPARSE_GALLERY]
-    cases += _PRODUCER_CASES
+    return cases + _PRODUCER_CASES
+
+
+@functools.cache
+def _sweep_reports() -> tuple:
+    """(graph, report) for ``classify_with_complement`` on the sweep."""
     return tuple(
-        (g, classify_with_complement(g, node_budget=budget)) for g, budget in cases
+        (g, classify_with_complement(g, node_budget=budget))
+        for g, budget in _sweep_cases()
     )
+
+
+def test_on_quadrangle_free_graphs_the_fine_pair_rule_fires_with_the_coarse_one():
+    # why _transfer carries no coarse pair over to the fine algebra: on a
+    # quadrangle-free G or Gc of the sweep, at any budget, wherever
+    # R-BAN-1 fires the fine pipeline decides NonCommutative too, and
+    # R-BIC-1's witnesses are R-BAN-1's
+    same = 0
+    for g, _ in _sweep_cases():
+        for budget in (0, 3, 20, 100, None):
+            ctx = _Ctx(g, _Shared(g, budget))
+            for c in (ctx, ctx.complement):
+                if not c.quadrangle_free:
+                    continue
+                bic, ban = _run(c, TARGET_BIC), _run(c, TARGET_BAN)
+                if ban.status is not NC:
+                    continue
+                assert bic.status is NC, (g, budget, c.trace)
+                if bic.citation.rule == R_BIC_1:
+                    fine, coarse = bic.certificate, ban.certificate
+                    assert (fine.sigma, fine.tau) == (coarse.sigma, coarse.tau)
+                    same += 1
+    assert same > 2000
 
 
 def _status_sweep():
