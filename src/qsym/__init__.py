@@ -12,7 +12,6 @@ from .automorphisms import (
 from .graphs import (
     UNREACHABLE,
     Cherry,
-    GenerationPartition,
     Graph,
     build,
     complement,
@@ -24,7 +23,6 @@ from .graphs import (
     distance_matrix,
     edgeless,
     find_cherries,
-    generations,
     induced_subgraph,
     is_connected,
     is_forest,
@@ -37,7 +35,6 @@ from .graphs import (
 )
 from .products import (
     cartesian,
-    copies,
     corona,
     direct,
     disjoint_union,
@@ -52,7 +49,6 @@ from .reduction import (
     ZeroPattern,
     blocks,
     render_pattern,
-    strip_high_degree,
     strip_high_degree_fixpoint,
     zero_pattern,
 )
@@ -65,9 +61,7 @@ from .construct import (
     build_wreath,
     cone,
     corona_k1,
-    distinct_orders,
     join,
-    make_connected_preserving,
     replay,
 )
 from .gallery import gallery, gallery_names

@@ -29,13 +29,15 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import sys
 from importlib import resources
 
 from . import __version__, products
 from .census import (
-    CensusResult,
+    MAX_FOREST_ORDER,
+    MAX_TREE_ORDER,
     check_forest_dichotomy,
     cherry_census,
     oracle_crosschecks,
@@ -251,13 +253,13 @@ def _cmd_gallery(args) -> int:
 
 def _cmd_census(args) -> int:
     if args.survey == "forests":
-        result = check_forest_dichotomy(9 if args.n_max is None else args.n_max)
+        result = check_forest_dichotomy(
+            MAX_FOREST_ORDER if args.n_max is None else args.n_max
+        )
     elif args.survey == "cherries":
-        result = cherry_census(11 if args.n_max is None else args.n_max)
+        result = cherry_census(MAX_TREE_ORDER if args.n_max is None else args.n_max)
     else:
         result = oracle_crosschecks(seed=args.seed, count=args.count)
-    import io
-
     buf = io.StringIO()
     write_csv(result, buf)
     _emit(args, buf.getvalue())

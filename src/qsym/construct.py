@@ -1,16 +1,15 @@
 """Deterministic graph constructions with replayable build traces.
 
 The builders here assemble graphs whose symmetry behaviour is known in
-advance from the way they were put together: free-style compositions
-(disjoint union under a cone), tensor-style compositions (joins of
-pendant-expanded factors) and wreath-style compositions (coronas over a
-connected base).  Every builder returns the finished graph together with
-a :class:`ConstructionTrace` -- a small, explicit recipe that
-:func:`replay` can re-execute to reproduce the output bit for bit.
+advance from the way they were put together: :func:`build_free`
+(disjoint union under a cone), :func:`build_tensor` (joins of
+pendant-expanded factors) and :func:`build_wreath` (a corona over a
+connected base).  Each returns the finished graph together with a
+:class:`ConstructionTrace` -- a small, explicit recipe with one result,
+which :func:`replay` re-executes to reproduce the output bit for bit.
 
-Traces exist so that downstream certificates can point at "how the graph
-was made" and still be checkable: a trace that no longer rebuilds the
-graph is rejected.
+A trace that no longer rebuilds its graph is rejected, so a generated
+instance can be audited from its trace alone.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import BadParams, EmptyInput, HypothesisFailed, K1Input
+from .errors import BadParams, EmptyInput, HypothesisFailed
 from .graphs import Graph, build, check_order, is_connected
 from .products import corona, disjoint_union
 
@@ -30,13 +29,10 @@ __all__ = [
     "cone",
     "corona_k1",
     "join",
-    "make_connected_preserving",
-    "distinct_orders",
     "build_free",
     "build_tensor",
     "build_wreath",
     "replay",
-    "replay_all",
 ]
 
 
@@ -145,11 +141,11 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class ConstructionTrace:
-    """A recipe that rebuilds a construction's outputs from its inputs.
+    """A recipe that rebuilds a construction's output from its inputs.
 
-    ``results`` lists the refs of the finished graphs (builders produce
-    one; :func:`distinct_orders` produces one per input).  Replaying the
-    steps against ``inputs`` must reproduce the outputs exactly.
+    ``results`` holds the ref of the finished graph; a trace that
+    :func:`replay` accepts has exactly one.  Replaying the steps against
+    ``inputs`` must reproduce the output exactly.
     """
 
     inputs: tuple[Graph, ...]
@@ -158,16 +154,13 @@ class ConstructionTrace:
     notes: tuple[str, ...] = ()
 
     @property
-    def orders(self) -> tuple[int, ...]:
-        """Vertex counts of the results, in order; a ref that names no
-        input or step raises :class:`BadParams`, as in :func:`replay`."""
+    def final_order(self) -> int:
+        """Vertex count of the result; results that :func:`replay`
+        rejects (not exactly one, or a ref that names no input or step)
+        raise :class:`BadParams` here too."""
         orders = {f"in{i}": g.n for i, g in enumerate(self.inputs)}
         orders.update((f"s{k}", step.order) for k, step in enumerate(self.steps))
-        return tuple(_resolve(orders, r) for r in self.results)
-
-    @property
-    def final_order(self) -> int:
-        return self.orders[-1]
+        return _resolve(orders, _only(self.results))
 
     def payload(self) -> dict:
         return {
@@ -179,15 +172,17 @@ class ConstructionTrace:
         }
 
 
-def replay_all(trace: ConstructionTrace) -> tuple[Graph, ...]:
-    """Re-execute every step of ``trace`` and return its result graphs.
+def replay(trace: ConstructionTrace) -> Graph:
+    """Re-execute every step of ``trace`` and return its result graph.
 
     Each step runs through the builder that records traces, and must
     come out as the step it replays.  Raises :class:`BadParams` if the
     trace is internally inconsistent (unknown op, wrong operand count,
-    a ref that names no input or earlier step, or a step whose recorded
-    orders disagree with what the operation actually produces).
+    a ref that names no input or earlier step, a step whose recorded
+    orders disagree with what the operation actually produces, or other
+    than one result).
     """
+    result = _only(trace.results)
     tb = _TraceBuilder(trace.inputs)
     for step in trace.steps:
         tb.add(step.op, step.args, step.note)
@@ -197,15 +192,14 @@ def replay_all(trace: ConstructionTrace) -> tuple[Graph, ...]:
                 f"trace step {step.op!r}: recorded orders {step.operand_orders} "
                 f"-> {step.order}, replay gives {made.operand_orders} -> {made.order}"
             )
-    return tuple(tb.graph(r) for r in trace.results)
+    return tb.graph(result)
 
 
-def replay(trace: ConstructionTrace) -> Graph:
-    """Replay a single-result trace. See :func:`replay_all`."""
-    outs = replay_all(trace)
-    if len(outs) != 1:
-        raise BadParams(f"trace has {len(outs)} results, expected one")
-    return outs[0]
+def _only(results: Sequence[str]) -> str:
+    """The one ref in a trace's ``results``."""
+    if len(results) != 1:
+        raise BadParams(f"trace has {len(results)} results, expected one")
+    return results[0]
 
 
 _T = TypeVar("_T")
@@ -255,14 +249,12 @@ class _TraceBuilder:
         self._graphs[ref] = out
         return ref
 
-    def done(self, results: Sequence[str]) -> ConstructionTrace:
-        return ConstructionTrace(
-            self.inputs, tuple(self.steps), tuple(results), tuple(self.notes)
-        )
-
     def finish(self, ref: str) -> tuple[Graph, ConstructionTrace]:
         """The graph under ``ref`` and the trace with it as its one result."""
-        return self.graph(ref), self.done([ref])
+        trace = ConstructionTrace(
+            self.inputs, tuple(self.steps), (ref,), tuple(self.notes)
+        )
+        return self.graph(ref), trace
 
 
 # ---------------------------------------------------------------------------
@@ -311,38 +303,6 @@ def _grow_distinct(tb: _TraceBuilder, refs: list[str]) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # public constructions
-
-
-def make_connected_preserving(g: Graph) -> tuple[Graph, ConstructionTrace]:
-    """Return ``g`` unchanged if connected, else its cone.
-
-    The cone direction comes with a guarantee note in the trace: for a
-    disconnected base, adding the apex does not change whether the fine
-    algebra is commutative.
-    """
-    tb = _TraceBuilder([g])
-    ref = _connect(tb, "in0")
-    if ref == "in0":
-        tb.note("input already connected; returned unchanged")
-    return tb.finish(ref)
-
-
-def distinct_orders(gs: Sequence[Graph]) -> tuple[list[Graph], ConstructionTrace]:
-    """Grow factors by pendant expansion until all orders differ.
-
-    Inputs must be connected and have at least two vertices each
-    (pendant expansion cannot separate single vertices, and a
-    single-vertex factor would break the expansion's guarantees; the
-    expansion of the 0-vertex graph is itself, so it never grows).
-    """
-    for i, g in enumerate(gs):
-        if g.n == 0:
-            raise K1Input(f"factor {i} has no vertices; cannot be grown apart")
-        if g.n == 1:
-            raise K1Input(f"factor {i} is a single vertex; cannot be grown apart")
-    tb = _TraceBuilder(gs)
-    refs = _grow_distinct(tb, [f"in{i}" for i in range(len(gs))])
-    return [tb.graph(r) for r in refs], tb.done(refs)
 
 
 def _prepare(

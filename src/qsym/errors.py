@@ -40,12 +40,7 @@ class SizeLimitExceeded(QsymError):
 
 
 class NonPositiveCount(QsymError):
-    """A count parameter (copies, census sizes, ...) must be positive."""
-
-
-class K1Input(QsymError):
-    """A factor with fewer than two vertices where the construction
-    forbids one."""
+    """A count parameter, such as the oracle survey's, must be positive."""
 
 
 class EmptyInput(QsymError):

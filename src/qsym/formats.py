@@ -18,7 +18,7 @@ Two readable formats and one write-only export:
 from __future__ import annotations
 
 from .errors import BadParams, ParseError
-from .graphs import Graph, build
+from .graphs import Graph, build, check_order
 
 __all__ = ["READABLE_FORMATS", "WRITABLE_FORMATS", "parse_graph", "write_graph"]
 
@@ -131,12 +131,18 @@ def _parse_graph6(text: str) -> Graph:
     else:
         n = ord(s[0]) - 63
         body, body_start = s[1:], 1
-    need = (n * (n - 1) // 2 + 5) // 6
+    total = n * (n - 1) // 2
+    need = (total + 5) // 6
     if len(body) != need:
         raise ParseError(
             f"byte {body_start}: expected {need} body bytes for n={n}, "
             f"got {len(body)}"
         )
+    # the padding is the low bits of the last byte, so it and the order
+    # are checked before the upper triangle is expanded
+    if body and (ord(body[-1]) - 63) & ((1 << (-total % 6)) - 1):
+        raise ParseError(f"byte {body_start + total // 6}: nonzero padding bits")
+    check_order(n)
     bits = []
     for ch in body:
         val = ord(ch) - 63
@@ -148,8 +154,6 @@ def _parse_graph6(text: str) -> Graph:
             if bits[idx]:
                 edges.append((i, j))
             idx += 1
-    if any(bits[idx:]):
-        raise ParseError(f"byte {body_start + idx // 6}: nonzero padding bits")
     return build(n, edges)
 
 

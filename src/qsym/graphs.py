@@ -66,20 +66,6 @@ class Cherry:
     w: int
 
 
-@dataclass(frozen=True)
-class GenerationPartition:
-    """Distance layers of a tree measured from its centre.
-
-    ``center`` has one or two vertices.  ``layers[k]`` is the frozenset of
-    vertices whose distance to the centre (to the nearer centre vertex,
-    when there are two) equals ``k``; ``layers[0]`` is the centre itself.
-    Every automorphism of the tree maps each layer onto itself.
-    """
-
-    center: tuple[int, ...]
-    layers: tuple[frozenset[int], ...]
-
-
 def _pack_rows(matrix: np.ndarray) -> tuple[int, ...]:
     """Each row of a square boolean matrix as a bitmask (bit ``j`` set iff
     ``matrix[i, j]``)."""
@@ -117,16 +103,6 @@ class Graph:
         self._check_vertex(v)
         return tuple(int(u) for u in np.flatnonzero(self.adj[v]))
 
-    def neighbor_mask(self, v: int) -> int:
-        """Neighbourhood of ``v`` as a bitmask (bit ``u`` set iff ``u ~ v``)."""
-        self._check_vertex(v)
-        return self._bits[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool(self.adj[u, v])
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as sorted pairs ``(u, v)`` with ``u < v``, sorted."""
         iu = np.triu_indices(self.n, k=1)
@@ -151,10 +127,6 @@ class Graph:
         if not isinstance(other, Graph):
             return NotImplemented
         return self.n == other.n and np.array_equal(self.adj, other.adj)
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     def __hash__(self):
         return hash((self.n, self.adj.tobytes()))
@@ -379,27 +351,6 @@ def tree_center(g: Graph) -> tuple[int, ...]:
                 if u in remaining:
                     deg[u] -= 1
     return tuple(sorted(remaining))
-
-
-def generations(g: Graph) -> GenerationPartition:
-    """Layer a tree by distance from its centre.
-
-    With a single centre vertex ``c`` the k-th layer is everything at
-    distance k from ``c``; with a bicentral tree the layers measure the
-    distance to the nearer of the two centre vertices, so layer 0 holds
-    both.
-    """
-    center = tree_center(g)
-    dist = distance_matrix(g)
-    how_far = [min(int(dist[c, v]) for c in center) for v in range(g.n)]
-    layers: list[set[int]] = []
-    for v, k in enumerate(how_far):
-        while len(layers) <= k:
-            layers.append(set())
-        layers[k].add(v)
-    return GenerationPartition(
-        center=center, layers=tuple(frozenset(layer) for layer in layers)
-    )
 
 
 def find_cherries(g: Graph) -> tuple[Cherry, ...]:

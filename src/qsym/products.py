@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadParams, NonPositiveCount
+from .errors import BadParams
 from .graphs import Graph, Provenance, check_order
 
 
@@ -82,14 +82,6 @@ def corona(g1: Graph, g2: Graph) -> Graph:
         adj[alpha, lo:hi] = True
         adj[lo:hi, alpha] = True
     return Graph(adj, provenance=Provenance("corona", (g1, g2)))
-
-
-def copies(g: Graph, k: int) -> Graph:
-    """``k`` disjoint copies of ``g``; copy ``alpha`` occupies the index
-    block ``alpha*n .. (alpha+1)*n - 1``."""
-    if k < 1:
-        raise NonPositiveCount(f"need k >= 1 copies, got {k}")
-    return disjoint_union([g] * k)
 
 
 def disjoint_union(graphs: list[Graph]) -> Graph:

@@ -190,22 +190,11 @@ def _high_degree(bits: tuple[int, ...], alive: int) -> int:
     return out
 
 
-def strip_high_degree(g: Graph) -> tuple[Graph, tuple[int, ...]]:
-    """Remove every vertex of degree n-1 or n-2 (n the current order), in
-    one pass.  Returns the induced remainder and the removed vertices (as
-    indices into ``g``)."""
-    alive = (1 << g.n) - 1
-    removed = _high_degree(g._bits, alive)
-    if not removed:
-        return g, ()
-    return induced_subgraph(g, _mask_vertices(alive ^ removed)), _mask_vertices(removed)
-
-
 def strip_high_degree_fixpoint(
     g: Graph,
 ) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
-    """Repeat the pass of :func:`strip_high_degree` until nothing
-    qualifies.
+    """Remove every vertex of degree m-1 or m-2, m the current order, in
+    passes, until no vertex qualifies.
 
     The passes walk ``g``'s own neighbour bitmasks under a mask of the
     vertices still alive, so the chain records, pass by pass, the

@@ -241,6 +241,21 @@ def test_huge_edge_list_header_is_exit_3(tmp_path, capsys):
     assert "above the limit" in err
 
 
+@pytest.mark.parametrize(
+    "last, rc, message",
+    [("?", 3, "4097 is above the limit"), ("@", 2, "nonzero padding bits")],
+    ids=["well-formed", "bad-padding"],
+)
+def test_huge_graph6_file_is_refused_at_once(tmp_path, capsys, last, rc, message):
+    # 4,097 vertices: 1,398,443 body bytes, the last with two padding bits
+    f = tmp_path / "huge.g6"
+    f.write_text("~@?@" + "?" * 1398442 + last + "\n")
+    with time_limit(1):
+        got, _, err = run(capsys, "analyze", str(f))
+    assert got == rc
+    assert message in err
+
+
 def test_census_out_of_range_is_exit_3(capsys):
     rc, _, _ = run(capsys, "census", "forests", "--n-max", "12")
     assert rc == 3

@@ -26,13 +26,10 @@ from qsym.construct import (
     build_wreath,
     cone,
     corona_k1,
-    distinct_orders,
     join,
-    make_connected_preserving,
     replay,
-    replay_all,
 )
-from qsym.errors import BadParams, EmptyInput, HypothesisFailed, K1Input
+from qsym.errors import BadParams, EmptyInput, HypothesisFailed
 from qsym.graphs import components, is_connected
 
 from .conftest import graphs, time_limit
@@ -62,9 +59,9 @@ def test_cone_adds_a_dominating_apex():
 def test_cone_preserves_base_adjacency():
     g = cone(C5)
     assert g.n == 6
-    assert all(g.has_edge(5, v) for v in range(5))
-    assert [sorted(u for u in range(5) if g.has_edge(v, u)) for v in range(5)] == [
-        sorted(u for u in range(5) if C5.has_edge(v, u)) for v in range(5)
+    assert all(g.adj[5, v] for v in range(5))
+    assert [sorted(u for u in range(5) if g.adj[v, u]) for v in range(5)] == [
+        sorted(u for u in range(5) if C5.adj[v, u]) for v in range(5)
     ]
 
 
@@ -110,11 +107,11 @@ def test_join_rejects_empty_input():
 
 
 # ---------------------------------------------------------------------------
-# make_connected_preserving
+# build_free: connecting a factor
 
 
 def test_connected_input_passes_through():
-    g, trace = make_connected_preserving(C5)
+    g, trace = build_free([C5])
     assert g is C5
     assert trace.steps == ()
     assert trace.results == ("in0",)
@@ -123,8 +120,8 @@ def test_connected_input_passes_through():
 
 def test_disconnected_input_gets_coned():
     base = disjoint_union([K2, K2])
-    g, trace = make_connected_preserving(base)
-    assert g.n == 5
+    g, trace = build_free([base])
+    assert g == cone(base)
     assert is_connected(g)
     assert [s.op for s in trace.steps] == ["cone"]
     assert trace.steps[0].note  # the guarantee is written down
@@ -132,32 +129,38 @@ def test_disconnected_input_gets_coned():
 
 
 # ---------------------------------------------------------------------------
-# distinct_orders
+# build_free: growing orders apart
+
+
+def _union_step(trace):
+    (step,) = [s for s in trace.steps if s.op == "disjoint_union"]
+    return step
 
 
 def test_distinct_orders_grows_later_indices():
-    outs, trace = distinct_orders([C3, C3, C3])
-    assert [g.n for g in outs] == [3, 6, 12]
-    assert trace.orders == (3, 6, 12)
-    assert outs[0] == C3
-    assert replay_all(trace) == tuple(outs)
+    g, trace = build_free([C3, C3, C3])
+    union = _union_step(trace)
+    assert union.operand_orders == (3, 6, 12)
+    assert union.args[0] == "in0"  # the first factor stays as it is
+    assert trace.final_order == g.n == 22
+    assert replay(trace) == g
 
 
 def test_distinct_orders_two_equal_factors():
-    outs, _ = distinct_orders([K2, K2])
-    assert [g.n for g in outs] == [2, 4]
+    _, trace = build_free([K2, K2])
+    assert _union_step(trace).operand_orders == (2, 4)
 
 
 def test_distinct_orders_leaves_distinct_inputs_alone():
-    outs, trace = distinct_orders([K2, C3, C5])
-    assert outs == [K2, C3, C5]
-    assert trace.steps == ()
+    _, trace = build_free([K2, C3, C5])
+    assert [s.op for s in trace.steps] == ["disjoint_union", "cone"]
+    assert _union_step(trace).args == ("in0", "in1", "in2")
 
 
 def test_distinct_orders_stops_at_the_order_cap():
     # the twelfth C3 would be doubled eleven times, to 6,144 vertices
     with time_limit(10), pytest.raises(BadParams, match="6144 is above the limit"):
-        distinct_orders([C3] * 12)
+        build_free([C3] * 12)
 
 
 def test_distinct_orders_refuses_before_any_expansion(monkeypatch):
@@ -171,34 +174,22 @@ def test_distinct_orders_refuses_before_any_expansion(monkeypatch):
 
     monkeypatch.setitem(qsym.construct._OPS, "corona_k1", (counting, 1))
     with pytest.raises(BadParams, match="6144 is above the limit"):
-        distinct_orders([C3] * 12)
+        build_free([C3] * 12)
     assert expansions == []
-    outs, _ = distinct_orders([C3] * 3)
+    build_free([C3] * 3)
     assert expansions == [3, 3, 6]
-
-
-def test_distinct_orders_rejects_single_vertices():
-    with pytest.raises(K1Input):
-        distinct_orders([C3, K1])
-
-
-def test_distinct_orders_rejects_zero_vertex_factors():
-    # pendant expansion leaves the 0-vertex graph as it is, so two of
-    # them could never be grown apart
-    with time_limit(2), pytest.raises(K1Input, match="no vertices"):
-        distinct_orders([edgeless(0), edgeless(0)])
 
 
 @settings(max_examples=25)
 @given(graphs(min_n=2, max_n=4), graphs(min_n=2, max_n=4), graphs(min_n=2, max_n=4))
 def test_distinct_orders_always_distinct(g1, g2, g3):
     gs = [g for g in (g1, g2, g3) if is_connected(g)]
-    if not gs:
+    if len(gs) < 2:
         return
-    outs, trace = distinct_orders(gs)
-    orders = [g.n for g in outs]
-    assert len(set(orders)) == len(orders)
-    assert replay_all(trace) == tuple(outs)
+    g, trace = build_free(gs)
+    orders = _union_step(trace).operand_orders
+    assert len(set(orders)) == len(orders) == len(gs)
+    assert replay(trace) == g
 
 
 # ---------------------------------------------------------------------------
@@ -383,14 +374,13 @@ def test_wreath_aut_order_composes():
 @settings(max_examples=20, deadline=None)
 @given(graphs(min_n=1, max_n=3), graphs(min_n=1, max_n=2))
 def test_wreath_aut_order_matches_composition(g1, g2):
+    base = g1 if is_connected(g1) else cone(g1)
     try:
         g, _ = build_wreath(g1, g2)
     except HypothesisFailed:
-        base, _ = make_connected_preserving(g1)
         assert base.n == 1
         assert any(d == g2.n - 1 for d in g2.degree_sequence)
         return
-    base, _ = make_connected_preserving(g1)
     assert aut_order(g) == aut_order(g2) ** base.n * aut_order(base)
 
 
@@ -434,8 +424,8 @@ def test_replay_rejects_dangling_refs():
 @pytest.mark.parametrize("ref", ["inx", "s3", "in-1"])
 @pytest.mark.parametrize(
     "read",
-    [lambda t: t.orders, lambda t: t.final_order, lambda t: t.payload()],
-    ids=["orders", "final_order", "payload"],
+    [lambda t: t.final_order, lambda t: t.payload()],
+    ids=["final_order", "payload"],
 )
 def test_trace_orders_reject_refs_that_replay_rejects(ref, read):
     trace = ConstructionTrace((K2,), (), (ref,))
@@ -478,14 +468,16 @@ def _one_step(op, args, operand_orders, order):
 )
 def test_replay_rejects_inconsistent_traces(trace):
     with pytest.raises(BadParams):
-        replay_all(trace)
+        replay(trace)
 
 
 def test_replay_wants_exactly_one_result():
-    _, trace = distinct_orders([K2, K2])
-    with pytest.raises(BadParams):
-        replay(trace)
-    assert len(replay_all(trace)) == 2
+    for results in [(), ("in0", "in1")]:
+        trace = ConstructionTrace((K2, C3), (), results)
+        with pytest.raises(BadParams, match="expected one"):
+            replay(trace)
+        with pytest.raises(BadParams, match="expected one"):
+            trace.final_order
 
 
 @settings(max_examples=25, deadline=None)

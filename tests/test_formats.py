@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 
@@ -12,7 +14,7 @@ from qsym.formats import (
     write_graph,
 )
 
-from .conftest import graphs, small_corpus
+from .conftest import graphs, small_corpus, time_limit
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +114,43 @@ def test_graph6_accepts_standard_header():
 )
 def test_graph6_rejects_malformed(text):
     with pytest.raises(ParseError):
+        parse_graph("graph6", text)
+
+
+def _graph6_edgeless(n: int, last: str = "?") -> str:
+    """A graph6 string of the right length for ``n`` vertices (n >= 63),
+    all bits zero except those of ``last``, the final body byte."""
+    prefix = "~" + "".join(chr(63 + (n >> k & 63)) for k in (12, 6, 0))
+    need = (n * (n - 1) // 2 + 5) // 6
+    return prefix + "?" * (need - 1) + last
+
+
+def test_graph6_over_the_cap_is_refused_before_expansion():
+    # 4,097 vertices: 8,390,656 bits in 1,398,443 body bytes, which as a
+    # list of bits would take over 60 MB
+    text = _graph6_edgeless(4097)
+    tracemalloc.start()
+    try:
+        with time_limit(10), pytest.raises(BadParams, match="4097 is above the limit"):
+            parse_graph("graph6", text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # 8,390,656 bits leave two padding bits in the last byte
+        (_graph6_edgeless(4097, "@"), "byte 1398446: nonzero padding bits"),
+        (_graph6_edgeless(4097)[:-1], "byte 4: expected 1398443 body bytes"),
+        ("B{", "byte 1: nonzero padding bits"),
+    ],
+    ids=["padding-over-the-cap", "length-over-the-cap", "padding"],
+)
+def test_graph6_parse_errors_come_before_the_order_cap(text, message):
+    with time_limit(10), pytest.raises(ParseError, match=message):
         parse_graph("graph6", text)
 
 

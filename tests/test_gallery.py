@@ -82,7 +82,7 @@ def test_c4pn_shape(n):
     assert g.n == 2 * n + 2
     # a and b are the quadrangle's opposite corners, never adjacent
     a, b = 0, 1
-    assert not g.has_edge(a, b)
+    assert not g.adj[a, b]
     assert g.degree(a) == 2 and g.degree(b) == 2
     # the two tail ends are the only degree-1 vertices
     assert sorted(g.degree_sequence).count(1) == 2

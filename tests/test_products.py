@@ -8,7 +8,6 @@ from qsym import (
     build,
     cartesian,
     complete,
-    copies,
     corona,
     cycle,
     direct,
@@ -19,7 +18,7 @@ from qsym import (
     strong,
 )
 import qsym.products
-from qsym.errors import BadParams, NonPositiveCount
+from qsym.errors import BadParams
 from qsym.products import PRODUCT_KINDS, corona_counts, edge_rule_product
 
 from .conftest import graphs
@@ -61,9 +60,8 @@ _E64, _E65 = edgeless(64), edgeless(65)
         (lambda g1, g2: edge_rule_product("strong", g1, g2), (_E65, _E65)),
         (corona, (_E64, _E64)),
         (disjoint_union, ([_E65] * 64,)),
-        (copies, (_E64, 65)),
     ],
-    ids=[*FORMULAS, "edge_rule", "corona", "disjoint_union", "copies"],
+    ids=[*FORMULAS, "edge_rule", "corona", "disjoint_union"],
 )
 def test_products_refuse_an_order_above_the_cap_before_allocating(
     monkeypatch, make, operands
@@ -105,7 +103,7 @@ def test_lexicographic_outer_second_factor():
 def test_lexicographic_with_edgeless_outer_factor_copies():
     g = path(2)
     got = lexicographic(g, edgeless(3))
-    assert are_isomorphic(got, copies(g, 3)) is not None
+    assert are_isomorphic(got, disjoint_union([g] * 3)) is not None
 
 
 def test_products_commute_up_to_isomorphism():
@@ -128,11 +126,11 @@ def test_corona_of_edge_with_point_is_a_path():
 def test_corona_layout():
     g = corona(complete(2), complete(2))
     # bases 0,1; copies {2,3} and {4,5}
-    assert g.has_edge(0, 1)
-    assert g.has_edge(2, 3) and g.has_edge(4, 5)
-    assert g.has_edge(0, 2) and g.has_edge(0, 3)
-    assert g.has_edge(1, 4) and g.has_edge(1, 5)
-    assert not g.has_edge(0, 4) and not g.has_edge(2, 4)
+    assert g.adj[0, 1]
+    assert g.adj[2, 3] and g.adj[4, 5]
+    assert g.adj[0, 2] and g.adj[0, 3]
+    assert g.adj[1, 4] and g.adj[1, 5]
+    assert not g.adj[0, 4] and not g.adj[2, 4]
 
 
 @settings(max_examples=30)
@@ -151,14 +149,7 @@ def test_corona_of_triangle_with_short_path():
 
 
 # ---------------------------------------------------------------------------
-# unions and copies
-
-
-def test_copies_layout_and_validation():
-    g = copies(path(1), 3)
-    assert g.edges() == [(0, 1), (2, 3), (4, 5)]
-    with pytest.raises(NonPositiveCount):
-        copies(path(1), 0)
+# unions
 
 
 def test_disjoint_union_blocks():

@@ -34,7 +34,6 @@ from qsym import (
     path,
     render_pattern,
     star,
-    strip_high_degree,
     strip_high_degree_fixpoint,
     verify_certificate,
     zero_pattern,
@@ -460,30 +459,34 @@ def test_blocks_equal_the_reference():
 
 def test_strip_removes_dominating_and_near_dominating():
     g = fig7_graph()
-    stripped, removed = strip_high_degree(g)
-    assert removed == (4, 5)
+    stripped, chain = strip_high_degree_fixpoint(g)
+    assert chain == ((4, 5),)
     assert stripped.n == 4
     assert stripped.edges() == [(0, 1), (2, 3)]
 
 
 def test_strip_complete_graph_to_nothing():
-    g, removed = strip_high_degree(complete(4))
-    assert removed == (0, 1, 2, 3)
+    g, chain = strip_high_degree_fixpoint(complete(4))
+    assert chain == ((0, 1, 2, 3),)
     assert g.n == 0
 
 
 def test_strip_c4_everything_goes():
     # every vertex of the 4-cycle has degree n-2
-    g, removed = strip_high_degree(cycle(4))
-    assert removed == (0, 1, 2, 3)
+    g, chain = strip_high_degree_fixpoint(cycle(4))
+    assert chain == ((0, 1, 2, 3),)
     assert g.n == 0
 
 
 def test_strip_leaves_low_degrees_alone():
     g = path(4)  # degrees 1,2,2,2,1 on 5 vertices: nothing reaches n-2
-    stripped, removed = strip_high_degree(g)
-    assert removed == ()
+    stripped, chain = strip_high_degree_fixpoint(g)
+    assert chain == ()
     assert stripped is g
+    # the hub of a star goes, and its leaves, of degree 0 < 4 - 2, stay
+    stripped, chain = strip_high_degree_fixpoint(star(4))
+    assert chain == ((0,),)
+    assert stripped == edgeless(4)
 
 
 def test_strip_fixpoint_reports_original_ids():
@@ -553,6 +556,6 @@ def test_strip_fixpoint_terminates_on_fixed_graph():
 
 def test_strip_edgeless_all_dominating_complement():
     # in the 1-vertex graph the sole vertex has degree 0 == n-1
-    g, removed = strip_high_degree(edgeless(1))
-    assert removed == (0,)
+    g, chain = strip_high_degree_fixpoint(edgeless(1))
+    assert chain == ((0,),)
     assert g.n == 0
