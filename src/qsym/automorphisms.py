@@ -52,78 +52,11 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import LengthMismatch, OutOfRange, SizeLimitExceeded
-from .graphs import Graph, _mask_vertices, is_isomorphism
+from .errors import SizeLimitExceeded
+from .graphs import Graph, Permutation, _edge_between, _mask_vertices, is_automorphism
 
 #: Default cap on search nodes for one listing of Aut(g).
 DEFAULT_NODE_BUDGET = 10_000_000
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of ``0..n-1`` stored as its image tuple.
-
-    ``p.images[v]`` is where ``v`` goes.  As a matrix this is the
-    0/1 matrix with ``M[p(j), j] = 1``, so ``p`` is a graph automorphism
-    exactly when ``M A = A M`` for the adjacency matrix ``A``.
-    """
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(n)):
-            if any(not 0 <= v < n for v in self.images):
-                raise OutOfRange(f"images {self.images} not within range({n})")
-            raise OutOfRange(f"images {self.images} are not a bijection")
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def __call__(self, v: int) -> int:
-        return self.images[v]
-
-    def support(self) -> frozenset[int]:
-        return frozenset(v for v, w in enumerate(self.images) if v != w)
-
-    def support_mask(self) -> int:
-        mask = 0
-        for v, w in enumerate(self.images):
-            if v != w:
-                mask |= 1 << v
-        return mask
-
-    @property
-    def is_identity(self) -> bool:
-        return all(v == w for v, w in enumerate(self.images))
-
-    def cycles(self, names: Sequence[str] | None = None) -> str:
-        """Cycle notation for display, e.g. ``(0 2)(1 3)``; ``id`` if
-        trivial.  ``names`` substitutes vertex labels for the indices."""
-        seen = [False] * self.n
-        parts = []
-        for v in range(self.n):
-            if seen[v] or self.images[v] == v:
-                seen[v] = True
-                continue
-            cyc = [v]
-            seen[v] = True
-            w = self.images[v]
-            while w != v:
-                cyc.append(w)
-                seen[w] = True
-                w = self.images[w]
-            text = " ".join(str(x) if names is None else names[x] for x in cyc)
-            parts.append(f"({text})")
-        return "".join(parts) if parts else "id"
-
-
-def is_automorphism(g: Graph, p: Permutation) -> bool:
-    """Re-verify that ``p`` preserves adjacency on ``g``."""
-    if p.n != g.n:
-        raise LengthMismatch(f"permutation on {p.n} points, graph on {g.n}")
-    return is_isomorphism(g, g, p.images)
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,42 +193,39 @@ class _Search:
     def first_leaf(self, prefix: Sequence[int]) -> tuple[int, ...] | None:
         """The smallest leaf whose images of ``0..len(prefix)-1`` are
         ``prefix`` (which must itself preserve the distance classes), or
-        ``None``."""
+        ``None``.  Depth first, without recursion: ``rest[v]`` holds the
+        candidates for ``v`` not yet tried."""
         cand_mask, earlier = self.cand_mask, self.earlier
         n, budget = len(cand_mask), self.budget
         images = [*prefix, *[0] * (n - len(prefix))]
         used = sum(1 << x for x in prefix)
         nodes = self.nodes
-        last = n - 1
-
-        def extend(v: int) -> bool:
-            nonlocal used, nodes
-            free = cand_mask[v] & ~used
-            nodes += free.bit_count()
-            if nodes > budget:
-                raise SizeLimitExceeded(budget)
-            for group, table in earlier[v]:
-                for u in group:
-                    free &= table[images[u]]
-            if v == last:
-                # at most one vertex is still unused
-                images[v] = free.bit_length() - 1
-                return bool(free)
-            while free:
+        start = v = len(prefix)
+        rest = [0] * n
+        try:
+            while v < n:
+                free = cand_mask[v] & ~used
+                nodes += free.bit_count()
+                if nodes > budget:
+                    raise SizeLimitExceeded(budget)
+                for group, table in earlier[v]:
+                    for u in group:
+                        free &= table[images[u]]
+                # back up to the deepest vertex with a candidate left
+                while not free:
+                    v -= 1
+                    if v < start:
+                        return None
+                    used ^= 1 << images[v]
+                    free = rest[v]
                 low = free & -free
+                rest[v] = free ^ low
                 images[v] = low.bit_length() - 1
                 used |= low
-                if extend(v + 1):
-                    return True
-                used ^= low
-                free ^= low
-            return False
-
-        try:
-            found = len(prefix) == n or extend(len(prefix))
+                v += 1
         finally:
             self.nodes = nodes
-        return tuple(images) if found else None
+        return tuple(images)
 
 
 def _transversal(
@@ -463,16 +393,6 @@ def _twin_pairs(g: Graph) -> Iterator[tuple[int, int]]:
 def twin_transpositions(g: Graph) -> list[Permutation]:
     """The swaps of the twin pairs of :func:`_twin_pairs`, in its order."""
     return [transposition(g.n, u, v) for u, v in _twin_pairs(g)]
-
-
-def _edge_between(g: Graph, mask_a: int, mask_b: int) -> bool:
-    m = mask_a
-    while m:
-        v = (m & -m).bit_length() - 1
-        if g._bits[v] & mask_b:
-            return True
-        m &= m - 1
-    return False
 
 
 def _disjoint_pairs(

@@ -26,7 +26,6 @@ import numpy as np
 from . import products
 from .automorphisms import (
     _disjoint_pairs,
-    _edge_between,
     automorphisms,
     find_disjoint_pair,
     find_edge_free_disjoint_pair,
@@ -36,12 +35,13 @@ from .classify import classify
 from .errors import NonPositiveCount, OutOfRange
 from .graphs import (
     Graph,
+    _edge_between,
+    branch_forms,
     build,
     complement,
     contains_quadrangle,
     find_cherries,
     is_tree,
-    tree_center,
 )
 from .products import PRODUCT_KINDS, corona, corona_counts, edge_rule_product
 from .reduction import zero_pattern
@@ -169,34 +169,20 @@ def random_graph(rng: SplitMix64) -> Graph:
 # tree and forest enumeration
 
 
-def _rooted_form(g: Graph, v: int, parent: int) -> str:
-    kids = sorted(_rooted_form(g, u, v) for u in g.neighbors(v) if u != parent)
-    return "(" + "".join(kids) + ")"
-
-
-def _tree_certificate(g: Graph) -> str:
-    """Canonical string for a tree; equal exactly on isomorphic trees.
-
-    Rooting at the centre makes the form independent of labelling: any
-    isomorphism maps centres to centres, so taking the smaller of the
-    (at most two) centre-rooted forms is a complete invariant.
-    """
-    return min(_rooted_form(g, c, -1) for c in tree_center(g))
-
-
 _TREE_MEMO: dict[int, tuple[Graph, ...]] = {1: (build(1, []),)}
 
 
 def _trees_of_order(n: int) -> tuple[Graph, ...]:
+    # one table of branch forms per order, so all the candidates compare
     if n not in _TREE_MEMO:
-        seen: dict[str, Graph] = {}
+        seen: dict[int, Graph] = {}
+        table: dict[tuple[int, ...], int] = {}
         for t in _trees_of_order(n - 1):
             edges = t.edges()
             for v in range(t.n):
                 cand = build(n, edges + [(v, n - 1)])
-                cert = _tree_certificate(cand)
-                if cert not in seen:
-                    seen[cert] = cand
+                [(_, form)], _ = branch_forms(cand, table)
+                seen.setdefault(form, cand)
         _TREE_MEMO[n] = tuple(seen.values())
     return _TREE_MEMO[n]
 

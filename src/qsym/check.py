@@ -6,8 +6,9 @@ scratch, and whose kind :data:`CERTIFIED_STATUS` ties to the one status
 it can stand behind.  :func:`verify_certificate` is the whole checker.
 It reads a verdict's ``target``, ``status`` and ``certificate``, and
 nothing else, so trusting a verdict means trusting this module and the
-graph, automorphism and reduction code it calls, never the rule engine
-in :mod:`qsym.classify` that found the certificate.
+graph and reduction code it calls, never the rule engine in
+:mod:`qsym.classify` that found the certificate, nor the automorphism
+search: pairs are re-checked, and a forest's read off its branch forms.
 """
 
 from __future__ import annotations
@@ -16,14 +17,8 @@ import enum
 from dataclasses import dataclass, field, fields
 from typing import Sequence
 
-from .automorphisms import (
-    Permutation,
-    _edge_between,
-    find_disjoint_pair,
-    find_edge_free_disjoint_pair,
-    is_automorphism,
-)
-from .graphs import Graph, complement, contains_quadrangle, is_forest
+from .graphs import Graph, Permutation, _edge_between, complement, contains_quadrangle
+from .graphs import forest_has_disjoint_pair, is_automorphism, is_forest
 from .reduction import strip_high_degree_fixpoint, zero_pattern
 from .reduction import blocks as pattern_blocks
 
@@ -165,18 +160,15 @@ class QuadrangleFreeSelf(Certificate):
 
 @dataclass(frozen=True)
 class ForestNoDisjointPair(Certificate):
-    """No disjoint pair exists (``edge_free_only=False``), or none without
-    edges between the supports (``edge_free_only=True``)."""
+    """A forest with no disjoint pair (``edge_free_only=False``), or none
+    without edges between the supports (``edge_free_only=True``): the same
+    in a forest (see :func:`qsym.graphs.forest_has_disjoint_pair`)."""
 
     edge_free_only: bool = False
     kind: str = field(default="forest-no-disjoint-pair", init=False)
 
     def holds(self, g: Graph) -> bool:
-        if not is_forest(g):
-            return False
-        if self.edge_free_only:
-            return find_edge_free_disjoint_pair(g) is None
-        return find_disjoint_pair(g) is None
+        return is_forest(g) and not forest_has_disjoint_pair(g)
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,10 @@ pair of its own automorphisms.
 
 A rule only searches: asked about one target, it returns ``(certificate,
 detail)`` when it fires, the reason it did not fire as a string, or None
-when it does not apply (no provenance, not a forest, or the budget ran
-out).  ``_run`` alone logs ``"<target> <rule>: fired (<detail>)"`` or
-``"<target> <rule>: <reason>"`` and builds the verdict, whose status is
-the one :data:`CERTIFIED_STATUS` gives the certificate's kind.
+when it does not apply (no provenance, or no pairless forest).  ``_run``
+alone logs ``"<target> <rule>: fired (<detail>)"`` or ``"<target> <rule>:
+<reason>"`` and builds the verdict, whose status is the one
+:data:`CERTIFIED_STATUS` gives the certificate's kind.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from .check import (
 )
 from .errors import QsymError, SizeLimitExceeded
 from .graphs import Graph, complement, contains_quadrangle, is_connected, is_forest
-from .graphs import _mask_vertices
+from .graphs import _mask_vertices, forest_has_disjoint_pair
 from .products import PRODUCT_KINDS
 from .reduction import BlockStructure, strip_high_degree_fixpoint, zero_pattern
 from .reduction import blocks as pattern_blocks
@@ -319,6 +319,10 @@ class _Ctx:
         return is_forest(self.g)
 
     @cached_property
+    def pairless_forest(self) -> bool:
+        return self.forest and not forest_has_disjoint_pair(self.g)
+
+    @cached_property
     def blocks(self) -> BlockStructure:
         """Blocks of the forced-zero pattern, shared by both R-BLOCKS checks.
 
@@ -370,13 +374,15 @@ def _qfc(ctx: _Ctx, t: str) -> _Finding:
 
 
 def _kmn(ctx: _Ctx, t: str) -> _Finding:
-    """The non-commutative direction of R-KMN.  The commutative one never
-    arises after R-QFC: with both sides at most three, the complement
-    K_m ⊔ K_n is quadrangle-free, so R-QFC has already fired."""
+    """The non-commutative direction of R-KMN.  The commutative one is
+    R-QFC's: with both sides at most three, the complement K_m ⊔ K_n is
+    quadrangle-free, so here it is a miss."""
     parts = _complete_bipartite_parts(ctx.g)
     if parts is None:
         return "not complete bipartite"
     wide = max(parts, key=len)
+    if len(wide) < 4:
+        return "no side of four vertices"
     sigma = transposition(ctx.g.n, wide[0], wide[1])
     tau = transposition(ctx.g.n, wide[2], wide[3])
     return EdgeFreePair(sigma, tau), f"complete bipartite, side of {len(wide)}"
@@ -483,9 +489,9 @@ def _corona(ctx: _Ctx, t: str) -> _Finding:
 
 
 def _forest(ctx: _Ctx, t: str) -> _Finding:
-    """The pair rule ran before this one and came up empty, which settles
-    a forest, unless the budget cut that search short."""
-    if ctx.budget_hit or not ctx.forest:
+    """A forest without a disjoint pair, read off its branch forms with no
+    search; a forest with one is the pair rule's."""
+    if not ctx.pairless_forest:
         return None
     edge_free = t == TARGET_BIC
     pair = "an edge-free disjoint pair" if edge_free else "a disjoint pair"

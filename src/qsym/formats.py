@@ -17,6 +17,8 @@ Two readable formats and one write-only export:
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import BadParams, ParseError
 from .graphs import Graph, build, check_order
 
@@ -143,18 +145,15 @@ def _parse_graph6(text: str) -> Graph:
     if body and (ord(body[-1]) - 63) & ((1 << (-total % 6)) - 1):
         raise ParseError(f"byte {body_start + total // 6}: nonzero padding bits")
     check_order(n)
-    bits = []
-    for ch in body:
-        val = ord(ch) - 63
-        bits.extend((val >> k) & 1 for k in range(5, -1, -1))
-    edges = []
-    idx = 0
+    # six bits a byte, high bit first; column j of the upper triangle next
+    groups = np.frombuffer(body.encode("ascii"), dtype=np.uint8) - 63
+    bits = np.unpackbits(groups[:, None], axis=1)[:, 2:].ravel().view(bool)
+    adj = np.zeros((n, n), dtype=bool)
+    start = 0
     for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return build(n, edges)
+        adj[:j, j] = adj[j, :j] = bits[start : start + j]
+        start += j
+    return Graph(adj)
 
 
 # ---------------------------------------------------------------------------

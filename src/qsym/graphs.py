@@ -4,22 +4,23 @@ package leans on.
 Graphs are immutable: a dense boolean adjacency matrix plus optional
 display labels.  Vertices are always ``0..n-1``; labels are cosmetic and
 never affect equality.  The helpers here are deliberately plain --
-breadth-first search and component walks on neighbour bitmasks, leaf
-stripping, re-verifying an isomorphism -- because everything downstream
-(certificates, census runs) wants to re-verify results against *simple*
-code rather than clever code.  The isomorphism *search* shares the
-automorphism search in :mod:`qsym.automorphisms`.
+walks on neighbour bitmasks, a forest's branch forms, re-verifying an
+isomorphism -- because everything downstream (certificates, census runs)
+wants to re-verify results against *simple* code rather than clever
+code.  The isomorphism *search* is in :mod:`qsym.automorphisms`.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BadParams, IndexOutOfRange, LoopEdge, NotATree
+from .errors import BadParams, IndexOutOfRange, LengthMismatch, LoopEdge
+from .errors import NotATree, OutOfRange
 
 #: Sentinel used in distance matrices for "no path".
 UNREACHABLE = -1
@@ -338,19 +339,86 @@ def is_tree(g: Graph) -> bool:
 
 
 def tree_center(g: Graph) -> tuple[int, ...]:
-    """Centre of a tree by iterated leaf removal: one or two vertices."""
+    """Centre of a tree, the middle of a longest path: one or two vertices."""
     if not is_tree(g):
         raise NotATree("tree_center needs a tree")
-    remaining = set(range(g.n))
-    deg = {v: g.degree(v) for v in remaining}
-    while len(remaining) > 2:
-        leaves = [v for v in remaining if deg[v] <= 1]
-        for v in leaves:
-            remaining.discard(v)
-            for u in g.neighbors(v):
-                if u in remaining:
-                    deg[u] -= 1
-    return tuple(sorted(remaining))
+    return branch_forms(g)[0][0][0]
+
+
+def _walk(bits: Sequence[int], roots: Sequence[int]) -> tuple[list[int], dict[int, int]]:
+    """Breadth-first order from ``roots`` and each reached vertex's
+    parent, -1 at a root; no root is reached from another."""
+    order, parent = list(roots), dict.fromkeys(roots, -1)
+    seen = sum(1 << r for r in roots)
+    for v in order:
+        rest = bits[v] & ~seen
+        seen |= rest
+        for u in _mask_vertices(rest):
+            parent[u] = v
+            order.append(u)
+    return order, parent
+
+
+def branch_forms(
+    g: Graph, table: dict[tuple[int, ...], int] | None = None
+) -> tuple[list[tuple[tuple[int, ...], int]], list[int]]:
+    """The canonical branch forms of a forest (Aho, Hopcroft and Ullman):
+    per component, by least vertex, its centre and form; then the sizes
+    of the swap classes.  ``g`` must be a forest.
+
+    A centre is the middle of a longest path, found by two breadth-first
+    walks: a vertex, or the ends of a central edge, which is cut.  Rooted
+    there, bottom-up, each branch's form is the id in ``table`` (fresh
+    unless given) of its children's sorted forms, so two branches share
+    a form exactly when they are isomorphic.  A component's form is its
+    centre's, or that of (-1, its halves' forms), and the forest's that
+    of its components' forms; two components, or two forests, read with
+    one ``table`` are isomorphic exactly when their forms are equal.  A
+    swap class is two or more branches of one form that are the children
+    of a vertex, the halves of a central edge, or components; swapping
+    two of them is an automorphism."""
+    table = {} if table is None else table
+    classes: list[int] = []
+
+    def form(key: tuple[int, ...]) -> int:
+        if len(set(key)) < len(key):
+            classes.extend(k for k in Counter(key).values() if k > 1)
+        return table.setdefault(key, len(table))
+
+    comps = []
+    for mask in _component_masks(g._bits):
+        far = _walk(g._bits, [(mask & -mask).bit_length() - 1])[0][-1]
+        order, parent = _walk(g._bits, [far])
+        line = [order[-1]]
+        while line[-1] != far:
+            line.append(parent[line[-1]])
+        centre = tuple(sorted({line[(len(line) - 1) // 2], line[len(line) // 2]}))
+        order, parent = _walk(g._bits, centre)
+        kids: dict[int, list[int]] = {-1: []}
+        for v in reversed(order):
+            branch = form(tuple(sorted(kids.pop(v, ()))))
+            kids.setdefault(parent[v], []).append(branch)
+        halves = sorted(kids[-1])
+        comps.append((centre, halves[0] if len(halves) == 1 else form((-1, *halves))))
+    form(tuple(sorted(f for _, f in comps)))  # the components' swap classes
+    return comps, classes
+
+
+def forest_has_disjoint_pair(g: Graph) -> bool:
+    """Whether the forest ``g`` has two non-trivial automorphisms σ, τ with
+    disjoint supports: exactly when it has two swap classes, or one of
+    four or more branches (see :func:`branch_forms`).  Such a pair is
+    edge-free: an edge i ~ k, σ(i) ≠ i, τ(k) ≠ k closes i, k, σ(i), τ(k).
+
+    Proof.  Four members of a class give two disjoint swaps.  So do two
+    classes, unless one lies in a member X of the other; then its swap
+    and that swap carried onto another member Y ≅ X are disjoint.
+    Conversely, σ permutes components and centres, and so the rooted
+    branches; a moved branch nearest a root goes to another member of
+    its class, and σ moves all of both.  So disjoint σ, τ show two
+    classes, or four members of one."""
+    _, classes = branch_forms(g)
+    return len(classes) > 1 or any(k > 3 for k in classes)
 
 
 def find_cherries(g: Graph) -> tuple[Cherry, ...]:
@@ -390,6 +458,84 @@ def is_isomorphism(g1: Graph, g2: Graph, images: Sequence[int]) -> bool:
         if image != bits2[images[i]]:
             return False
     return True
+
+
+@dataclass(frozen=True)
+class Permutation:
+    """A permutation of ``0..n-1`` stored as its image tuple.
+
+    ``p.images[v]`` is where ``v`` goes.  As a matrix this is the
+    0/1 matrix with ``M[p(j), j] = 1``, so ``p`` is a graph automorphism
+    exactly when ``M A = A M`` for the adjacency matrix ``A``.
+    """
+
+    images: tuple[int, ...]
+
+    def __post_init__(self):
+        n = len(self.images)
+        if sorted(self.images) != list(range(n)):
+            if any(not 0 <= v < n for v in self.images):
+                raise OutOfRange(f"images {self.images} not within range({n})")
+            raise OutOfRange(f"images {self.images} are not a bijection")
+
+    @property
+    def n(self) -> int:
+        return len(self.images)
+
+    def __call__(self, v: int) -> int:
+        return self.images[v]
+
+    def support(self) -> frozenset[int]:
+        return frozenset(v for v, w in enumerate(self.images) if v != w)
+
+    def support_mask(self) -> int:
+        mask = 0
+        for v, w in enumerate(self.images):
+            if v != w:
+                mask |= 1 << v
+        return mask
+
+    @property
+    def is_identity(self) -> bool:
+        return all(v == w for v, w in enumerate(self.images))
+
+    def cycles(self, names: Sequence[str] | None = None) -> str:
+        """Cycle notation for display, e.g. ``(0 2)(1 3)``; ``id`` if
+        trivial.  ``names`` substitutes vertex labels for the indices."""
+        seen = [False] * self.n
+        parts = []
+        for v in range(self.n):
+            if seen[v] or self.images[v] == v:
+                seen[v] = True
+                continue
+            cyc = [v]
+            seen[v] = True
+            w = self.images[v]
+            while w != v:
+                cyc.append(w)
+                seen[w] = True
+                w = self.images[w]
+            text = " ".join(str(x) if names is None else names[x] for x in cyc)
+            parts.append(f"({text})")
+        return "".join(parts) if parts else "id"
+
+
+def is_automorphism(g: Graph, p: Permutation) -> bool:
+    """Re-verify that ``p`` preserves adjacency on ``g``."""
+    if p.n != g.n:
+        raise LengthMismatch(f"permutation on {p.n} points, graph on {g.n}")
+    return is_isomorphism(g, g, p.images)
+
+
+def _edge_between(g: Graph, mask_a: int, mask_b: int) -> bool:
+    """Whether an edge joins a vertex of ``mask_a`` to one of ``mask_b``."""
+    m = mask_a
+    while m:
+        v = (m & -m).bit_length() - 1
+        if g._bits[v] & mask_b:
+            return True
+        m &= m - 1
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from qsym import (
     find_edge_free_disjoint_pair,
     gallery,
     is_automorphism,
+    is_isomorphism,
     path,
     star,
 )
@@ -539,6 +540,15 @@ def test_isomorphism_witnesses_match_the_adjacency_search():
         found += witness is not None
         last[g.n, g.edge_count] = g
     assert found > 1_000
+
+
+def test_isomorphism_search_runs_deeper_than_the_recursion_limit():
+    # 1,501 vertices, one search level each
+    g = path(1500)
+    h, images = relabelled(g, random.Random(22))
+    witness = are_isomorphic(g, h)
+    assert witness is not None and is_isomorphism(g, h, witness)
+    assert witness in (images, tuple(images[g.n - 1 - v] for v in range(g.n)))
 
 
 def test_a_complement_costs_the_same_nodes():

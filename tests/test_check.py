@@ -1,8 +1,8 @@
 """The checker stands apart from the engine.
 
-``qsym.check`` re-verifies certificates with the graph, automorphism and
-reduction code alone; nothing it imports reaches the rule engine in
-``qsym.classify``.  Importing ``qsym.check`` the usual way runs the
+``qsym.check`` re-verifies certificates with the graph and reduction code
+alone; nothing it imports reaches the rule engine in ``qsym.classify`` or
+the automorphism search in ``qsym.automorphisms``.  Importing ``qsym.check`` the usual way runs the
 package's ``__init__``, which loads the engine, so the fence test runs in
 a fresh interpreter whose ``qsym`` is a bare package stub.
 """
@@ -10,8 +10,13 @@ a fresh interpreter whose ``qsym`` is a bare package stub.
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 import qsym
+from qsym.check import ForestNoDisjointPair, Status, verify_certificate
+from qsym.graphs import edgeless, path, star
 
 _FENCED = """
 import sys
@@ -22,12 +27,11 @@ package = types.ModuleType("qsym")
 package.__path__ = [sys.argv[1]]
 sys.modules["qsym"] = package
 
-from qsym.automorphisms import transposition
 from qsym.check import DisjointPair, EdgeFreePair, Status, verify_certificate
-from qsym.graphs import star
+from qsym.graphs import Permutation, star
 
 g = star(4)
-pair = transposition(5, 1, 2), transposition(5, 3, 4)
+pair = Permutation((0, 2, 1, 3, 4)), Permutation((0, 1, 2, 4, 3))
 for cert in (EdgeFreePair(*pair), DisjointPair(*pair)):
     claim = SimpleNamespace(target="bic", status=Status.NONCOMMUTATIVE, certificate=cert)
     print(cert.kind, verify_certificate(g, claim))
@@ -47,5 +51,28 @@ def test_the_checker_runs_without_the_engine():
     assert proc.stdout.splitlines() == [
         "edge-free-pair True",
         "disjoint-pair False",
-        "qsym.automorphisms qsym.check qsym.errors qsym.graphs qsym.reduction",
+        "qsym.check qsym.errors qsym.graphs qsym.reduction",
     ]
+
+
+def _claim(target, status, cert):
+    return SimpleNamespace(target=target, status=status, certificate=cert)
+
+
+@pytest.mark.parametrize(
+    "g", [edgeless(11), star(12), star(10)], ids=["edgeless11", "star12", "star10"]
+)
+@pytest.mark.parametrize("edge_free_only", [False, True])
+def test_forged_forest_certificates_are_rejected_without_a_search(g, edge_free_only):
+    # each has a disjoint pair, and a group too large for the search to
+    # list within the default budget
+    cert = ForestNoDisjointPair(edge_free_only=edge_free_only)
+    for target in ("bic", "ban"):
+        assert not verify_certificate(g, _claim(target, Status.COMMUTATIVE, cert))
+
+
+def test_a_long_path_has_its_forest_certificate_checked():
+    g = path(3000)
+    for edge_free_only in (False, True):
+        cert = ForestNoDisjointPair(edge_free_only=edge_free_only)
+        assert verify_certificate(g, _claim("bic", Status.COMMUTATIVE, cert))

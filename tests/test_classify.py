@@ -45,6 +45,7 @@ from qsym.check import (
     verify_certificate,
 )
 from qsym.classify import (
+    _PIPELINES,
     R_BAN_1,
     R_BIC_1,
     Citation,
@@ -52,6 +53,7 @@ from qsym.classify import (
     Verdict,
     _complete_bipartite_parts,
     _Ctx,
+    _kmn,
     _run,
     _Shared,
     _transfer,
@@ -161,6 +163,15 @@ def test_complete_bipartite_narrow_sides():
     for m, n in ((2, 2), (2, 3), (3, 3), (1, 3)):
         rep = classify(complete_bipartite(m, n))
         assert rep.bic.status is C, (m, n)
+
+
+def test_complete_bipartite_rule_misses_narrow_sides_on_its_own():
+    # R-QFC settles these first; alone, R-KMN must miss rather than reach
+    # for a fourth vertex on a side of three
+    for m, n in ((2, 3), (3, 3), (1, 1)):
+        g = complete_bipartite(m, n)
+        miss = _kmn(_Ctx(g, _Shared(g, None)), TARGET_BIC)
+        assert miss == "no side of four vertices", (m, n)
 
 
 def test_star_four_rays_noncommutative():
@@ -1096,6 +1107,34 @@ def _sweep_cases() -> list:
     cases += [(f, None) for n in range(1, 10) for f in enumerate_forests(n)]
     cases += [(gallery(name), None) for name in SPARSE_GALLERY]
     return cases + _PRODUCER_CASES
+
+
+_RULES = sorted({rule for pipeline in _PIPELINES.values() for rule, _ in pipeline})
+
+
+@pytest.mark.parametrize(
+    "removed", [(rule,) for rule in _RULES] + [(R_BIC_1, R_BAN_1)], ids="+".join
+)
+def test_every_rule_stands_alone(monkeypatch, removed):
+    # with any rule taken out, or both pair rules, the others raise nothing
+    # and every verdict they decide has a certificate that verifies: no
+    # rule leans on an earlier rule's miss
+    pipelines = {
+        t: tuple((rule, find) for rule, find in pipeline if rule not in removed)
+        for t, pipeline in _PIPELINES.items()
+    }
+    monkeypatch.setattr(importlib.import_module("qsym.classify"), "_PIPELINES", pipelines)
+    rng = SplitMix64(0x5EED)
+    cases = [random_graph(rng) for _ in range(200)]
+    cases += [f for n in range(1, 10) for f in enumerate_forests(n)]
+    decided = 0
+    for g in cases:
+        rep = classify_with_complement(g)
+        for h, verdict in ((g, rep.bic), (g, rep.ban), (complement(g), rep.bic_complement)):
+            if verdict.status is not U:
+                assert verify_certificate(h, verdict), (removed, g.edges(), verdict)
+                decided += 1
+    assert decided > 800
 
 
 @functools.cache

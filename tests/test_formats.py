@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from qsym import build, complete, cycle, edgeless, path
 from qsym.errors import BadParams, ParseError
+from qsym.graphs import check_order
 from qsym.formats import (
     READABLE_FORMATS,
     WRITABLE_FORMATS,
@@ -152,6 +153,97 @@ def test_graph6_over_the_cap_is_refused_before_expansion():
 def test_graph6_parse_errors_come_before_the_order_cap(text, message):
     with time_limit(10), pytest.raises(ParseError, match=message):
         parse_graph("graph6", text)
+
+
+def reference_parse_graph6(text: str):
+    """The earlier parser, which expands the body into Python lists of bits
+    and edges: the reference for the one that unpacks it with numpy."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<") :]
+    if not s:
+        raise ParseError("empty graph6 input")
+    for pos, ch in enumerate(s):
+        if not 63 <= ord(ch) <= 126:
+            raise ParseError(f"byte {pos}: {ch!r} is not a graph6 character")
+    if s[0] == chr(126):
+        if len(s) < 4:
+            raise ParseError("byte 0: truncated multi-byte size prefix")
+        if s[1] == chr(126):
+            raise ParseError("byte 1: sizes beyond 18 bits are not supported")
+        n = ((ord(s[1]) - 63) << 12) | ((ord(s[2]) - 63) << 6) | (ord(s[3]) - 63)
+        body, body_start = s[4:], 4
+    else:
+        n = ord(s[0]) - 63
+        body, body_start = s[1:], 1
+    total = n * (n - 1) // 2
+    need = (total + 5) // 6
+    if len(body) != need:
+        raise ParseError(
+            f"byte {body_start}: expected {need} body bytes for n={n}, "
+            f"got {len(body)}"
+        )
+    if body and (ord(body[-1]) - 63) & ((1 << (-total % 6)) - 1):
+        raise ParseError(f"byte {body_start + total // 6}: nonzero padding bits")
+    check_order(n)
+    bits = []
+    for ch in body:
+        val = ord(ch) - 63
+        bits.extend((val >> k) & 1 for k in range(5, -1, -1))
+    edges = []
+    idx = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[idx]:
+                edges.append((i, j))
+            idx += 1
+    return build(n, edges)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except (ParseError, BadParams) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80)
+@given(graphs(max_n=12))
+def test_graph6_parser_equals_the_reference(g):
+    text = write_graph("graph6", g).decode()
+    assert parse_graph("graph6", text) == reference_parse_graph6(text) == g
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "?", "@", "A_", "A?", ">>graph6<<Bw", "  Bw\n", "", "B", "Bww", "Bw\x07",
+        "B{", "~", "~??", "~~???", "~?@?", "~?@@" + "?" * 335,
+        write_graph("graph6", path(62)).decode(),
+        write_graph("graph6", cycle(63)).decode(),
+        write_graph("graph6", build(70, [(0, 69), (1, 2), (68, 69)])).decode(),
+        _graph6_edgeless(4097),
+        _graph6_edgeless(4097, "@"),
+    ],
+)
+def test_graph6_parser_equals_the_reference_on_edge_cases(text):
+    want = _parse_outcome(reference_parse_graph6, text)
+    assert _parse_outcome(lambda t: parse_graph("graph6", t), text) == want
+
+
+def test_graph6_at_the_cap_is_parsed_without_a_bit_list():
+    # the reference holds 8,386,560 bits in a list, over 117 MB at peak;
+    # unpacked into the matrix it is a few copies of the 16 MiB matrix
+    text = _graph6_edgeless(4096)
+    tracemalloc.start()
+    try:
+        with time_limit(10):
+            g = parse_graph("graph6", text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (g.n, g.edge_count) == (4096, 0)
+    assert peak < 5 * 4096**2
 
 
 def test_graph6_bytes_and_str_agree():

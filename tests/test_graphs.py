@@ -31,9 +31,11 @@ from qsym import (
     star,
     tree_center,
 )
-from qsym.census import SplitMix64, random_graph
+from qsym.automorphisms import find_disjoint_pair, find_edge_free_disjoint_pair
+from qsym.census import SplitMix64, enumerate_forests, enumerate_trees, random_graph
 from qsym.errors import BadParams, IndexOutOfRange, LoopEdge, NotATree
 from qsym.gallery import gallery
+from qsym.graphs import branch_forms, forest_has_disjoint_pair
 
 from .conftest import (
     graphs,
@@ -400,6 +402,71 @@ def test_tree_center_rejects_non_trees():
         tree_center(cycle(4))
     with pytest.raises(NotATree):
         tree_center(edgeless(2))
+
+
+def reference_tree_center(g):
+    """Iterated leaf removal: strip every leaf until at most two remain."""
+    remaining = set(range(g.n))
+    deg = {v: g.degree(v) for v in remaining}
+    while len(remaining) > 2:
+        for v in [v for v in remaining if deg[v] <= 1]:
+            remaining.discard(v)
+            for u in g.neighbors(v):
+                deg[u] -= 1
+    return tuple(sorted(remaining))
+
+
+def _trees_and_forests():
+    """Every forest class up to n = 9 and every tree class of n = 10, 11."""
+    forests = [f for n in range(1, 10) for f in enumerate_forests(n)]
+    return forests + [t for n in (10, 11) for t in enumerate_trees(n)]
+
+
+def test_tree_center_equals_leaf_stripping():
+    rng = random.Random(22)
+    for g in _trees_and_forests():
+        if is_tree(g):
+            h, _ = relabelled(g, rng)
+            assert tree_center(g) == reference_tree_center(g)
+            assert tree_center(h) == reference_tree_center(h)
+
+
+def test_branch_forms_decide_pairs_as_the_search_does():
+    checked = 0
+    for g in _trees_and_forests():
+        if max(g.degree_sequence) == 10:
+            continue  # K1,10: its 10! elements are over the search's budget
+        has = forest_has_disjoint_pair(g)
+        assert has is (find_disjoint_pair(g) is not None), g.edges()
+        assert has is (find_edge_free_disjoint_pair(g) is not None), g.edges()
+        checked += 1
+    assert checked == 648
+    assert forest_has_disjoint_pair(star(10))
+    assert forest_has_disjoint_pair(edgeless(11))
+    assert not forest_has_disjoint_pair(star(3))
+    assert not forest_has_disjoint_pair(path(3000))
+
+
+def test_branch_forms_are_equal_exactly_on_isomorphic_trees():
+    # one table across relabelled copies of every tree of order 9
+    rng = random.Random(7)
+    table = {}
+    trees = list(enumerate_trees(9))
+    forms = [branch_forms(t, table)[0][0][1] for t in trees]
+    assert len(set(forms)) == len(trees) == 47
+    for t, form in zip(trees, forms):
+        assert branch_forms(relabelled(t, rng)[0], table)[0][0][1] == form
+
+
+def test_branch_forms_of_a_forest_list_its_components_and_swap_classes():
+    # a path with a flipped central edge, two isomorphic cherries and K1
+    g = build(11, [(0, 1), (1, 2), (2, 3), (4, 5), (4, 6), (7, 8), (7, 9)])
+    comps, classes = branch_forms(g)
+    assert [centre for centre, _ in comps] == [(1, 2), (4,), (7,), (10,)]
+    assert comps[1][1] == comps[2][1] != comps[3][1]
+    # the halves of 0-1-2-3, the leaves of each cherry, the two cherries
+    assert sorted(classes) == [2, 2, 2, 2]
+    assert forest_has_disjoint_pair(g)
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,8 @@ def test_budgeted_report_bytes_match_the_recorded_digests():
 #: Every line a rule logs, with its numbers and cycles left open, and
 #: every note the budget paths add.  The coarse-to-fine transfers are left
 #: out: no graph reaches them, as the fine pipeline runs every coarse rule
-#: but the pair rule, so ``test_classify`` drives them by hand.
+#: but the pair rule, so ``test_classify`` drives them by hand.  So is
+#: R-KMN's "no side of four vertices", which R-QFC always pre-empts.
 _OUTCOMES = (
     r"bic R-SMALL: fired \(order \d\)",
     r"bic R-SMALL: order \d+ is above three",
