@@ -298,19 +298,16 @@ def _listing(n: int, levels: Sequence[dict[int, tuple[int, ...]]]) -> np.ndarray
 def _supports(table: np.ndarray) -> dict[int, tuple[int, ...]]:
     """Each non-empty support mask of the rows of ``table`` with the row
     where it first occurs, ordered by support size, then by first
-    occurrence.  Up to 64 points a row's mask is one integer key, and one
-    stable sort of the keys puts each key's first row first among its
-    equals; wider rows are packed into 64-bit words and compared whole."""
+    occurrence.  Up to 64 points a row's mask is one integer key, whose
+    first row :func:`numpy.unique` gives (it sorts stably when asked for
+    indices); wider rows are packed into 64-bit words and compared whole,
+    which on small rows is an order of magnitude slower."""
     count, n = table.shape
     moved = table != np.arange(n)
     if n <= 64:
         kind = np.min_scalar_type((1 << n) - 1)
         keys = moved.astype(kind) @ (1 << np.arange(n, dtype=kind))
-        order = np.argsort(keys, kind="stable")
-        ranked = keys[order]
-        first = np.ones(count, dtype=bool)
-        first[1:] = ranked[1:] != ranked[:-1]
-        index = np.sort(order[first])
+        index = np.sort(np.unique(keys, return_index=True)[1])
         masks = keys[index].tolist()
     else:
         packed = np.packbits(moved, axis=1, bitorder="little")

@@ -35,9 +35,9 @@ from __future__ import annotations
 
 import time
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .automorphisms import (
     AutomorphismSet,
@@ -47,7 +47,6 @@ from .automorphisms import (
     _twin_pairs,
     automorphisms,
     transposition,
-    twin_transpositions,
 )
 from .check import (
     CERTIFIED_STATUS,
@@ -170,11 +169,8 @@ class Verdict:
 
 @dataclass(frozen=True)
 class Report:
-    """The verdicts on one graph and how they were reached.
-
-    ``known`` holds the context's own answers to the summary's
-    quadrangle and forest questions, where it worked them out; the
-    summary works out the rest on first use, so a report nobody
+    """The verdicts on one graph and how they were reached.  The summary
+    works out its graph facts on first use, so a report nobody
     serialises costs no graph walk."""
 
     graph: Graph
@@ -184,19 +180,14 @@ class Report:
     trace: tuple[str, ...]
     notes: tuple[str, ...]
     elapsed_ms: float
-    known: Mapping[str, bool] = field(default_factory=dict, repr=False, compare=False)
 
     @cached_property
     def _facts(self) -> dict[str, bool]:
-        g, known = self.graph, self.known
+        g = self.graph
         return {
             "connected": is_connected(g),
-            "quadrangle_free": (
-                known["quadrangle_free"]
-                if "quadrangle_free" in known
-                else not contains_quadrangle(g)
-            ),
-            "forest": known["forest"] if "forest" in known else is_forest(g),
+            "quadrangle_free": not contains_quadrangle(g),
+            "forest": is_forest(g),
         }
 
     def summary(self) -> dict:
@@ -462,25 +453,25 @@ def _corona(ctx: _Ctx, t: str) -> _Finding:
 
     Like :func:`_product`'s, that pair is one R-BIC-1 finds in a
     completed listing of Aut(G), so with one built this rule gives its
-    miss reason without listing the attachment's group."""
+    miss reason without listing the attachment's group.  An attachment
+    with a twin pair never reaches the listing either: the pair's copies
+    at base vertices 0 and 1 are twin pairs of G with disjoint supports
+    and no edge between them, which R-BIC-1's twin scan, charging no
+    budget, has already found."""
     prov = ctx.g.provenance
     if prov is None or prov.kind != "corona":
         return None
     base, attachment = prov.factors
     if base.n < 2 or ctx.shared.listed is not None:
         return "premises not met"
-    twins = twin_transpositions(attachment)
-    if twins:
-        witness = twins[0].images
-    else:
-        try:
-            auts = automorphisms(attachment, node_budget=ctx.shared.node_budget)
-        except SizeLimitExceeded:
-            ctx.notes.append("attachment symmetry search abandoned (budget)")
-            return "premises not met"
-        if auts.order == 1:
-            return "premises not met"
-        witness = tuple(auts.table[1].tolist())  # the listing's first non-identity
+    try:
+        auts = automorphisms(attachment, node_budget=ctx.shared.node_budget)
+    except SizeLimitExceeded:
+        ctx.notes.append("attachment symmetry search abandoned (budget)")
+        return "premises not met"
+    if auts.order == 1:
+        return "premises not met"
+    witness = tuple(auts.table[1].tolist())  # the listing's first non-identity
     n, m = base.n, attachment.n
     sigma, tau = (
         _acting_on(ctx.g.n, [range(n + a * m, n + a * m + m)], witness) for a in (0, 1)
@@ -629,12 +620,6 @@ def _report(
         trace=tuple(ctx.trace) + trace,
         notes=tuple(ctx.notes) + notes,
         elapsed_ms=elapsed_ms,
-        # the cached properties the context has already worked out
-        known={
-            fact: value
-            for fact, value in vars(ctx).items()
-            if fact in ("quadrangle_free", "forest")
-        },
     )
 
 

@@ -112,7 +112,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return int(self.adj.sum()) // 2
+        return sum(self._degrees) // 2
 
     def label_of(self, v: int) -> str:
         self._check_vertex(v)
@@ -275,15 +275,28 @@ def distance_matrix(g: Graph) -> np.ndarray:
 
 
 def contains_quadrangle(g: Graph) -> bool:
-    """Whether ``g`` contains a 4-cycle subgraph (not necessarily induced).
+    """Whether ``g`` contains a 4-cycle subgraph (not necessarily induced),
+    that is, whether two distinct vertices have two common neighbours.
 
-    Equivalent test: some pair of distinct vertices has two or more
-    common neighbours.
-    """
-    a = g.adj.astype(np.int64)
-    paths2 = a @ a
-    np.fill_diagonal(paths2, 0)
-    return bool((paths2 >= 2).any())
+    One walk over the neighbour bitmasks: ``shared[u]`` holds the vertices
+    already seen to share a neighbour with u.  At vertex w, for each u in
+    N(w), a vertex x in ``shared[u] & (N(w) - {u})`` closes the 4-cycle
+    u, w, x, w' with w' the earlier common neighbour of u and x: x != u,
+    and w != w' since w adds to ``shared[u]`` only after this test.
+    Conversely, for a 4-cycle u, w', x, w with w' walked first, w' puts x
+    in ``shared[u]``, and the test at w finds it."""
+    shared = [0] * g.n
+    for nbrs in g._bits:
+        rest = nbrs
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            others = nbrs ^ low
+            if shared[u] & others:
+                return True
+            shared[u] |= others
+            rest ^= low
+    return False
 
 
 def _mask_vertices(mask: int) -> tuple[int, ...]:

@@ -559,16 +559,14 @@ _FACTS = {
 
 @pytest.mark.parametrize("name", ["fig7", "c64", "t0", "sc", "p48"])
 def test_payload_works_out_each_graph_fact_once(monkeypatch, name):
-    # the summary reuses the context's quadrangle and forest answers and
-    # works out the others on the first payload only
+    # the summary works out each of its graph facts on the first payload
+    # only
     g = gallery(name)
     rep = classify_with_complement(g)
     calls = {fn: _counting(monkeypatch, fn) for fn in _FACTS}
     summary = rep.payload()["graph"]
     assert rep.payload()["graph"] == summary
-    assert {fn: len(seen) for fn, seen in calls.items()} == {
-        fn: int(fact not in rep.known) for fn, fact in _FACTS.items()
-    }
+    assert {fn: len(seen) for fn, seen in calls.items()} == {fn: 1 for fn in _FACTS}
     monkeypatch.undo()
     assert summary == {
         "n": g.n,
@@ -646,6 +644,35 @@ def test_twin_table_is_the_swaps_sorted_by_image_tuple():
         swaps = sorted(twin_transpositions(g), key=lambda p: p.images)
         want = [(p.support_mask(), p.images) for p in swaps]
         assert list(_Shared(g, None).twins.items()) == want
+
+
+def test_fine_witness_comes_from_the_twin_swaps_before_the_listing():
+    # 0..3 are twins and so are 4 and 5; the swap (4 5) meets every other
+    # twin swap along an edge, so the twin scan gives (0 1), (2 3), where
+    # the scan of the listing's minimal supports pairs (4 5) with C5's
+    # reflection on 6..10
+    g = build(11, [(a, b) for a in (4, 5) for b in range(4)] + [
+        (6 + i, 6 + (i + 1) % 5) for i in range(5)
+    ])
+    rep = classify(g)
+    cert = rep.bic.certificate
+    assert rep.bic.citation.rule == R_BIC_1
+    assert (cert.sigma.cycles(), cert.tau.cycles()) == ("(0 1)", "(2 3)")
+    sigma, tau = find_edge_free_disjoint_pair(g)
+    assert (sigma.cycles(), tau.cycles()) == ("(4 5)", "(7 10)(8 9)")
+
+
+def test_coarse_witness_is_the_listing_scan_pair():
+    # twin classes partition V, so a twin scan that finds a disjoint pair
+    # finds the one the listing's minimal supports give
+    rng = SplitMix64(0x5EED)
+    pool = [random_graph(rng) for _ in range(500)]
+    forests = (f for n in range(1, 10) for f in enumerate_forests(n))
+    for g in (*pool, *map(complement, pool), *forests):
+        ban = classify(g).ban
+        if ban.citation is not None and ban.citation.rule == R_BAN_1:
+            sigma, tau = find_disjoint_pair(g)
+            assert (ban.certificate.sigma, ban.certificate.tau) == (sigma, tau), g
 
 
 def test_the_graph_pair_keeps_no_group_alive(monkeypatch):
@@ -826,6 +853,31 @@ def test_budget_collapse_to_unknown():
     assert both(rep) == (U, U)
     assert any("abandoned" in note for note in rep.notes)
     assert any("skipped" in line for line in rep.trace)
+
+
+def _twinned_attachments():
+    """Attachments with a twin pair: the forests with n <= 5 and the
+    first 0x5EED pool graphs that have one."""
+    rng = SplitMix64(0x5EED)
+    pool = (random_graph(rng) for _ in range(40))
+    candidates = [*(f for n in range(2, 6) for f in enumerate_forests(n)), *pool]
+    return [h for h in candidates if twin_transpositions(h)]
+
+
+def test_corona_rule_is_never_reached_with_a_twinned_attachment():
+    # a twin pair of the attachment has copies at base vertices 0 and 1
+    # that are twin pairs of G, disjoint and joined by no edge, so the
+    # pair rule's twin scan, which charges no budget, fires first
+    attachments = _twinned_attachments()
+    assert len(attachments) >= 20
+    for base in (complete(2), path(2), cycle(5), t0_graph()):
+        for h in attachments:
+            g = corona(base, h)
+            for budget in (0, 50, None):
+                rep = classify(g, node_budget=budget)
+                assert rep.bic.status is NC
+                assert rep.bic.citation.rule in ("R-KMN", R_BIC_1)
+                assert not any("R-CORONA" in line for line in rep.trace)
 
 
 def test_zero_budget_also_caps_the_corona_search():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,8 +54,9 @@ from .conftest import (
 def quadrangle_oracle(g) -> bool:
     """Brute force: is there an ordered 4-tuple of distinct vertices
     forming a closed walk a-b-c-d-a of edges?"""
+    adj = g.adj.tolist()
     for a, b, c, d in itertools.permutations(range(g.n), 4):
-        if g.adj[a, b] and g.adj[b, c] and g.adj[c, d] and g.adj[d, a]:
+        if adj[a][b] and adj[b][c] and adj[c][d] and adj[d][a]:
             return True
     return False
 
@@ -331,9 +333,30 @@ def test_distance_matrix_unreachable_across_components():
 
 
 def test_quadrangle_against_bruteforce_oracle():
-    for g in small_corpus():
-        if g.n <= 7:
-            assert contains_quadrangle(g) == quadrangle_oracle(g), g
+    # the small corpus, the 4,000 0x5EED pool graphs and their complements,
+    # and the 308 forests with n <= 9
+    rng = SplitMix64(0x5EED)
+    pool = [random_graph(rng) for _ in range(4000)]
+    cases = [
+        *(g for g in small_corpus() if g.n <= 7),
+        *pool,
+        *map(complement, pool),
+        *(f for n in range(1, 10) for f in enumerate_forests(n)),
+    ]
+    for g in cases:
+        assert contains_quadrangle(g) == quadrangle_oracle(g), g
+
+
+def test_quadrangle_test_on_a_long_path_builds_no_matrix():
+    # one bitmask per vertex: a 1,201-vertex int64 matrix alone is 11.5 MB
+    g = path(1200)
+    tracemalloc.start()
+    try:
+        assert not contains_quadrangle(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_quadrangle_known_cases():
