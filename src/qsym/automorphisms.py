@@ -45,6 +45,7 @@ onto another, without a budget.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -325,6 +326,22 @@ def _supports(table: np.ndarray) -> dict[int, tuple[int, ...]]:
     return dict(sorted(rows, key=lambda row: row[0].bit_count()))
 
 
+def _twin_order(g: Graph) -> int:
+    """Π k! over the classes of vertices with equal N(v) and those with
+    equal N[v], a lower bound on |Aut(g)| read in one pass.
+
+    The members of a class may be permuted at will, and the classes are
+    disjoint: a vertex u with a false twin v has no true twin w, since w
+    in N(u) = N(v) and v in N[w] = N[u] would make u ~ v.  No N(u) equals
+    an N[v] either (v in N(u) would put u in N[v] = N(u)), so one count
+    keyed by both serves."""
+    sizes = Counter()
+    for v, row in enumerate(g._bits):
+        sizes[row] += 1
+        sizes[row | 1 << v] += 1
+    return math.prod(math.factorial(k) for k in sizes.values() if k > 1)
+
+
 def automorphisms(g: Graph, node_budget: int | None = None) -> AutomorphismSet:
     """Enumerate Aut(g) completely: build the stabiliser chain, charge one
     node per entry of the listing the order it gives calls for, then
@@ -336,9 +353,13 @@ def automorphisms(g: Graph, node_budget: int | None = None) -> AutomorphismSet:
     docstring says; when the running total exceeds ``node_budget`` (default
     :data:`DEFAULT_NODE_BUDGET`) :class:`SizeLimitExceeded` is raised, so
     a caller never gets a silently truncated group.  This count is the
-    ``--budget`` contract.
+    ``--budget`` contract.  A graph whose twin classes alone (see
+    :func:`_twin_order`) would make the order charge exceed the budget is
+    refused before the chain is built.
     """
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+    if _twin_order(g) * g.n > budget:
+        raise SizeLimitExceeded(budget)
     search = _Search(g, g, budget)
     levels = _chain(g, search)
     search.charge(math.prod(map(len, levels)) * g.n)

@@ -28,14 +28,16 @@ detail)`` when it fires, the reason it did not fire as a string, or None
 when it does not apply (no provenance, or no pairless forest).  ``_run``
 alone logs ``"<target> <rule>: fired (<detail>)"`` or ``"<target> <rule>:
 <reason>"`` and builds the verdict, whose status is the one
-:data:`CERTIFIED_STATUS` gives the certificate's kind.
+:data:`CERTIFIED_STATUS` gives the certificate's kind.  The pair rules'
+detail is their pair's cycle notation, which the log keeps as the
+certificate and :attr:`Report.trace` writes out when it is first read.
 """
 
 from __future__ import annotations
 
 import time
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -128,7 +130,10 @@ class Citation:
 
     @staticmethod
     def of(rule: str) -> "Citation":
-        return Citation(rule=rule, statement=CITATIONS[rule])
+        return _CITED[rule]
+
+
+_CITED = {rule: Citation(rule, statement) for rule, statement in CITATIONS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -167,19 +172,33 @@ class Verdict:
         return out
 
 
+#: One trace entry: its line, or, for a fired pair rule, the line's
+#: target, rule and pair certificate, whose cycles are written on reading.
+_Event = str | tuple[str, str, Certificate]
+
+
 @dataclass(frozen=True)
 class Report:
     """The verdicts on one graph and how they were reached.  The summary
-    works out its graph facts on first use, so a report nobody
-    serialises costs no graph walk."""
+    works out its graph facts on first use, and :attr:`trace` writes out
+    its ``events`` on first read, so a report nobody serialises costs no
+    graph walk and no cycle notation."""
 
     graph: Graph
     bic: Verdict
     ban: Verdict
     bic_complement: Verdict | None
-    trace: tuple[str, ...]
+    events: tuple[_Event, ...]
     notes: tuple[str, ...]
     elapsed_ms: float
+
+    @cached_property
+    def trace(self) -> tuple[str, ...]:
+        """One line per rule tried, ``"<target> <rule>: <outcome>"``."""
+        return tuple(
+            event if isinstance(event, str) else _fired_pair(*event)
+            for event in self.events
+        )
 
     @cached_property
     def _facts(self) -> dict[str, bool]:
@@ -214,6 +233,10 @@ class Report:
         if self.bic_complement is not None:
             out["verdicts"][TARGET_BIC_COMPLEMENT] = self.bic_complement.payload(labels)
         return out
+
+
+def _fired_pair(target: str, rule: str, cert: Certificate) -> str:
+    return f"{target} {rule}: fired ({cert.sigma.cycles()} and {cert.tau.cycles()})"
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +296,15 @@ class _Shared:
 
 class _Ctx:
     """One graph's facts, each computed at most once and read by both
-    pipelines; ``shared`` holds those its complement has too."""
+    pipelines; ``shared`` holds those its complement has too.  ``prefix``
+    heads each trace line, ``"complement "`` on Gᶜ's context."""
+
+    prefix = ""
 
     def __init__(self, g: Graph, shared: _Shared):
         self.g = g
         self.shared = shared
-        self.trace: list[str] = []
+        self.trace: list[_Event] = []
         self.notes: list[str] = []
         self.budget_hit = False
 
@@ -288,10 +314,17 @@ class _Ctx:
         reference is weak, so no cycle keeps Aut(G) alive after a call."""
         other = _Ctx(complement(self.g), self.shared)
         other.complement = weakref.proxy(self)
+        other.prefix = "complement "
         return other
 
-    def log(self, target: str, rule: str, outcome: str) -> None:
-        self.trace.append(f"{target} {rule}: {outcome}")
+    def log(self, target: str, rule: str, outcome: str | Certificate) -> None:
+        """Log ``outcome``; a certificate stands for a fired pair rule's
+        line, which :attr:`Report.trace` writes out."""
+        target = self.prefix + target
+        if isinstance(outcome, str):
+            self.trace.append(f"{target} {rule}: {outcome}")
+        else:
+            self.trace.append((target, rule, outcome))
 
     def auts(self) -> AutomorphismSet | None:
         """Full automorphism list, or None if the node budget ran out."""
@@ -347,8 +380,9 @@ def _complete_bipartite_parts(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...
 # ---------------------------------------------------------------------------
 # the rules, which only find (see the module docstring); _run decides
 
-#: A rule's finding: (certificate, detail), a miss reason, or None.
-_Finding = tuple[Certificate, str] | str | None
+#: A rule's finding: (certificate, detail), a miss reason, or None.  A
+#: detail of None stands for the pair's cycles, written on reading.
+_Finding = tuple[Certificate, str | None] | str | None
 
 
 def _small(ctx: _Ctx, t: str) -> _Finding:
@@ -396,8 +430,7 @@ def _pair(ctx: _Ctx, t: str) -> _Finding:
         pair = _first_pair(ctx.g, auts.minimal, cert.edge_free)
         if pair is None:
             return missing
-    sigma, tau = pair
-    return cert(sigma, tau), f"{sigma.cycles()} and {tau.cycles()}"
+    return cert(*pair), None
 
 
 def _acting_on(n: int, copies: list[range], images: tuple[int, ...]) -> Permutation:
@@ -533,7 +566,7 @@ def _run(ctx: _Ctx, t: str) -> Verdict:
             ctx.log(t, rule, found)
         elif found is not None:
             cert, detail = found
-            ctx.log(t, rule, f"fired ({detail})")
+            ctx.log(t, rule, cert if detail is None else f"fired ({detail})")
             return Verdict(t, CERTIFIED_STATUS[cert.kind], cert, Citation.of(rule))
     return Verdict(t, Status.UNKNOWN)
 
@@ -607,17 +640,17 @@ def _report(
     ban: Verdict,
     elapsed_ms: float,
     bic_complement: Verdict | None = None,
-    trace: tuple[str, ...] = (),
+    events: Sequence[_Event] = (),
     notes: tuple[str, ...] = (),
 ) -> Report:
     """The report on ``ctx``'s graph: its own trace and notes, then
-    ``trace`` and ``notes``."""
+    ``events`` and ``notes``."""
     return Report(
         graph=ctx.g,
         bic=bic,
         ban=ban,
         bic_complement=bic_complement,
-        trace=tuple(ctx.trace) + trace,
+        events=(*ctx.trace, *events),
         notes=tuple(ctx.notes) + notes,
         elapsed_ms=elapsed_ms,
     )
@@ -658,7 +691,10 @@ def classify_with_complement(g: Graph, node_budget: int | None = None) -> Report
         bic,
         ban,
         elapsed_ms + comp_ms,
-        bic_complement=replace(comp_bic, target=TARGET_BIC_COMPLEMENT),
-        trace=tuple(f"complement {line}" for line in comp.trace),
+        bic_complement=Verdict(
+            TARGET_BIC_COMPLEMENT, comp_bic.status, comp_bic.certificate,
+            comp_bic.citation, comp_bic.note,
+        ),
+        events=comp.trace,
         notes=(*notes, *comp.notes),
     )

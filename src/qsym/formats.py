@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadParams, ParseError
-from .graphs import Graph, build, check_order
+from .graphs import Graph, _init_graph, _pack_rows, build, check_order
 
 __all__ = ["READABLE_FORMATS", "WRITABLE_FORMATS", "parse_graph", "write_graph"]
 
@@ -153,7 +153,10 @@ def _parse_graph6(text: str) -> Graph:
     for j in range(1, n):
         adj[:j, j] = adj[j, :j] = bits[start : start + j]
         start += j
-    return Graph(adj)
+    del bits
+    # both triangles come from the same bits and the diagonal is never
+    # set, so the matrix is a graph's as it stands: no copy, no check
+    return _init_graph(Graph.__new__(Graph), _pack_rows(adj), None, None, adj)
 
 
 # ---------------------------------------------------------------------------

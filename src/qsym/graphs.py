@@ -1,8 +1,9 @@
 """Finite simple graphs and the structural predicates the rest of the
 package leans on.
 
-Graphs are immutable: a dense boolean adjacency matrix plus optional
-display labels.  Vertices are always ``0..n-1``; labels are cosmetic and
+Graphs are immutable: one neighbour bitmask per vertex, a boolean
+adjacency matrix kept from construction or unpacked on first read, and
+optional display labels.  Vertices are always ``0..n-1``; labels are cosmetic and
 never affect equality.  The helpers here are deliberately plain --
 walks on neighbour bitmasks, a forest's branch forms, re-verifying an
 isomorphism -- because everything downstream (certificates, census runs)
@@ -74,10 +75,25 @@ def _pack_rows(matrix: np.ndarray) -> tuple[int, ...]:
     return tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
 
 
-class Graph:
-    """An immutable simple graph on vertices ``0..n-1``."""
+def _unpack_rows(bits: Sequence[int]) -> np.ndarray:
+    """The square boolean matrix whose rows are the bitmasks ``bits``."""
+    n = len(bits)
+    width = (n + 7) // 8
+    packed = b"".join(row.to_bytes(width, "little") for row in bits)
+    rows = np.frombuffer(packed, np.uint8).reshape(n, width)
+    return np.unpackbits(rows, axis=1, count=n, bitorder="little").view(bool)
 
-    __slots__ = ("n", "adj", "labels", "provenance", "_bits", "_degrees")
+
+class Graph:
+    """An immutable simple graph on vertices ``0..n-1``.
+
+    The neighbour bitmasks are the representation: bit ``j`` of
+    ``_bits[i]`` is set iff i ~ j.  :attr:`adj`, the boolean matrix, is
+    kept when a constructor is handed one and otherwise unpacked from the
+    bitmasks on first read, so a graph made from another's bitmasks, such
+    as a complement, builds no matrix unless one is asked for."""
+
+    __slots__ = ("n", "labels", "provenance", "_bits", "_degrees", "_adj")
 
     def __init__(
         self,
@@ -85,12 +101,29 @@ class Graph:
         labels: Sequence[str] | None = None,
         provenance: Provenance | None = None,
     ):
-        _init_graph(self, np.array(adj, dtype=bool, order="C"), labels, provenance)
+        adj = np.array(adj, dtype=bool, order="C")
+        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+            raise BadParams(f"adjacency matrix must be square, got {adj.shape}")
+        if adj.diagonal().any():
+            raise LoopEdge("adjacency matrix has a nonzero diagonal")
+        if not np.array_equal(adj, adj.T):
+            raise BadParams("adjacency matrix must be symmetric")
+        _init_graph(self, _pack_rows(adj), labels, provenance, adj)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("Graph is immutable")
 
     # -- basic accessors -------------------------------------------------
+
+    @property
+    def adj(self) -> np.ndarray:
+        """The adjacency matrix, read-only: the one a constructor was
+        handed, or else unpacked from the bitmasks on first read."""
+        if self._adj is None:
+            adj = _unpack_rows(self._bits)
+            adj.flags.writeable = False
+            object.__setattr__(self, "_adj", adj)
+        return self._adj
 
     @property
     def degree_sequence(self) -> tuple[int, ...]:
@@ -102,7 +135,7 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
-        return tuple(int(u) for u in np.flatnonzero(self.adj[v]))
+        return _mask_vertices(self._bits[v])
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as sorted pairs ``(u, v)`` with ``u < v``, sorted."""
@@ -127,10 +160,10 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self.adj, other.adj)
+        return self.n == other.n and self._bits == other._bits
 
     def __hash__(self):
-        return hash((self.n, self.adj.tobytes()))
+        return hash((self.n, self._bits))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
@@ -138,33 +171,26 @@ class Graph:
 
 def _init_graph(
     g: Graph,
-    adj: np.ndarray,
+    bits: tuple[int, ...],
     labels: Sequence[str] | None,
     provenance: Provenance | None,
-    rows: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
-) -> None:
-    """Check ``adj``, a boolean matrix that ``g`` may own, and fill ``g``'s
-    fields.  ``rows`` holds the neighbour bitmasks and the degrees when
-    the caller already knows them; otherwise they are read off ``adj``."""
-    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-        raise BadParams(f"adjacency matrix must be square, got {adj.shape}")
-    if adj.diagonal().any():
-        raise LoopEdge("adjacency matrix has a nonzero diagonal")
-    if not np.array_equal(adj, adj.T):
-        raise BadParams("adjacency matrix must be symmetric")
-    n = adj.shape[0]
+    adj: np.ndarray | None = None,
+) -> Graph:
+    """Fill ``g``'s fields from its neighbour bitmasks ``bits``, which the
+    caller vouches for as symmetric and loop-free, and return it.  ``adj``,
+    when given, is their matrix, which ``g`` then owns."""
+    n = len(bits)
     if labels is not None and len(labels) != n:
         raise BadParams(f"{len(labels)} labels for {n} vertices")
-    if rows is None:
-        bits = _pack_rows(adj)
-        rows = bits, tuple(row.bit_count() for row in bits)
-    adj.flags.writeable = False
+    if adj is not None:
+        adj.flags.writeable = False
     object.__setattr__(g, "n", n)
-    object.__setattr__(g, "adj", adj)
     object.__setattr__(g, "labels", tuple(labels) if labels is not None else None)
     object.__setattr__(g, "provenance", provenance)
-    object.__setattr__(g, "_bits", rows[0])
-    object.__setattr__(g, "_degrees", rows[1])
+    object.__setattr__(g, "_bits", bits)
+    object.__setattr__(g, "_degrees", tuple(row.bit_count() for row in bits))
+    object.__setattr__(g, "_adj", adj)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -196,16 +222,13 @@ def build(n: int, edges: Iterable[tuple[int, int]], labels: Sequence[str] | None
 def complement(g: Graph) -> Graph:
     """The complement graph on the same vertex set (labels preserved).
 
-    Its neighbour bitmasks and degrees follow from ``g``'s: vertex v's row
-    is every other vertex outside N(v), and its degree is n - 1 - deg(v)."""
-    n = g.n
-    adj = ~g.adj
-    np.fill_diagonal(adj, False)
-    full = (1 << n) - 1
+    It is read off ``g``'s neighbour bitmasks: vertex v's row is every
+    vertex but v outside N(v).  That is symmetric, as u lies outside N(v)
+    exactly when v lies outside N(u), and loop-free, as v leaves itself
+    out, so no matrix is built or checked."""
+    full = (1 << g.n) - 1
     bits = tuple(full ^ row ^ (1 << v) for v, row in enumerate(g._bits))
-    out = Graph.__new__(Graph)
-    _init_graph(out, adj, g.labels, None, (bits, tuple(n - 1 - d for d in g._degrees)))
-    return out
+    return _init_graph(Graph.__new__(Graph), bits, g.labels, None)
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:

@@ -463,6 +463,14 @@ def test_budget_error_carries_budget():
         assert err.budget == 50
 
 
+def test_twin_classes_make_a_subgroup():
+    # the twin classes' symmetric groups are a subgroup, so their order
+    # divides |Aut| and refusing a listing on it alone refuses none that
+    # the order charge would let through
+    for g in kernel_corpus():
+        assert automorphisms(g).order % _module._twin_order(g) == 0
+
+
 @pytest.mark.parametrize(
     "g, nodes",
     [

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from qsym.automorphisms import (
     AutomorphismSet,
     Permutation,
+    automorphisms,
     find_disjoint_pair,
     find_edge_free_disjoint_pair,
     twin_transpositions,
@@ -353,11 +354,20 @@ def test_products_without_provenance_fall_back():
 #: The products whose search, not just the order charge, runs through the
 #: default budget of ten million nodes (2-6 s each): their listing is
 #: abandoned, so no shortcut can act on them; the budgets 50 and 1000
-#: still sweep them.
+#: still sweep them.  None has a twin, so none is refused up front.
 _SEARCH_EXHAUSTS_DEFAULT = {
-    ("direct", 0, 0), ("direct", 0, 3), ("direct", 2, 0), ("direct", 2, 3),
-    ("strong", 0, 0), ("strong", 2, 0),
+    ("direct", 0, 0), ("direct", 2, 0), ("strong", 0, 0), ("strong", 2, 0),
 }
+
+
+@pytest.mark.parametrize("i", [0, 2], ids=["t0", "c5"])
+def test_twin_classes_refuse_a_hopeless_listing_at_once(i):
+    # K1,4's leaves make false-twin classes of four in the direct product:
+    # they alone force 6.3e26 (t0) and 2.0e8 (C5) listing entries against
+    # the default budget of 1e7, which the search used to spend 2-6 s on
+    g = direct(_LIFT_FACTORS[i], star(4))
+    with time_limit(0.1), pytest.raises(SizeLimitExceeded):
+        automorphisms(g)
 
 
 #: Attachments with no symmetry, on which R-CORONA misses after its own
@@ -534,6 +544,29 @@ def test_reused_group_gives_the_complement_its_own_verdict(g):
         **own.bic.payload(),
         "target": "bic_complement",
     }
+
+
+def test_twin_decided_graphs_unpack_no_matrix(monkeypatch):
+    # the pool graphs whose pair rules fire on twin swaps, with no
+    # listing: Gc is made from G's bitmasks and no rule that runs reads
+    # a matrix, so none is unpacked
+    graphs_module = importlib.import_module("qsym.graphs")
+    unpacked = []
+    real = graphs_module._unpack_rows
+    monkeypatch.setattr(
+        graphs_module, "_unpack_rows", lambda bits: unpacked.append(bits) or real(bits)
+    )
+    listings = _counting(monkeypatch, "automorphisms")
+    rng = SplitMix64(0x5EED)
+    decided = 0
+    for _ in range(300):
+        g = random_graph(rng)
+        listed, seen = len(listings), len(unpacked)
+        rep = classify_with_complement(g)
+        if len(listings) == listed and any(not isinstance(e, str) for e in rep.events):
+            decided += 1
+            assert len(unpacked) == seen
+    assert decided > 100
 
 
 def test_complement_pass_does_not_repeat_a_failed_search(monkeypatch):
@@ -1058,7 +1091,7 @@ def test_report_cycles_use_labels_only_on_a_permutation_of_every_point():
         bic=Verdict("bic", NC, QuadrangleFreeSelf(companion=EdgeFreePair(flip, flip))),
         ban=Verdict("ban", C, nested),
         bic_complement=None,
-        trace=(),
+        events=(),
         notes=(),
         elapsed_ms=0.0,
     )

@@ -39,6 +39,7 @@ from qsym.gallery import gallery
 from qsym.graphs import branch_forms, forest_has_disjoint_pair
 
 from .conftest import (
+    SPARSE_GALLERY,
     graphs,
     hypercube,
     kernel_corpus,
@@ -249,7 +250,14 @@ def assert_same_graph(got, want):
 
 
 def assert_complement_matches_reference(g):
-    assert_same_graph(complement(g), reference_complement(g))
+    # read off the bitmasks, with no matrix until one is asked for; it
+    # then hashes as its equal built from the matrix, and complementing
+    # twice gives g back
+    got, want = complement(g), reference_complement(g)
+    assert got._adj is None
+    assert_same_graph(got, want)
+    assert hash(got) == hash(want)
+    assert complement(got) == g
     for h in (g, complement(g)):
         rebuilt = Graph(h.adj)
         assert rebuilt.degree_sequence == tuple(int(d) for d in h.adj.sum(axis=1))
@@ -265,7 +273,9 @@ def complement_cases():
 def test_complement_equals_the_reference_on_the_pool():
     rng = SplitMix64(0x5EED)
     for _ in range(4000):
-        assert_complement_matches_reference(random_graph(rng))
+        g = random_graph(rng)
+        assert_complement_matches_reference(g)
+        assert_complement_matches_reference(complement(g))
 
 
 @pytest.mark.parametrize("g", list(complement_cases()), ids=repr)
@@ -277,6 +287,12 @@ def test_complement_equals_the_reference_on_labelled_and_large_graphs(g):
 @given(graphs(max_n=9))
 def test_complement_equals_the_reference_on_random_graphs(g):
     assert_complement_matches_reference(g)
+
+
+def test_complement_equals_the_reference_on_forests_and_the_sparse_gallery():
+    forests = (f for n in range(1, 10) for f in enumerate_forests(n))
+    for g in (*forests, *map(gallery, SPARSE_GALLERY)):
+        assert_complement_matches_reference(g)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from qsym import (
     path,
     star,
 )
+from qsym.automorphisms import Permutation
 from qsym.census import SplitMix64, enumerate_forests, random_graph
 
 from .conftest import SPARSE_GALLERY, hypercube
@@ -134,6 +135,29 @@ def test_budgeted_report_bytes_match_the_recorded_digests():
     _assert_digests_match(
         json.loads(BUDGET_DIGESTS.read_text()), current_budget_digests()
     )
+
+
+def test_pair_lines_are_written_when_the_trace_is_read(monkeypatch):
+    # classify_with_complement writes no cycle notation: a fired pair
+    # rule keeps its certificate, and the trace, read afterwards, gives
+    # the pinned bytes
+    cycles, calls = Permutation.cycles, []
+
+    def counting(self, names=None):
+        calls.append(self)
+        return cycles(self, names)
+
+    monkeypatch.setattr(Permutation, "cycles", counting)
+    want = json.loads(DIGESTS.read_text())
+    keyed = [(key, g) for key, g in pinned_graphs() if key.startswith("pool/")]
+    reports = [classify_with_complement(g) for _, g in keyed]
+    assert not calls
+    deferred = [e for rep in reports for e in rep.events if not isinstance(e, str)]
+    assert len(deferred) > 400
+    for (key, _), report in zip(keyed, reports):
+        assert len(report.trace) == len(report.events)
+        assert _digest(report) == want[key]
+    assert len(calls) >= 2 * len(deferred)
 
 
 #: Every line a rule logs, with its numbers and cycles left open, and
