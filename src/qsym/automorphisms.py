@@ -15,8 +15,13 @@ a new generator.  |Aut(g)| is the product of the orbit sizes.
 The search maps each vertex to one with the same degree profile and the
 same distance class (see :func:`_distance_classes`) to the image of
 every earlier vertex, a first step of individualise-and-refine (McKay
-and Piperno, "Practical graph isomorphism II", 2014) that adds no work
-per node.
+and Piperno, "Practical graph isomorphism II", 2014).  As there, the
+work follows what a vertex touches: each vertex is tested against its
+near earlier vertices (adjacent or two steps away) one by one, and
+against all the far ones at once by a count (see :class:`_Search`), so
+on a sparse graph the set-up and each node cost about a neighbourhood,
+not n.  The twin classes (:func:`_twin_classes`) are read in one pass
+over the neighbour bitmasks too, not by testing every vertex pair.
 
 The complete listing is then composed from the transversals in numpy,
 one level at a time: every element is t_0 t_1 ... t_{n-1}, one
@@ -29,7 +34,7 @@ The pair searches read only its inclusion-minimal masks, and only a
 witness pair becomes Permutations.
 
 One search node is one unused, profile-compatible candidate image at a
-level of a first-leaf search, counted before the distance-class test;
+level of a first-leaf search, counted before the distance-class tests;
 the candidates of a chain level are filtered for free.  Once the group
 order is known, one more node is charged per entry of the listing, order
 times n, before any element is built.  That total is what ``--budget``
@@ -45,7 +50,6 @@ onto another, without a budget.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -119,13 +123,15 @@ def _profiles(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
     ]
 
 
-def _distance_classes(g: Graph) -> list[tuple[int, int, int, int]]:
-    """Per vertex w, the other vertices split four ways as bitmasks: the
-    neighbours u with N[u] | N[w] = V, the other neighbours, the vertices
-    two steps away, and the rest.  Every isomorphism preserves the split,
-    so no leaf is lost; a complement has the same four sets with the
-    labels swapped (first with last, second with third), so a graph and
-    its complement spend the same nodes."""
+def _distance_classes(g: Graph) -> list[tuple[int, int, int]]:
+    """Per vertex w, the vertices *near* it split three ways as bitmasks:
+    the neighbours u with N[u] | N[w] = V, the other neighbours, and the
+    vertices two steps away.  The rest, the far vertices, make a fourth
+    class.  Every isomorphism preserves the split, so no leaf is lost; a
+    complement has the same four sets with the labels swapped (first
+    with far, second with third), so a graph and its complement spend
+    the same nodes.  Each class is symmetric: u is in w's exactly when w
+    is in u's."""
     bits = g._bits
     full = (1 << g.n) - 1
     out = []
@@ -140,7 +146,7 @@ def _distance_classes(g: Graph) -> list[tuple[int, int, int, int]]:
             reach |= row
             if not outside & ~row:
                 spanning |= low
-        out.append((spanning, nbrs & ~spanning, reach & outside, outside & ~reach))
+        out.append((spanning, nbrs & ~spanning, reach & outside))
     return out
 
 
@@ -156,6 +162,21 @@ class _Search:
     extension of its prefix.  ``nodes`` adds up over all calls, charged
     as described in the module docstring; past ``budget`` it raises
     :class:`SizeLimitExceeded`.
+
+    Per vertex v, ``earlier[v]`` files only v's *near* earlier vertices,
+    each under its class, so the set-up and each node follow v's
+    neighbourhood, not every earlier vertex.  The far ones are tested by
+    a count: when v has a far earlier vertex, ``counts[v]`` holds
+    k_v = |near_g(v) ∩ {0..v-1}|, else it is None.  Let x pass the near
+    tests, and let ``used`` hold the images of 0..v-1.  Then x is far from
+    the image of every far earlier vertex exactly when
+    |near_h(x) ∩ used| = k_v.  Proof: for each near earlier u, x lies in
+    the class of u's image that v has to u, so, the classes being
+    symmetric, u's image lies in near_h(x); these are k_v distinct
+    members of near_h(x) ∩ used.  Every other member of ``used`` is the
+    image of a far earlier vertex, so the count exceeds k_v exactly when
+    some such image is near x.  The count is taken as each candidate is
+    tried, after its node is charged, so it changes no node count.
     """
 
     def __init__(self, g: Graph, h: Graph, budget: float):
@@ -172,12 +193,15 @@ class _Search:
             classes[prof] = classes.get(prof, 0) | 1 << w
         self.cand_mask = [classes.get(prof, 0) for prof in gprof]
         gclasses = _distance_classes(g)
+        hclasses = gclasses if h is g else _distance_classes(h)
+        self.near = [a | b | c for a, b, c in hclasses]
         # per class, the masks of every vertex of h: the image of v must
         # lie in the class of the image of u that v has to u, for each
-        # earlier u; so per vertex, its earlier vertices grouped by class,
-        # each group with that class's masks
-        tables = list(zip(*(gclasses if h is g else _distance_classes(h))))
+        # earlier near u; so per vertex, its earlier near vertices grouped
+        # by class, each group with that class's masks
+        tables = list(zip(*hclasses))
         self.earlier = []
+        self.counts = []
         for v, masks in enumerate(gclasses):
             lower = (1 << v) - 1
             self.earlier.append([
@@ -185,6 +209,8 @@ class _Search:
                 for mask, table in zip(masks, tables)
                 if mask & lower
             ])
+            k = ((masks[0] | masks[1] | masks[2]) & lower).bit_count()
+            self.counts.append(k if k < v else None)
 
     def charge(self, count: int) -> None:
         self.nodes += count
@@ -195,8 +221,10 @@ class _Search:
         """The smallest leaf whose images of ``0..len(prefix)-1`` are
         ``prefix`` (which must itself preserve the distance classes), or
         ``None``.  Depth first, without recursion: ``rest[v]`` holds the
-        candidates for ``v`` not yet tried."""
-        cand_mask, earlier = self.cand_mask, self.earlier
+        candidates for ``v`` that passed the near tests, not yet tried."""
+        cand_mask, earlier, counts, near = (
+            self.cand_mask, self.earlier, self.counts, self.near
+        )
         n, budget = len(cand_mask), self.budget
         images = [*prefix, *[0] * (n - len(prefix))]
         used = sum(1 << x for x in prefix)
@@ -212,16 +240,22 @@ class _Search:
                 for group, table in earlier[v]:
                     for u in group:
                         free &= table[images[u]]
-                # back up to the deepest vertex with a candidate left
-                while not free:
-                    v -= 1
-                    if v < start:
-                        return None
-                    used ^= 1 << images[v]
-                    free = rest[v]
-                low = free & -free
-                rest[v] = free ^ low
-                images[v] = low.bit_length() - 1
+                while True:
+                    # back up to the deepest vertex with a candidate left
+                    while not free:
+                        v -= 1
+                        if v < start:
+                            return None
+                        used ^= 1 << images[v]
+                        free = rest[v]
+                    low = free & -free
+                    free ^= low
+                    x = low.bit_length() - 1
+                    k = counts[v]
+                    if k is None or (near[x] & used).bit_count() == k:
+                        break
+                rest[v] = free
+                images[v] = x
                 used |= low
                 v += 1
         finally:
@@ -242,7 +276,7 @@ def _transversal(
         for s in gens:
             y = s[x]
             if y not in reps:
-                reps[y] = tuple(s[w] for w in t)
+                reps[y] = tuple(map(s.__getitem__, t))
                 queue.append(y)
     return reps
 
@@ -254,6 +288,7 @@ def _chain(g: Graph, search: _Search) -> list[dict[int, tuple[int, ...]]]:
     so the generators found below level i already fix i."""
     n = g.n
     identity = tuple(range(n))
+    near = search.near
     gens: list[tuple[int, ...]] = []
     levels = []
     for i in reversed(range(n)):
@@ -261,15 +296,17 @@ def _chain(g: Graph, search: _Search) -> list[dict[int, tuple[int, ...]]]:
         reps = {i: identity}
         rest = search.cand_mask[i] & ~fixed & ~(1 << i)
         if rest:
-            # the images of i with its distance class to each fixed point
+            # the images of i with its distance class to each near fixed
+            # point, then (by the count of :class:`_Search`) to the far ones
             for group, table in search.earlier[i]:
                 for u in group:
                     rest &= table[u]
+        k = search.counts[i]
         while rest:
             low = rest & -rest
             rest ^= low
             x = low.bit_length() - 1
-            if x in reps:
+            if x in reps or k is not None and (near[x] & fixed).bit_count() != k:
                 continue
             leaf = search.first_leaf((*range(i), x))
             if leaf is not None:
@@ -326,20 +363,33 @@ def _supports(table: np.ndarray) -> dict[int, tuple[int, ...]]:
     return dict(sorted(rows, key=lambda row: row[0].bit_count()))
 
 
-def _twin_order(g: Graph) -> int:
-    """Π k! over the classes of vertices with equal N(v) and those with
-    equal N[v], a lower bound on |Aut(g)| read in one pass.
+def _twin_classes(g: Graph) -> list[list[int]]:
+    """The classes of two or more vertices with equal N(v), and those with
+    equal N[v], each ascending, read in one pass.  Two vertices u < v are
+    *twins*, N(u) - {v} = N(v) - {u}, exactly when they share a class: N(u)
+    = N(v) if u and v are apart, N[u] = N[v] if they are adjacent.
 
-    The members of a class may be permuted at will, and the classes are
-    disjoint: a vertex u with a false twin v has no true twin w, since w
-    in N(u) = N(v) and v in N[w] = N[u] would make u ~ v.  No N(u) equals
-    an N[v] either (v in N(u) would put u in N[v] = N(u)), so one count
-    keyed by both serves."""
-    sizes = Counter()
+    The classes are disjoint: a vertex u with a false twin v has no true
+    twin w, since w in N(u) = N(v) and v in N[w] = N[u] would make u ~ v.
+    No N(u) equals an N[v] either (v in N(u) would put u in N[v] = N(u)),
+    so one table keyed by both serves.  It maps each key to its first
+    vertex; a vertex that joins a class by N(v) never enters N[v], which
+    no later vertex can share."""
+    first: dict[int, int] = {}
+    classes: dict[int, list[int]] = {}
     for v, row in enumerate(g._bits):
-        sizes[row] += 1
-        sizes[row | 1 << v] += 1
-    return math.prod(math.factorial(k) for k in sizes.values() if k > 1)
+        u = first.setdefault(row, v)
+        if u == v:
+            u = first.setdefault(row | 1 << v, v)
+        if u != v:
+            classes.setdefault(u, [u]).append(v)
+    return list(classes.values())
+
+
+def _twin_order(g: Graph) -> int:
+    """Π k! over the twin classes (see :func:`_twin_classes`), a lower
+    bound on |Aut(g)|: the members of a class may be permuted at will."""
+    return math.prod(math.factorial(len(cls)) for cls in _twin_classes(g))
 
 
 def automorphisms(g: Graph, node_budget: int | None = None) -> AutomorphismSet:
@@ -397,15 +447,13 @@ def _swap_images(n: int, u: int, v: int) -> tuple[int, ...]:
     return tuple(images)
 
 
-def _twin_pairs(g: Graph) -> Iterator[tuple[int, int]]:
-    """The *twin* pairs u < v, in order of u, then v: N(u) - {v} = N(v) - {u},
-    so swapping u and v is an automorphism.  They are a cheap O(n^2)
-    source of automorphisms that needs no listing of a large group, and a
-    graph and its complement have the same twins."""
-    bits = g._bits
-    for u, v in combinations(range(g.n), 2):
-        if (bits[u] & ~(1 << v)) == (bits[v] & ~(1 << u)):
-            yield u, v
+def _twin_pairs(g: Graph) -> list[tuple[int, int]]:
+    """The twin pairs u < v (see :func:`_twin_classes`), in order of u,
+    then v: swapping u and v is an automorphism.  They are a cheap source
+    of automorphisms that needs no listing of a large group, read off the
+    classes in one pass, and a graph and its complement have the same
+    twins."""
+    return sorted([pair for cls in _twin_classes(g) for pair in combinations(cls, 2)])
 
 
 def twin_transpositions(g: Graph) -> list[Permutation]:

@@ -209,14 +209,17 @@ def build(n: int, edges: Iterable[tuple[int, int]], labels: Sequence[str] | None
     if n < 0:
         raise BadParams(f"vertex count must be >= 0, got {n}")
     check_order(n)
-    adj = np.zeros((n, n), dtype=bool)
+    bits = [0] * n
     for u, v in edges:
         if u == v:
             raise LoopEdge(f"loop edge ({u}, {v})")
         if not (0 <= u < n and 0 <= v < n):
             raise IndexOutOfRange(f"edge ({u}, {v}) outside range(0, {n})")
-        adj[u, v] = adj[v, u] = True
-    return Graph(adj, labels=labels)
+        u, v = operator.index(u), operator.index(v)  # numpy ints would wrap shifts
+        bits[u] |= 1 << v
+        bits[v] |= 1 << u
+    # symmetric and loop-free by construction
+    return _init_graph(Graph.__new__(Graph), tuple(bits), labels, None)
 
 
 def complement(g: Graph) -> Graph:
@@ -233,14 +236,19 @@ def complement(g: Graph) -> Graph:
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
     """The induced subgraph on ``keep``, renumbered in ascending order of
-    the kept original indices (labels carried along)."""
-    keep = sorted(set(keep))
+    the kept original indices (labels carried along).  Each kept row's
+    bitmask is compressed into the new numbering, so no matrix is built
+    or checked."""
+    keep = sorted(set(map(operator.index, keep)))  # numpy ints would wrap shifts
     for v in keep:
         g._check_vertex(v)
-    idx = np.asarray(keep, dtype=np.int64)
-    adj = g.adj[np.ix_(idx, idx)]
-    labels = [g.label_of(v) for v in keep] if g.labels is not None else None
-    return Graph(adj, labels=labels)
+    position = {v: i for i, v in enumerate(keep)}
+    kept = sum(1 << v for v in keep)
+    bits = tuple(
+        sum(1 << position[u] for u in _mask_vertices(g._bits[v] & kept)) for v in keep
+    )
+    labels = [g.labels[v] for v in keep] if g.labels is not None else None
+    return _init_graph(Graph.__new__(Graph), bits, labels, None)
 
 
 def line_graph(g: Graph) -> Graph:

@@ -181,6 +181,79 @@ class AdjacencySearch:
         return tuple(images) if extend(len(prefix)) else None
 
 
+def four_distance_classes(g):
+    """Per vertex w, the other vertices split four ways as bitmasks: the
+    neighbours u with N[u] | N[w] = V, the other neighbours, the vertices
+    two steps away, and the rest."""
+    bits = g._bits
+    full = (1 << g.n) - 1
+    out = []
+    for w, nbrs in enumerate(bits):
+        outside = full & ~nbrs & ~(1 << w)
+        spanning = reach = 0
+        for u in range(g.n):
+            if nbrs >> u & 1:
+                reach |= bits[u]
+                if not outside & ~bits[u]:
+                    spanning |= 1 << u
+        out.append((spanning, nbrs & ~spanning, reach & outside, outside & ~reach))
+    return out
+
+
+class FourClassSearch:
+    """The first-leaf search that files every earlier vertex under one of
+    the four distance classes and tests each candidate against all of
+    them.  ``counts`` holds no count, so the chain's level filter runs
+    the four class tests alone on it."""
+
+    def __init__(self, g, h, budget):
+        gprof, hprof = _module._profiles(g), _module._profiles(h)
+        self.possible = sorted(gprof) == sorted(hprof)
+        self.budget = budget
+        self.nodes = 0
+        self.cand_mask = [
+            sum(1 << w for w, q in enumerate(hprof) if q == p) for p in gprof
+        ]
+        self.counts = [None] * g.n
+        self.near = None
+        tables = list(zip(*four_distance_classes(h)))
+        self.earlier = [
+            [
+                ([u for u in range(v) if mask >> u & 1], table)
+                for mask, table in zip(masks, tables)
+                if mask & ((1 << v) - 1)
+            ]
+            for v, masks in enumerate(four_distance_classes(g))
+        ]
+
+    def first_leaf(self, prefix):
+        n = len(self.cand_mask)
+        images = [*prefix, *[0] * (n - len(prefix))]
+        used = sum(1 << x for x in prefix)
+        start = v = len(prefix)
+        rest = [0] * n
+        while v < n:
+            free = self.cand_mask[v] & ~used
+            self.nodes += free.bit_count()
+            if self.nodes > self.budget:
+                raise SizeLimitExceeded(self.budget)
+            for group, table in self.earlier[v]:
+                for u in group:
+                    free &= table[images[u]]
+            while not free:
+                v -= 1
+                if v < start:
+                    return None
+                used ^= 1 << images[v]
+                free = rest[v]
+            low = free & -free
+            rest[v] = free ^ low
+            images[v] = low.bit_length() - 1
+            used |= low
+            v += 1
+        return tuple(images)
+
+
 def reference_isomorphism(g1, g2):
     if g1.n != g2.n or g1.edge_count != g2.edge_count:
         return None
@@ -502,16 +575,18 @@ def _class_test_corpus():
     return [*kernel, *map(complement, kernel), *_symmetric_set()]
 
 
-def _chain_calls(g):
-    """Each prefix the chain of Aut(g) searches, with the leaf it got,
-    and the nodes the chain spent."""
-    search = _module._Search(g, g, math.inf)
+def _chain_calls(g, make=None):
+    """Each prefix the chain of Aut(g) searches, with the leaf it got and
+    the nodes that call spent, and the nodes the chain spent, with the
+    search ``make`` builds (by default the engine's)."""
+    search = (make or _module._Search)(g, g, math.inf)
     calls = []
     search_leaf = search.first_leaf
 
     def recording(prefix):
+        before = search.nodes
         leaf = search_leaf(prefix)
-        calls.append((prefix, leaf))
+        calls.append((prefix, leaf, search.nodes - before))
         return leaf
 
     search.first_leaf = recording
@@ -526,7 +601,7 @@ def test_chain_prefixes_have_the_adjacency_search_leaves():
     for g in _class_test_corpus():
         calls, _ = _chain_calls(g)
         reference = AdjacencySearch(g, g)
-        for prefix, leaf in calls:
+        for prefix, leaf, _ in calls:
             assert reference.first_leaf(prefix) == leaf, (g, prefix)
         prefixes += len(calls)
     assert prefixes > 5_000
@@ -548,6 +623,56 @@ def test_isomorphism_witnesses_match_the_adjacency_search():
         found += witness is not None
         last[g.n, g.edge_count] = g
     assert found > 1_000
+
+
+def _four_class_corpus():
+    """The kernel corpus, its complements, the symmetric set and the
+    sparse gallery, each of the last two with its complement."""
+    kernel = kernel_corpus()
+    extra = [*_symmetric_set(), *map(gallery, SPARSE_GALLERY)]
+    return [*kernel, *map(complement, kernel), *extra, *map(complement, extra)]
+
+
+def test_chain_prefixes_match_the_four_class_search():
+    # the count stands in for the far class's tests exactly: the chain
+    # tries the same prefixes, each with the same first leaf and nodes
+    prefixes = 0
+    for g in _four_class_corpus():
+        calls, nodes = _chain_calls(g)
+        assert (calls, nodes) == _chain_calls(g, FourClassSearch), g
+        prefixes += len(calls)
+    assert prefixes > 5_000
+
+
+def _leaf_and_nodes(make, g, h):
+    search = make(g, h, math.inf)
+    return (search.first_leaf(()), search.nodes) if search.possible else None
+
+
+def test_isomorphism_witnesses_match_the_four_class_search():
+    rng = random.Random(27)
+    last = {}
+    found = 0
+    for g in _four_class_corpus():
+        h, _ = relabelled(g, rng)
+        other = last.get((g.n, g.edge_count), g)
+        for target in (h, other):
+            want = _leaf_and_nodes(FourClassSearch, g, target)
+            assert _leaf_and_nodes(_module._Search, g, target) == want, (g, target)
+            assert are_isomorphic(g, target) == (want and want[0]), (g, target)
+            found += bool(want and want[0])
+        last[g.n, g.edge_count] = g
+    assert found > 5_000
+
+
+@pytest.mark.parametrize("g", [path(1200), cycle(600)], ids=["p1200", "c600"])
+def test_the_search_files_only_near_earlier_vertices(g):
+    # the four-class search filed every earlier vertex, n(n-1)/2 in all;
+    # here each vertex keeps those adjacent or two steps away, at most 4
+    search = _module._Search(g, g, math.inf)
+    filed = [sum(len(group) for group, _ in groups) for groups in search.earlier]
+    assert max(filed) <= 4
+    assert search.counts[g.n - 1] == filed[-1]
 
 
 def test_isomorphism_search_runs_deeper_than_the_recursion_limit():
@@ -731,6 +856,34 @@ def test_twin_transpositions_examples():
     assert len(twin_transpositions(complete(4))) == 6
     assert {p.support() for p in twin_transpositions(path(2))} == {frozenset({0, 2})}
     assert twin_transpositions(cycle(5)) == []
+
+
+def reference_twin_pairs(g):
+    """The twin pairs by testing every vertex pair."""
+    bits = g._bits
+    return [
+        (u, v)
+        for u, v in itertools.combinations(range(g.n), 2)
+        if bits[u] & ~(1 << v) == bits[v] & ~(1 << u)
+    ]
+
+
+def test_twin_pairs_match_the_pair_scan():
+    # graphs past 64 vertices too, whose rows span more than one word
+    wide = [
+        star(70),
+        complete_bipartite(3, 66),
+        edgeless(70),
+        disjoint_union([path(1)] * 20 + [cycle(4)] * 10),
+        cartesian(cycle(11), cycle(6)),
+    ]
+    extra = [*map(gallery, SPARSE_GALLERY), *wide]
+    twinned = 0
+    for g in [*kernel_corpus(), *extra, *map(complement, extra)]:
+        pairs = _module._twin_pairs(g)
+        assert pairs == reference_twin_pairs(g), g
+        twinned += bool(pairs)
+    assert twinned > 500
 
 
 @settings(max_examples=50)

@@ -114,6 +114,28 @@ def test_build_collapses_duplicates():
     assert g.edge_count == 1
 
 
+def test_build_takes_numpy_endpoints_past_64_bits():
+    # numpy shifts wrap at 64 bits, so 1 << np.int64(70) would set no bit
+    g = build(100, [(np.int64(0), np.int64(70))])
+    assert g.edge_count == 1
+    assert g.degree(0) == g.degree(70) == 1
+    assert g.edges() == [(0, 70)]
+
+
+def test_build_equals_the_matrix_construction():
+    # each edge given in both orientations, as duplicates collapse
+    for g in [*kernel_corpus(), cycle(65), complement(path(69))]:
+        edges = list(zip(*np.nonzero(np.triu(g.adj))))
+        adj = np.zeros((g.n, g.n), dtype=bool)
+        for u, v in edges:
+            adj[u, v] = adj[v, u] = True
+        built = build(g.n, [*edges, *((v, u) for u, v in edges)])
+        want = Graph(adj)
+        assert built == want
+        assert built.degree_sequence == want.degree_sequence
+        assert np.array_equal(built.adj, want.adj)
+
+
 def test_adjacency_is_read_only():
     g = complete(3)
     with pytest.raises(ValueError):
@@ -586,6 +608,28 @@ def test_induced_subgraph_keeps_labels():
     g = build(3, [(0, 1)], labels=["a", "b", "c"])
     h = induced_subgraph(g, [0, 2])
     assert h.labels == ("a", "c")
+
+
+def _induced_by_matrix(g, keep):
+    """The induced subgraph cut from the adjacency matrix."""
+    keep = sorted(set(keep))
+    labels = [g.label_of(v) for v in keep] if g.labels is not None else None
+    return Graph(g.adj[np.ix_(keep, keep)], labels=labels)
+
+
+def test_induced_subgraph_equals_the_matrix_construction():
+    rng = SplitMix64(0x5EED)
+    pool = [random_graph(rng) for _ in range(500)]
+    labelled = [gallery(name) for name in ("sc", "fig7", "cherry2", "c4pn2", "c4pn30")]
+    pick = random.Random(53)
+    for g in [*pool, *labelled, cycle(70)]:
+        for h in (g, complement(g)):
+            for _ in range(3):
+                keep = [v for v in range(h.n) if pick.random() < 0.6]
+                got, want = induced_subgraph(h, keep), _induced_by_matrix(h, keep)
+                assert got == want and got.labels == want.labels
+                assert got.degree_sequence == want.degree_sequence
+                assert np.array_equal(got.adj, want.adj)
 
 
 # ---------------------------------------------------------------------------

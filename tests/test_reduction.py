@@ -38,6 +38,7 @@ from qsym import (
     verify_certificate,
     zero_pattern,
 )
+from qsym.census import SplitMix64, random_graph
 from qsym.gallery import c4pn_graph, fig7_graph
 
 from .conftest import SPARSE_GALLERY, graphs, kernel_corpus, small_corpus
@@ -545,6 +546,25 @@ def test_strip_walk_matches_the_renumbering_reference(g):
 )
 def test_strip_walk_matches_the_reference_on_path_complements_and_labels(g):
     _assert_strips_like_the_reference(g)
+
+
+def test_strip_unpacks_no_matrix(monkeypatch):
+    # the remainder is induced from the neighbour bitmasks, so stripping
+    # a complement, whose matrix is never built, unpacks none
+    graphs_module = importlib.import_module("qsym.graphs")
+    unpacked = []
+    real = graphs_module._unpack_rows
+    monkeypatch.setattr(
+        graphs_module, "_unpack_rows", lambda bits: unpacked.append(bits) or real(bits)
+    )
+    rng = SplitMix64(0x5EED)
+    pool = [random_graph(rng) for _ in range(300)]
+    stripped = 0
+    for g in [*pool, gallery("c4pn20"), gallery("c4pn30")]:
+        for h in (g, complement(g)):
+            stripped += bool(strip_high_degree_fixpoint(h)[1])
+    assert stripped > 100
+    assert unpacked == []
 
 
 def test_strip_fixpoint_terminates_on_fixed_graph():
