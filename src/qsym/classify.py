@@ -46,7 +46,7 @@ from .automorphisms import (
     Permutation,
     _first_pair,
     _swap_images,
-    _twin_pairs,
+    _twin_classes,
     automorphisms,
     transposition,
 )
@@ -290,8 +290,15 @@ class _Shared:
         """The twin swaps as a support table (see :class:`AutomorphismSet`),
         in order of image tuple: the swap of u < v sends u to v, so a
         larger u comes first, then a smaller v."""
-        pairs = sorted(_twin_pairs(self.g), key=lambda uv: (-uv[0], uv[1]))
-        return {1 << u | 1 << v: _swap_images(self.g.n, u, v) for u, v in pairs}
+        later = {  # the classes are disjoint, so each u is in one
+            u: cls[i + 1:] for cls in _twin_classes(self.g) for i, u in enumerate(cls)
+        }
+        n = self.g.n
+        return {
+            1 << u | 1 << v: _swap_images(n, u, v)
+            for u in sorted(later, reverse=True)
+            for v in later[u]
+        }
 
 
 class _Ctx:

@@ -138,10 +138,16 @@ class Graph:
         return _mask_vertices(self._bits[v])
 
     def edges(self) -> list[tuple[int, int]]:
-        """All edges as sorted pairs ``(u, v)`` with ``u < v``, sorted."""
-        iu = np.triu_indices(self.n, k=1)
-        sel = self.adj[iu]
-        return [(int(u), int(v)) for u, v in zip(iu[0][sel], iu[1][sel])]
+        """All edges as sorted pairs ``(u, v)`` with ``u < v``, sorted: for
+        each u, the neighbours above u read off ``N(u) >> (u + 1)``."""
+        out = []
+        for u, row in enumerate(self._bits):
+            rest = row >> (u + 1)
+            while rest:
+                low = rest & -rest
+                out.append((u, u + low.bit_length()))
+                rest ^= low
+        return out
 
     @property
     def edge_count(self) -> int:

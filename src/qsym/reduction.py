@@ -15,8 +15,10 @@ Two rules produce forced zeros:
 The degree rule is sphere 0 of the distance-degree rule: D_x(0) is
 {deg(x)}, so D_w(0) is not a subset of D_v(0) exactly when the degrees
 differ.  :func:`zero_pattern` therefore evaluates both rules for all
-cells at once as one integer matrix product over the sphere-degree sets
-of spheres 0, 1, 2, ...
+cells at once as one matrix product, exact in float32, over the
+sphere-degree sets of spheres 0, 1, 2, ..., which one breadth-first walk
+per vertex on the neighbour bitmasks reads off without a distance
+matrix.
 
 The combined pattern is the union of both, symmetrised: the antipode
 swaps u_ij with u_ji, so a forced zero at (i, j) forces (j, i) too.
@@ -38,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graphs import Graph, distance_matrix, induced_subgraph
+from .graphs import Graph, induced_subgraph
 from .graphs import _component_masks, _mask_vertices, _pack_rows
 
 RULE_DEGREE = "degree"
@@ -86,25 +88,75 @@ class BlockStructure:
 
 def _spheres(g: Graph) -> np.ndarray:
     """The 0/1 tensor S[x, k, d] marking degree class d in D_x(k), for
-    the spheres k = 0, 1, 2, ... and one last slot, always empty, which
-    the unreachable vertices (distance -1) index."""
+    the spheres k = 0, 1, 2, ... and one last slot, always empty, as
+    uint8 of shape (n, L, C): L is the largest eccentricity within a
+    component plus 2, and C the number of distinct degrees.
+
+    One walk per source on the neighbour bitmasks.  ``unseen`` holds the
+    vertices no sphere has reached yet; expanding the frontier (sphere k)
+    ANDs ``left``, a copy of ``unseen``, with the complement of each
+    expanded vertex's neighbourhood, so sphere k + 1 is ``unseen ^ left``.
+    Expansion stops as soon as ``left`` is empty: then every unseen
+    vertex has a neighbour among the frontier vertices already expanded,
+    so the rest of the frontier cannot add one to sphere k + 1 (on a
+    dense graph that is after a few vertices).  Sphere k's degree classes are the OR of the class bits of
+    the vertices expanded, plus one mask test per class on the part left
+    unexpanded.  Each source's spheres are packed into one int, C bits
+    per sphere, and one ``np.unpackbits`` lays them out as the tensor, so
+    it takes n * L * C bytes and no (n, L, n) membership is built."""
     n = g.n
     if n == 0:
-        return np.zeros((0, 1, 0), dtype=np.int64)
-    dist = distance_matrix(g)
+        return np.zeros((0, 1, 0), dtype=np.uint8)
     degrees = g.degree_sequence
-    deg_class = {d: c for c, d in enumerate(sorted(set(degrees)))}
-    spheres = np.zeros((n, int(dist.max()) + 2, len(deg_class)), dtype=np.int64)
-    spheres[np.arange(n)[:, None], dist, [deg_class[d] for d in degrees]] = 1
-    spheres[:, -1] = 0
-    return spheres
+    distinct = sorted(set(degrees))
+    classes = len(distinct)
+    index = {d: c for c, d in enumerate(distinct)}
+    class_bit = [1 << index[d] for d in degrees]
+    class_masks = [0] * classes
+    for v, d in enumerate(degrees):
+        class_masks[index[d]] |= 1 << v
+    far = [~row for row in g._bits]
+    full = (1 << n) - 1
+    rows, depth = [], 0
+    for s in range(n):
+        unseen, frontier = full ^ 1 << s, 1 << s
+        packed = shift = 0
+        while frontier:
+            left, found = unseen, 0
+            while frontier and left:
+                low = frontier & -frontier
+                v = low.bit_length() - 1
+                left &= far[v]
+                found |= class_bit[v]
+                frontier ^= low
+            if frontier:
+                for c, mask in enumerate(class_masks):
+                    if frontier & mask:
+                        found |= 1 << c
+            packed |= found << shift
+            shift += classes
+            frontier, unseen = unseen ^ left, left
+        rows.append(packed)
+        depth = max(depth, shift)
+    cells = depth + classes  # the spheres, then the empty slot
+    width = (cells + 7) // 8
+    raw = b"".join(row.to_bytes(width, "little") for row in rows)
+    flat = np.frombuffer(raw, np.uint8).reshape(n, width)
+    bits = np.unpackbits(flat, axis=1, count=cells, bitorder="little")
+    return bits.reshape(n, cells // classes, classes)
 
 
 def _exceeds(spheres: np.ndarray) -> np.ndarray:
     """Cells (w, v) where some (k, d) marked for w is not marked for v:
-    flattened to rows, the integer product S @ (1 - S).T counts them."""
+    flattened to rows, the product S @ (1 - S).T counts them.
+
+    The product is taken in float32, which numpy hands to BLAS, and is
+    exact: row w of S has at most n marks, one per vertex w reaches (at
+    its distance from w and its degree class), so every count and every
+    partial sum is an integer of at most n <= MAX_ORDER = 4096 < 2**24.
+    (Only ``> 0`` is read, which a sum of non-negative terms keeps anyway.)"""
     n, radius, classes = spheres.shape
-    flat = spheres.reshape(n, radius * classes)
+    flat = spheres.reshape(n, radius * classes).astype(np.float32)
     return (flat @ (1 - flat).T) > 0
 
 

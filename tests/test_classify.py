@@ -23,6 +23,8 @@ from hypothesis import given, settings
 from qsym.automorphisms import (
     AutomorphismSet,
     Permutation,
+    _swap_images,
+    _twin_pairs,
     automorphisms,
     find_disjoint_pair,
     find_edge_free_disjoint_pair,
@@ -658,14 +660,14 @@ def test_a_transitive_listing_builds_no_zero_pattern(monkeypatch):
 def test_graph_pair_facts_are_worked_out_once(monkeypatch, name):
     # G and Gc share their twins; each graph's complement, quadrangle
     # test and forest test are computed once, whichever rule asks first
-    counted = ("_twin_pairs", "complement", "contains_quadrangle", "is_forest")
+    counted = ("_twin_classes", "complement", "contains_quadrangle", "is_forest")
     calls = {fn: _counting(monkeypatch, fn) for fn in counted}
     g = gallery(name)
     classify_with_complement(g)
     for fn, seen in calls.items():
         graphs_seen = collections.Counter(args[0] for args in seen)
         assert max(graphs_seen.values(), default=0) <= 1, fn
-    twinned = {args[0] for args in calls["_twin_pairs"]}
+    twinned = {args[0] for args in calls["_twin_classes"]}
     assert not any(complement(h) in twinned for h in twinned)
 
 
@@ -677,6 +679,21 @@ def test_twin_table_is_the_swaps_sorted_by_image_tuple():
         swaps = sorted(twin_transpositions(g), key=lambda p: p.images)
         want = [(p.support_mask(), p.images) for p in swaps]
         assert list(_Shared(g, None).twins.items()) == want
+
+
+def test_twin_table_equals_the_one_from_the_sorted_pair_list():
+    # built from the twin classes, the table equals the one the (u, v)
+    # pair list re-sorted by (-u, v) gave, entries and order, on the 4,000
+    # 0x5EED pool graphs, their complements and the gallery
+    rng = SplitMix64(0x5EED)
+    pool = [random_graph(rng) for _ in range(4000)]
+    names = ("fig7", "sc", "t0", "cherry2", "c64", "p64", "c4pn30", "k3_12", "star20")
+    extra = [gallery(name) for name in names]
+    extra += [complete(70), edgeless(66), star(70)]
+    for g in (*pool, *map(complement, pool), *extra, *map(complement, extra)):
+        pairs = sorted(_twin_pairs(g), key=lambda uv: (-uv[0], uv[1]))
+        want = [(1 << u | 1 << v, _swap_images(g.n, u, v)) for u, v in pairs]
+        assert list(_Shared(g, None).twins.items()) == want, g
 
 
 def test_fine_witness_comes_from_the_twin_swaps_before_the_listing():

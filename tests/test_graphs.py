@@ -136,6 +136,34 @@ def test_build_equals_the_matrix_construction():
         assert np.array_equal(built.adj, want.adj)
 
 
+def reference_edges(g):
+    """The edge list from the matrix: the upper triangle, row by row."""
+    iu = np.triu_indices(g.n, k=1)
+    sel = g.adj[iu]
+    return [(int(u), int(v)) for u, v in zip(iu[0][sel], iu[1][sel])]
+
+
+def test_edges_equal_the_upper_triangle_and_unpack_no_matrix(monkeypatch):
+    # the 4,000 0x5EED pool graphs, the gallery and graphs past 64 vertices
+    rng = SplitMix64(0x5EED)
+    pool = [random_graph(rng) for _ in range(4000)]
+    names = ("fig7", "sc", "t0", "cherry2", "c64", "p64", "c4pn30", "k3_12", "prism7")
+    big = (path(69), cycle(65), complement(path(69)), complete(70), edgeless(66))
+    cases = [*pool, *(gallery(name) for name in names), *big]
+    import qsym.graphs
+
+    unpacked = []
+    real = qsym.graphs._unpack_rows
+    monkeypatch.setattr(
+        qsym.graphs, "_unpack_rows", lambda bits: unpacked.append(bits) or real(bits)
+    )
+    got = [g.edges() for g in cases]
+    assert unpacked == []
+    for g, edges in zip(cases, got):
+        assert edges == reference_edges(g), g
+        assert all(type(u) is int and type(v) is int for u, v in edges)
+
+
 def test_adjacency_is_read_only():
     g = complete(3)
     with pytest.raises(ValueError):

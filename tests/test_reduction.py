@@ -41,7 +41,7 @@ from qsym import (
 from qsym.census import SplitMix64, random_graph
 from qsym.gallery import c4pn_graph, fig7_graph
 
-from .conftest import SPARSE_GALLERY, graphs, kernel_corpus, small_corpus
+from .conftest import SPARSE_GALLERY, graphs, kernel_corpus, small_corpus, time_limit
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +417,102 @@ def test_pattern_takes_one_product_and_provenance_one_per_rule(monkeypatch):
     pattern.provenance
     # sphere 0 for the degree rule, spheres 1, 2, ... for the other
     assert shapes[1:] == [(n, 1, classes), (n, radius - 1, classes)]
+
+
+# ---------------------------------------------------------------------------
+# the sphere walk against the tensor read off the distance matrix
+
+
+def reference_spheres(g):
+    """S[x, k, d] from the full distance matrix, as int64: one mark per
+    vertex q at (dist(x, q), class of deg q); the unreachable vertices
+    index the last slot (-1), which is then cleared."""
+    n = g.n
+    if n == 0:
+        return np.zeros((0, 1, 0), dtype=np.int64)
+    dist = distance_matrix(g)
+    degrees = g.degree_sequence
+    deg_class = {d: c for c, d in enumerate(sorted(set(degrees)))}
+    spheres = np.zeros((n, int(dist.max()) + 2, len(deg_class)), dtype=np.int64)
+    spheres[np.arange(n)[:, None], dist, [deg_class[d] for d in degrees]] = 1
+    spheres[:, -1] = 0
+    return spheres
+
+
+def reference_exceeds(spheres):
+    """The cells of the int64 product S @ (1 - S).T that are positive."""
+    n, radius, classes = spheres.shape
+    flat = spheres.reshape(n, radius * classes).astype(np.int64)
+    return (flat @ (1 - flat).T) > 0
+
+
+def assert_spheres_match_reference(g):
+    module = importlib.import_module("qsym.reduction")
+    got, want = module._spheres(g), reference_spheres(g)
+    assert got.dtype == np.uint8
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    for sub in (np.s_[:], np.s_[:, :1], np.s_[:, 1:]):
+        assert_same_array(module._exceeds(got[sub]), reference_exceeds(want[sub]))
+
+
+PAST_64 = (
+    path(69),
+    cycle(65),
+    complement(path(69)),
+    complement(cycle(65)),
+    disjoint_union([cycle(40), path(30)]),
+    complement(disjoint_union([cycle(40), path(30)])),
+    c4pn_graph(40),
+    complement(c4pn_graph(40)),
+    star(70),
+    complete(66),
+)
+
+
+def test_spheres_match_the_distance_matrix_tensor_on_the_kernel_corpus():
+    for g in kernel_corpus():
+        assert_spheres_match_reference(g)
+        assert_spheres_match_reference(complement(g))
+
+
+@pytest.mark.parametrize("name", SPARSE_GALLERY)
+def test_spheres_match_the_distance_matrix_tensor_on_sparse_gallery(name):
+    g = gallery(name)
+    assert_spheres_match_reference(g)
+    assert_spheres_match_reference(complement(g))
+
+
+@pytest.mark.parametrize(
+    "g", [*EDGE_CASES, *map(complement, EDGE_CASES), *PAST_64],
+    ids=lambda g: f"n{g.n}e{g.edge_count}",
+)
+def test_spheres_match_the_distance_matrix_tensor_on_edge_cases(g):
+    assert_spheres_match_reference(g)
+
+
+@given(graphs(max_n=10))
+@settings(max_examples=200, deadline=None)
+def test_spheres_match_the_distance_matrix_tensor_on_random_graphs(g):
+    assert_spheres_match_reference(g)
+    assert_spheres_match_reference(complement(g))
+
+
+def test_zero_pattern_of_a_long_path_complement_is_quick():
+    # diameter 3 on 3,001 vertices: each walk stops after a few frontier
+    # vertices, where a full distance matrix took seconds
+    g = complement(path(3000))
+    with time_limit(1.5):
+        pattern = zero_pattern(g)
+    # the ends differ from the rest by degree, and their path neighbours
+    # by the end they have at distance 2; the reflection pairs each up
+    assert blocks(pattern).blocks == ((0, 3000), (1, 2999), tuple(range(2, 2999)))
+    assert pattern.forced_count == 8 * (g.n - 3)
+
+
+def test_reduction_reads_no_distance_matrix():
+    module = importlib.import_module("qsym.reduction")
+    assert not hasattr(module, "distance_matrix")
 
 
 def reference_blocks(pattern):
