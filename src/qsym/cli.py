@@ -46,7 +46,7 @@ from .census import (
 from .classify import Report, classify_with_complement
 from .construct import _TraceBuilder, build_free, build_tensor, build_wreath
 from .errors import BadParams, ParseError, QsymError, SizeLimitExceeded
-from .formats import READABLE_FORMATS, WRITABLE_FORMATS, parse_graph, write_graph
+from .formats import READABLE_FORMATS, WRITABLE_FORMATS, parse_graph, read_edges, write_graph
 from .gallery import describe_gallery, gallery
 from .graphs import Graph, build
 from .reduction import blocks, render_pattern, zero_pattern
@@ -78,32 +78,22 @@ def report_schema() -> dict:
 
 def _parse_inline_edges(spec: str) -> Graph:
     """The ``--edges "4;0 1;1 2"`` inline form: vertex count, then
-    semicolon-separated edges."""
-    parts = [p.strip() for p in spec.split(";")]
-    if not parts or not parts[0]:
+    semicolon-separated edges, each read by the edge-list file's rules
+    (:func:`qsym.formats.read_edges`).  Blank segments are skipped."""
+    count, *segments = spec.split(";")
+    count = count.strip()
+    if not count:
         raise ParseError("inline edges: missing vertex count")
     try:
-        n = int(parts[0])
+        n = int(count)
     except ValueError:
-        raise ParseError(f"inline edges: bad vertex count {parts[0]!r}")
+        raise ParseError(f"inline edges: bad vertex count {count!r}")
     if n < 0:
         raise ParseError("inline edges: vertex count cannot be negative")
-    edges = []
-    for k, chunk in enumerate(parts[1:], start=1):
-        if not chunk:
-            continue
-        halves = chunk.split()
-        if len(halves) != 2:
-            raise ParseError(f"inline edges: segment {k} is not 'u v': {chunk!r}")
-        try:
-            u, v = int(halves[0]), int(halves[1])
-        except ValueError:
-            raise ParseError(f"inline edges: segment {k} is not 'u v': {chunk!r}")
-        if u == v:
-            raise ParseError(f"inline edges: segment {k} is a loop at {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"inline edges: segment {k} outside 0..{n - 1}")
-        edges.append((u, v))
+    rows = ((k, s) for k, s in enumerate(segments, start=1) if s.strip())
+    edges = read_edges(
+        n, rows, lambda message, k: ParseError(f"inline edges: segment {k}: {message}")
+    )
     return build(n, edges)
 
 
@@ -142,11 +132,14 @@ def _budget(args) -> int | None:
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if not getattr(args, "out", None):
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise BadParams(f"cannot write {args.out}: {exc.strerror or exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,9 @@ Two readable formats and one write-only export:
 
 from __future__ import annotations
 
+import itertools
+from typing import Callable, Iterable
+
 import numpy as np
 
 from .errors import BadParams, ParseError
@@ -32,41 +35,45 @@ WRITABLE_FORMATS = ("edges", "graph6", "dot")
 # edge lists
 
 
-def _parse_edge_list(text: str) -> Graph:
-    header: tuple[int, int] | None = None
-    edges: list[tuple[int, int]] = []
+def read_edges(
+    n: int, rows: Iterable[tuple[int, str]], error: Callable[[str, int], ParseError]
+) -> set[tuple[int, int]]:
+    """The per-edge rules of both edge readers, the edge-list file's and
+    ``--edges``': each ``(place, text)`` row is two integers ``u v``, no
+    loop, both ends in 0..n-1, no edge twice.  A row that breaks one
+    raises ``error(message, place)``.  Edges come back as ``(min, max)``."""
     seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected two integers, got {line!r}", line=lineno)
+    for place, text in rows:
         try:
-            a, b = int(parts[0]), int(parts[1])
+            a, b = map(int, text.split())
         except ValueError:
-            raise ParseError(f"expected two integers, got {line!r}", line=lineno)
-        if header is None:
-            if a < 0 or b < 0:
-                raise ParseError("vertex and edge counts cannot be negative", line=lineno)
-            header = (a, b)
-            continue
-        n, m = header
-        if len(edges) == m:
-            raise ParseError(f"more than the announced {m} edges", line=lineno)
+            raise error(f"expected two integers, got {text.strip()!r}", place)
         if a == b:
-            raise ParseError(f"loop at vertex {a}", line=lineno)
+            raise error(f"loop at vertex {a}", place)
         if not (0 <= a < n and 0 <= b < n):
-            raise ParseError(f"edge ({a}, {b}) outside 0..{n - 1}", line=lineno)
-        key = (min(a, b), max(a, b))
+            raise error(f"edge ({a}, {b}) outside 0..{n - 1}", place)
+        key = (a, b) if a < b else (b, a)
         if key in seen:
-            raise ParseError(f"duplicate edge ({key[0]}, {key[1]})", line=lineno)
+            raise error(f"duplicate edge ({key[0]}, {key[1]})", place)
         seen.add(key)
-        edges.append(key)
+    return seen
+
+
+def _parse_edge_list(text: str) -> Graph:
+    lines = ((i, raw) for i, raw in enumerate(text.splitlines(), 1) if raw.strip())
+    lineno, header = next(lines, (None, None))
     if header is None:
         raise ParseError("empty input: missing 'n m' header")
-    n, m = header
+    try:
+        n, m = map(int, header.split())
+    except ValueError:
+        raise ParseError(f"expected two integers, got {header.strip()!r}", line=lineno)
+    if n < 0 or m < 0:
+        raise ParseError("vertex and edge counts cannot be negative", line=lineno)
+    edges = read_edges(n, itertools.islice(lines, m), ParseError)
+    extra = next(lines, None)
+    if extra is not None:
+        raise ParseError(f"more than the announced {m} edges", line=extra[0])
     if len(edges) != m:
         raise ParseError(f"header announced {m} edges but {len(edges)} followed")
     return build(n, edges)
@@ -95,18 +102,17 @@ def _write_graph6(g: Graph) -> str:
         ]
     else:
         raise BadParams(f"graph too large for this writer: n={n}")
-    group = 0
-    filled = 0
+    # the inverse of _parse_graph6: column j of the upper triangle next,
+    # zero-padded to whole groups, six bits a byte, high bit first
+    total = n * (n - 1) // 2
+    bits = np.zeros(-(-total // 6) * 6, dtype=bool)
+    adj = g.adj
+    start = 0
     for j in range(1, n):
-        for i in range(j):
-            group = (group << 1) | int(g.adj[i, j])
-            filled += 1
-            if filled == 6:
-                out.append(chr(63 + group))
-                group = filled = 0
-    if filled:
-        group <<= 6 - filled
-        out.append(chr(63 + group))
+        bits[start : start + j] = adj[j, :j]
+        start += j
+    groups = np.packbits(bits.reshape(-1, 6), axis=1)[:, 0] >> 2
+    out.append((groups + 63).tobytes().decode("ascii"))
     return "".join(out)
 
 
@@ -167,7 +173,8 @@ def _write_dot(g: Graph) -> str:
     lines = ["graph {"]
     for v in range(g.n):
         if g.labels is not None:
-            lines.append(f'  {v} [label="{g.labels[v]}"];')
+            label = g.labels[v].replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  {v} [label="{label}"];')
         else:
             lines.append(f"  {v};")
     lines.extend(f"  {u} -- {v};" for u, v in g.edges())

@@ -4,14 +4,18 @@ Everything goes through ``main(argv)`` so exit codes and output are
 checked exactly as a shell user would see them.
 """
 
+import contextlib
 import dataclasses
 import io
 import json
 import subprocess
 import sys
+import tempfile
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qsym import cli
 from qsym.cli import main, report_schema
@@ -199,11 +203,70 @@ def test_missing_file_is_exit_2(capsys):
 
 @pytest.mark.parametrize(
     "spec",
-    ["", "x;0 1", "3;0 0", "3;0 5", "3;0 1 2", "-1;"],
+    ["", "x;0 1", "3;0 0", "3;0 5", "3;0 1 2", "-1;", "3;0 1;0 1", "3;1 2;2 1"],
 )
 def test_malformed_inline_edges_is_exit_2(capsys, spec):
     rc, _, _ = run(capsys, "analyze", f"--edges={spec}")
     assert rc == 2
+
+
+def test_repeated_inline_edge_is_named_like_the_files(tmp_path, capsys):
+    p = tmp_path / "p2.txt"
+    p.write_text("3 2\n0 1\n1 0\n")
+    assert run(capsys, "analyze", str(p))[::2] == (
+        2, "qsym: parse error: line 3: duplicate edge (0, 1)\n"
+    )
+    assert run(capsys, "analyze", "--edges", "3;0 1;1 0")[::2] == (
+        2, "qsym: parse error: inline edges: segment 2: duplicate edge (0, 1)\n"
+    )
+
+
+def _quiet(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    return rc, out.getvalue()
+
+
+_COUNTS = st.one_of(
+    st.integers(4, 6).map(str),
+    st.sampled_from(["0", "2", "-1", "-2", "", "x", "1.5", " 5"]),
+)
+_EDGES = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda e: e[0] != e[1]),
+    unique_by=frozenset,
+    max_size=5,
+)
+_ODD = st.lists(
+    st.one_of(st.integers(-1, 6).map(str), st.sampled_from(["a", "1.0"])),
+    min_size=1,
+    max_size=3,
+).map(" ".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _COUNTS,
+    _EDGES,
+    st.lists(_ODD, max_size=1),
+    st.lists(st.integers(0, 4), max_size=1),
+)
+@example("3", [(0, 1)], [], [0])
+def test_inline_spec_and_edge_list_file_agree(count, edges, odd, repeats):
+    # an --edges spec and the edge-list file with the same rows give the
+    # same graph, or both exit 2: repeats (reversed), loops, out-of-range
+    # ends, rows of one or three words and bad vertex counts
+    rows = [f"{u} {v}" for u, v in edges] + odd
+    rows += [f"{edges[i][1]} {edges[i][0]}" for i in repeats if i < len(edges)]
+    spec = ";".join([count, *rows])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/g.txt"
+        with open(path, "w") as fh:
+            fh.write(f"{count} {len(rows)}\n" + "".join(r + "\n" for r in rows))
+        from_file = _quiet(["construct", "cone", path])
+    from_spec = _quiet(["construct", "cone", f"--edges={spec}"])
+    assert from_spec == from_file
+    assert from_spec[0] in (0, 2)
 
 
 def test_wreath_hypothesis_failure_is_exit_3(capsys):
@@ -453,6 +516,24 @@ def test_census_out_file(tmp_path, capsys):
     assert rc == 0
     assert out == ""
     assert target.read_text().startswith("n,")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--edges", "3;0 1"),
+        ("pattern", "--edges", "3;0 1"),
+        ("census", "forests", "--n-max", "3"),
+        ("gallery", "c5"),
+        ("gallery",),
+    ],
+)
+def test_unwritable_out_is_exit_3(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out.txt"
+    rc, out, err = run(capsys, *argv, "--out", str(target))
+    assert rc == 3
+    assert out == ""
+    assert err == f"qsym: cannot write {target}: No such file or directory\n"
 
 
 @pytest.mark.parametrize("command", ["analyze", "pattern"])

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsym import (
     are_isomorphic,
@@ -17,6 +18,7 @@ from qsym import (
     path,
 )
 import qsym.construct
+import qsym.products
 from qsym.automorphisms import automorphisms
 from qsym.construct import (
     ConstructionTrace,
@@ -77,24 +79,37 @@ def test_corona_k1_complement_is_connected(base):
     assert is_connected(complement(corona_k1(base)))
 
 
-def test_join_is_complement_of_union_of_complements():
-    parts = [K2, C3, P3]
-    direct_def = join(parts)
-    via_complements = complement(disjoint_union([complement(g) for g in parts]))
-    assert direct_def == via_complements
+def join_by_edge_rule(gs):
+    """The join read off its definition: u ~ v when they lie in different
+    factors, or are adjacent in one factor."""
+    owner = [(i, v) for i, g in enumerate(gs) for v in range(g.n)]
+    edges = [
+        (a, b)
+        for a, (i, u) in enumerate(owner)
+        for b, (j, v) in enumerate(owner)
+        if a < b and (i != j or gs[i].adj[u, v])
+    ]
+    return build(len(owner), edges)
 
 
-@settings(max_examples=30)
-@given(graphs(min_n=1, max_n=4), graphs(min_n=1, max_n=4))
-def test_join_matches_complement_formulation(g1, g2):
-    assert join([g1, g2]) == complement(
-        disjoint_union([complement(g1), complement(g2)])
-    )
+def test_join_of_k2_c3_p3_matches_the_edge_rule():
+    g = join([K2, C3, P3])
+    assert g == join_by_edge_rule([K2, C3, P3])
+    # 1 + 3 + 2 edges inside the factors, 2*3 + 2*3 + 3*3 between them
+    assert (g.n, g.edge_count) == (8, 27)
+
+
+@settings(max_examples=40)
+@given(st.lists(graphs(min_n=0, max_n=4), min_size=1, max_size=4))
+def test_join_matches_the_edge_rule(gs):
+    assert join(gs) == join_by_edge_rule(gs)
 
 
 def test_join_refuses_an_order_above_the_cap_before_allocating(monkeypatch):
     many, big = [edgeless(65)] * 64, edgeless(4096)
-    monkeypatch.setattr(qsym.construct, "np", None)  # any allocation would fail
+    # join builds its matrix in products.disjoint_union, so any
+    # allocation there would fail
+    monkeypatch.setattr(qsym.products, "np", None)
     with pytest.raises(BadParams, match="4160 is above the limit"):
         join(many)
     with pytest.raises(BadParams, match="4097 is above the limit"):

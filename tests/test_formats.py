@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 
-from qsym import build, complete, cycle, edgeless, path
+from qsym import build, complement, complete, cycle, edgeless, gallery, path
 from qsym.errors import BadParams, ParseError
 from qsym.graphs import check_order
 from qsym.formats import (
@@ -15,7 +15,7 @@ from qsym.formats import (
     write_graph,
 )
 
-from .conftest import graphs, small_corpus, time_limit
+from .conftest import SPARSE_GALLERY, graphs, kernel_corpus, small_corpus, time_limit
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +247,50 @@ def test_graph6_at_the_cap_is_parsed_without_a_bit_list():
     assert peak < 2 * 4096**2
 
 
+def reference_write_graph6(g) -> str:
+    """The pair-by-pair writer the packed one replaced: the upper
+    triangle column by column, six bits a character, zero-padded."""
+    n = g.n
+    if n <= 62:
+        out = [chr(63 + n)]
+    else:
+        out = [chr(126)] + [chr(63 + ((n >> s) & 63)) for s in (12, 6, 0)]
+    group = filled = 0
+    for j in range(1, n):
+        for i in range(j):
+            group = (group << 1) | int(g.adj[i, j])
+            filled += 1
+            if filled == 6:
+                out.append(chr(63 + group))
+                group = filled = 0
+    if filled:
+        out.append(chr(63 + (group << (6 - filled))))
+    return "".join(out) + "\n"
+
+
+def _writer_cases():
+    yield from kernel_corpus()
+    for name in (*SPARSE_GALLERY, "cherry2", "prism7", "k3_3", "star9", "c4pn10"):
+        yield gallery(name)
+    for n in (0, 1, 2, 62, 63, 64, 65):
+        yield edgeless(n)
+        yield complete(n)
+        yield complement(path(n - 1)) if n else edgeless(0)
+        yield build(n, [(0, n - 1)] if n >= 2 else [])
+
+
+def test_graph6_writer_equals_the_reference():
+    for g in _writer_cases():
+        assert write_graph("graph6", g).decode() == reference_write_graph6(g), g
+
+
+def test_graph6_writer_at_scale():
+    g = complement(path(4094))
+    with time_limit(1.5):
+        text = write_graph("graph6", g)
+    assert parse_graph("graph6", text) == g
+
+
 def test_graph6_bytes_and_str_agree():
     data = write_graph("graph6", cycle(6))
     assert parse_graph("graph6", data) == parse_graph("graph6", data.decode())
@@ -262,6 +306,24 @@ def test_dot_mentions_every_vertex_and_edge():
     assert out.startswith("graph {")
     assert '2 [label="c"];' in out
     assert "0 -- 1;" in out
+
+
+def test_dot_escapes_quotes_and_backslashes_in_labels():
+    g = build(3, [(0, 1)], labels=['a"b', "c\\", "plain"])
+    out = write_graph("dot", g).decode()
+    assert '  0 [label="a\\"b"];' in out
+    assert '  1 [label="c\\\\"];' in out
+    assert '  2 [label="plain"];' in out
+
+
+@pytest.mark.parametrize("name", ["sc", "fig7", "c4pn20"])
+def test_dot_leaves_the_gallery_labels_as_they_are(name):
+    g = gallery(name)
+    assert g.labels is not None
+    lines = write_graph("dot", g).decode().splitlines()
+    assert lines[1 : 1 + g.n] == [
+        f'  {v} [label="{label}"];' for v, label in enumerate(g.labels)
+    ]
 
 
 def test_dot_is_write_only():
