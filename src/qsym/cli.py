@@ -34,7 +34,7 @@ import json
 import sys
 from importlib import resources
 
-from . import __version__, products
+from . import __version__, formats, products
 from .census import (
     MAX_FOREST_ORDER,
     MAX_TREE_ORDER,
@@ -85,7 +85,7 @@ def _parse_inline_edges(spec: str) -> Graph:
     if not count:
         raise ParseError("inline edges: missing vertex count")
     try:
-        n = int(count)
+        n = formats.read_int(count)
     except ValueError:
         raise ParseError(f"inline edges: bad vertex count {count!r}")
     if n < 0:

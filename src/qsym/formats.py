@@ -35,6 +35,14 @@ WRITABLE_FORMATS = ("edges", "graph6", "dot")
 # edge lists
 
 
+def read_int(text: str) -> int:
+    """``text`` as a plain decimal integer, ASCII ``-?[0-9]+``; anything else
+    ``int`` takes, such as ``1_0``, ``+1`` or a non-ASCII digit, is refused."""
+    if text.isascii() and text.removeprefix("-").isdigit():
+        return int(text)
+    raise ValueError(f"not a decimal integer: {text!r}")
+
+
 def read_edges(
     n: int, rows: Iterable[tuple[int, str]], error: Callable[[str, int], ParseError]
 ) -> set[tuple[int, int]]:
@@ -45,7 +53,7 @@ def read_edges(
     seen: set[tuple[int, int]] = set()
     for place, text in rows:
         try:
-            a, b = map(int, text.split())
+            a, b = map(read_int, text.split())
         except ValueError:
             raise error(f"expected two integers, got {text.strip()!r}", place)
         if a == b:
@@ -65,7 +73,7 @@ def _parse_edge_list(text: str) -> Graph:
     if header is None:
         raise ParseError("empty input: missing 'n m' header")
     try:
-        n, m = map(int, header.split())
+        n, m = map(read_int, header.split())
     except ValueError:
         raise ParseError(f"expected two integers, got {header.strip()!r}", line=lineno)
     if n < 0 or m < 0:
@@ -94,12 +102,7 @@ def _write_graph6(g: Graph) -> str:
     if n <= 62:
         out = [chr(63 + n)]
     elif n <= 258047:
-        out = [
-            chr(126),
-            chr(63 + ((n >> 12) & 63)),
-            chr(63 + ((n >> 6) & 63)),
-            chr(63 + (n & 63)),
-        ]
+        out = [chr(126)] + [chr(63 + ((n >> s) & 63)) for s in (12, 6, 0)]
     else:
         raise BadParams(f"graph too large for this writer: n={n}")
     # the inverse of _parse_graph6: column j of the upper triangle next,

@@ -1,14 +1,14 @@
 """Finite simple graphs and the structural predicates the rest of the
 package leans on.
 
-Graphs are immutable: one neighbour bitmask per vertex, a boolean
-adjacency matrix kept from construction or unpacked on first read, and
-optional display labels.  Vertices are always ``0..n-1``; labels are cosmetic and
-never affect equality.  The helpers here are deliberately plain --
-walks on neighbour bitmasks, a forest's branch forms, re-verifying an
-isomorphism -- because everything downstream (certificates, census runs)
-wants to re-verify results against *simple* code rather than clever
-code.  The isomorphism *search* is in :mod:`qsym.automorphisms`.
+Graphs are immutable: one neighbour bitmask per vertex, optional display
+labels, and a boolean matrix kept only when ``Graph(adj)`` or the graph6
+reader is handed one (else unpacked on first read).  Vertices are always
+``0..n-1``; labels are cosmetic and never affect equality.  The helpers
+here are deliberately plain -- walks on neighbour bitmasks, a forest's
+branch forms, re-verifying an isomorphism -- because everything
+downstream (certificates, census runs) wants to re-verify results
+against *simple* code.  The isomorphism *search* is in :mod:`qsym.automorphisms`.
 """
 
 from __future__ import annotations
@@ -29,16 +29,15 @@ UNREACHABLE = -1
 #: The most vertices any constructor accepts.  Each one passes its
 #: declared order to :func:`check_order` before anything is allocated, so
 #: ``k1000000``, an edge-list header of 10**9 or a product of two large
-#: factors is refused rather than exhausting memory on its n x n matrix.
-#: At the cap that matrix takes 16 MiB; the largest graph the demos and
-#: the benchmark build has 66 vertices, and the searches are meant for
-#: small graphs anyway.
+#: factors is refused rather than exhausting memory.  The largest graph
+#: the demos and the benchmark build has 66 vertices, and the searches
+#: are meant for small graphs anyway.
 MAX_ORDER = 4096
 
 
 def check_order(n: int) -> None:
     """Refuse a declared order above :data:`MAX_ORDER` with
-    :class:`BadParams`, before its matrix is allocated."""
+    :class:`BadParams`, before its rows are built."""
     if n > MAX_ORDER:
         raise BadParams(f"vertex count {n} is above the limit of {MAX_ORDER}")
 
@@ -89,9 +88,9 @@ class Graph:
 
     The neighbour bitmasks are the representation: bit ``j`` of
     ``_bits[i]`` is set iff i ~ j.  :attr:`adj`, the boolean matrix, is
-    kept when a constructor is handed one and otherwise unpacked from the
-    bitmasks on first read, so a graph made from another's bitmasks, such
-    as a complement, builds no matrix unless one is asked for."""
+    kept only when ``Graph(adj)`` or the graph6 reader is handed one;
+    every other constructor writes bitmasks, and the matrix is unpacked
+    from them on first read."""
 
     __slots__ = ("n", "labels", "provenance", "_bits", "_degrees", "_adj")
 
@@ -260,20 +259,17 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
 def line_graph(g: Graph) -> Graph:
     """The line graph: one vertex per edge of ``g``, adjacent iff the
     edges share an endpoint.  Edge order (and hence vertex numbering of
-    the result) follows :meth:`Graph.edges`.
-    """
+    the result) follows :meth:`Graph.edges`.  Edge k = (u, v) gets the
+    edges at u or at v, itself left out, so no matrix is built or checked."""
     es = g.edges()
-    m = len(es)
-    check_order(m)
-    adj = np.zeros((m, m), dtype=bool)
-    for a in range(m):
-        ua, va = es[a]
-        for b in range(a + 1, m):
-            ub, vb = es[b]
-            if ua in (ub, vb) or va in (ub, vb):
-                adj[a, b] = adj[b, a] = True
+    check_order(len(es))
+    at = [0] * g.n
+    for k, (u, v) in enumerate(es):
+        at[u] |= 1 << k
+        at[v] |= 1 << k
+    bits = tuple((at[u] | at[v]) ^ (1 << k) for k, (u, v) in enumerate(es))
     labels = [f"{u}-{v}" for u, v in es]
-    return Graph(adj, labels=labels)
+    return _init_graph(Graph.__new__(Graph), bits, labels, None)
 
 
 # ---------------------------------------------------------------------------

@@ -126,12 +126,16 @@ def time_limit(seconds: float):
     (SIGALRM: POSIX, main thread only)."""
 
     def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
+        raise TimeoutError(f"still running after {seconds} s, in {frame.f_code.co_name}")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         yield
+    except TimeoutError as exc:
+        # the frame the alarm lands in may carry no line number, and then
+        # pytest's report of the failure stops the whole run: raise afresh
+        raise TimeoutError(str(exc)) from None
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)

@@ -203,7 +203,11 @@ def test_missing_file_is_exit_2(capsys):
 
 @pytest.mark.parametrize(
     "spec",
-    ["", "x;0 1", "3;0 0", "3;0 5", "3;0 1 2", "-1;", "3;0 1;0 1", "3;1 2;2 1"],
+    [
+        "", "x;0 1", "3;0 0", "3;0 5", "3;0 1 2", "-1;", "3;0 1;0 1", "3;1 2;2 1",
+        # only plain ASCII decimals: int() alone reads each of these
+        "12;1_0 2", "3;+0 1", "3;\u0660 1", "1_2;0 1", "+3;0 1", "\u0663;0 1",
+    ],
 )
 def test_malformed_inline_edges_is_exit_2(capsys, spec):
     rc, _, _ = run(capsys, "analyze", f"--edges={spec}")
@@ -238,7 +242,7 @@ _EDGES = st.lists(
     max_size=5,
 )
 _ODD = st.lists(
-    st.one_of(st.integers(-1, 6).map(str), st.sampled_from(["a", "1.0"])),
+    st.one_of(st.integers(-1, 6).map(str), st.sampled_from(["a", "1.0", "1_0", "+1"])),
     min_size=1,
     max_size=3,
 ).map(" ".join)

@@ -12,6 +12,7 @@ from qsym.formats import (
     READABLE_FORMATS,
     WRITABLE_FORMATS,
     parse_graph,
+    read_int,
     write_graph,
 )
 
@@ -65,12 +66,33 @@ def test_edge_list_reader_tolerates_blank_lines_and_order():
         ("3 2\n0 1\n0 1", 3),
         ("3 1\n0 1\n1 2", 3),
         ("2 1\n0 1 2", 2),
+        # only plain ASCII decimals: int() alone reads each of these
+        ("1_2 1\n0 1", 1),
+        ("+3 1\n0 1", 1),
+        ("3 \u0661\n0 1", 1),
+        ("12 1\n1_0 2", 2),
+        ("3 1\n+0 1", 2),
+        ("3 1\n\u0660 1", 2),
+        ("3 2\n0 1\n1 \uff12", 3),
     ],
 )
 def test_edge_list_errors_carry_line_numbers(text, lineno):
     with pytest.raises(ParseError) as err:
         parse_graph("edges", text)
     assert err.value.line == lineno
+
+
+@pytest.mark.parametrize("text, value", [("0", 0), ("-1", -1), ("12", 12), ("007", 7)])
+def test_read_int_takes_plain_decimals(text, value):
+    assert read_int(text) == value
+
+
+@pytest.mark.parametrize(
+    "text", ["", "-", "--1", "+1", "1_0", " 1", "1 ", "1.0", "0x1", "\u0660", "\u00b9"]
+)
+def test_read_int_refuses_what_int_alone_would_read_or_refuse(text):
+    with pytest.raises(ValueError):
+        read_int(text)
 
 
 def test_edge_list_truncated_body():

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import ast
 import itertools
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import qsym
 from qsym import (
     Graph,
     UNREACHABLE,
@@ -168,6 +171,24 @@ def test_adjacency_is_read_only():
     g = complete(3)
     with pytest.raises(ValueError):
         g.adj[0, 1] = False
+
+
+def test_only_the_product_oracle_and_the_graph6_writer_read_the_matrix():
+    # every constructor writes neighbour bitmasks; inside qsym, Graph.adj
+    # is read only where a matrix is the point
+    readers = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Attribute) and node.attr == "adj":
+            readers.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(Path(qsym.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert readers == {"products.edge_rule_product", "formats._write_graph6"}
 
 
 def test_inequality_is_the_negation_of_equality():
@@ -352,6 +373,26 @@ def test_complement_equals_the_reference_on_forests_and_the_sparse_gallery():
 def test_line_graph_matches_edge_incidence_oracle():
     for g in small_corpus():
         assert line_graph(g) == line_graph_oracle(g)
+
+
+@pytest.mark.parametrize(
+    "g", [complete(12), complete_bipartite(8, 9), hypercube(5), complement(cycle(14))]
+)
+def test_line_graph_matches_the_oracle_across_machine_words(g):
+    # more than 64 edges, so each row spans several machine words
+    got = line_graph(g)
+    assert got.n > 64
+    assert got == line_graph_oracle(g)
+    assert got.labels == tuple(f"{u}-{v}" for u, v in g.edges())
+
+
+def test_line_graph_at_the_cap_is_quick():
+    # K91 has 4,095 edges: the pair loop over edges took over a second
+    g = complete(91)
+    with time_limit(0.5):
+        got = line_graph(g)
+    assert got.n == 4095
+    assert got.degree_sequence == (178,) * 4095
 
 
 def test_line_graph_of_star_is_complete():
