@@ -27,9 +27,11 @@ The complete listing is then composed from the transversals in numpy,
 one level at a time: every element is t_0 t_1 ... t_{n-1}, one
 transversal element per level, and ordering the children of each prefix
 by where the prefix sends that level's orbit point gives the
-lexicographic order of image tuples exactly.  Support masks are taken on
-the whole table at once; each distinct support keeps the images of its
-first element, its lexicographically smallest, in the support table.
+lexicographic order of image tuples exactly.  Each distinct support
+mask keeps the images of its first element, its lexicographically
+smallest, in the support table.  The listing is composed, and up to 64
+points its masks are taken, in fixed blocks of rows (:data:`_BLOCK`), so
+no temporary grows with the table.
 The pair searches read only its inclusion-minimal masks, and only a
 witness pair becomes Permutations.
 
@@ -62,6 +64,10 @@ from .graphs import Graph, Permutation, _edge_between, _mask_vertices, is_automo
 
 #: Default cap on search nodes for one listing of Aut(g).
 DEFAULT_NODE_BUDGET = 10_000_000
+
+#: Rows of the table that :func:`_listing` composes, and :func:`_supports`
+#: keys, at once.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,14 +328,24 @@ def _listing(n: int, levels: Sequence[dict[int, tuple[int, ...]]]) -> np.ndarray
     array in lexicographic order.  Level by level, each prefix p is
     extended by the level's transversal, its children p t_x ordered by
     their image of the level's base point i, p(t_x(i)) = p(x): the first
-    place where they differ."""
+    place where they differ.  A level's output is allocated once and
+    filled a block of at most :data:`_BLOCK` rows at a time (at least one
+    prefix); a level that fits in one block is kept as composed, since
+    copying it costs the many tiny listings a few per cent."""
     table = np.arange(n, dtype=np.min_scalar_type(n))[None, :]
     for i, reps in enumerate(levels):
         if len(reps) > 1:
             m, k = len(table), len(reps)
-            children = table[:, np.array(list(reps.values()))]
-            order = np.argsort(children[:, :, i], axis=1)
-            table = children[np.arange(m)[:, None], order].reshape(m * k, n)
+            images = np.array(list(reps.values()))
+            step = max(1, _BLOCK // k)
+            out = np.empty((m, k, n), table.dtype) if m > step else None
+            for start in range(0, m, step):
+                children = table[start : start + step, images]
+                order = np.argsort(children[:, :, i], axis=1)
+                rows = children[np.arange(len(order))[:, None], order]
+                if out is not None:
+                    out[start : start + step] = rows
+            table = (rows if out is None else out).reshape(m * k, n)
     return table
 
 
@@ -338,17 +354,28 @@ def _supports(table: np.ndarray) -> dict[int, tuple[int, ...]]:
     where it first occurs, ordered by support size, then by first
     occurrence.  Up to 64 points a row's mask is one integer key, whose
     first row :func:`numpy.unique` gives (it sorts stably when asked for
-    indices); wider rows are packed into 64-bit words and compared whole,
-    which on small rows is an order of magnitude slower."""
+    indices), :data:`_BLOCK` rows at a time; the blocks' first rows come in
+    row order, so when there are several blocks the same call merges them.
+    Wider rows are packed into 64-bit words and compared whole, which on
+    small rows is an order of magnitude slower."""
     count, n = table.shape
-    moved = table != np.arange(n)
     if n <= 64:
         kind = np.min_scalar_type((1 << n) - 1)
-        keys = moved.astype(kind) @ (1 << np.arange(n, dtype=kind))
-        index = np.sort(np.unique(keys, return_index=True)[1])
-        masks = keys[index].tolist()
+        weights = 1 << np.arange(n, dtype=kind)
+        found = []
+        for start in range(0, count, _BLOCK):
+            keys = (table[start : start + _BLOCK] != np.arange(n)).astype(kind) @ weights
+            index = np.sort(np.unique(keys, return_index=True)[1])
+            found.append((start, index, keys[index]))
+        _, index, keys = found[0]
+        if len(found) > 1:
+            index = np.concatenate([start + index for start, index, _ in found])
+            keys = np.concatenate([keys for *_, keys in found])
+            first = np.sort(np.unique(keys, return_index=True)[1])
+            index, keys = index[first], keys[first]
+        masks = keys.tolist()
     else:
-        packed = np.packbits(moved, axis=1, bitorder="little")
+        packed = np.packbits(table != np.arange(n), axis=1, bitorder="little")
         width = -(-packed.shape[1] // 8)
         words = np.zeros((count, 8 * width), dtype=np.uint8)
         words[:, : packed.shape[1]] = packed

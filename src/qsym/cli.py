@@ -79,9 +79,9 @@ def report_schema() -> dict:
 def _parse_inline_edges(spec: str) -> Graph:
     """The ``--edges "4;0 1;1 2"`` inline form: vertex count, then
     semicolon-separated edges, each read by the edge-list file's rules
-    (:func:`qsym.formats.read_edges`).  Blank segments are skipped."""
+    (:func:`qsym.formats.read_edges`).  Blank segments (spaces, tabs) are skipped."""
     count, *segments = spec.split(";")
-    count = count.strip()
+    count = count.strip(" \t")
     if not count:
         raise ParseError("inline edges: missing vertex count")
     try:
@@ -90,7 +90,7 @@ def _parse_inline_edges(spec: str) -> Graph:
         raise ParseError(f"inline edges: bad vertex count {count!r}")
     if n < 0:
         raise ParseError("inline edges: vertex count cannot be negative")
-    rows = ((k, s) for k, s in enumerate(segments, start=1) if s.strip())
+    rows = ((k, s) for k, s in enumerate(segments, start=1) if s.strip(" \t"))
     edges = read_edges(
         n, rows, lambda message, k: ParseError(f"inline edges: segment {k}: {message}")
     )

@@ -18,6 +18,7 @@ Two readable formats and one write-only export:
 from __future__ import annotations
 
 import itertools
+import re
 from typing import Callable, Iterable
 
 import numpy as np
@@ -43,6 +44,13 @@ def read_int(text: str) -> int:
     raise ValueError(f"not a decimal integer: {text!r}")
 
 
+#: An edge row, or the edge-list header: two plain ASCII decimals, as
+#: :func:`read_int` reads them, split and padded by ASCII spaces and tabs
+#: only (``str.split()`` would also split at ``\x1c``-``\x1f`` and at any
+#: Unicode space).  Compiled on first use and kept in :mod:`re`'s cache.
+_PAIR = r"[ \t]*(-?[0-9]+)[ \t]+(-?[0-9]+)[ \t]*"
+
+
 def read_edges(
     n: int, rows: Iterable[tuple[int, str]], error: Callable[[str, int], ParseError]
 ) -> set[tuple[int, int]]:
@@ -51,11 +59,12 @@ def read_edges(
     loop, both ends in 0..n-1, no edge twice.  A row that breaks one
     raises ``error(message, place)``.  Edges come back as ``(min, max)``."""
     seen: set[tuple[int, int]] = set()
+    pair = re.compile(_PAIR).fullmatch
     for place, text in rows:
-        try:
-            a, b = map(read_int, text.split())
-        except ValueError:
+        found = pair(text)
+        if found is None:
             raise error(f"expected two integers, got {text.strip()!r}", place)
+        a, b = int(found[1]), int(found[2])
         if a == b:
             raise error(f"loop at vertex {a}", place)
         if not (0 <= a < n and 0 <= b < n):
@@ -68,14 +77,14 @@ def read_edges(
 
 
 def _parse_edge_list(text: str) -> Graph:
-    lines = ((i, raw) for i, raw in enumerate(text.splitlines(), 1) if raw.strip())
+    lines = ((i, raw) for i, raw in enumerate(text.splitlines(), 1) if raw.strip(" \t"))
     lineno, header = next(lines, (None, None))
     if header is None:
         raise ParseError("empty input: missing 'n m' header")
-    try:
-        n, m = map(read_int, header.split())
-    except ValueError:
+    found = re.fullmatch(_PAIR, header)
+    if found is None:
         raise ParseError(f"expected two integers, got {header.strip()!r}", line=lineno)
+    n, m = int(found[1]), int(found[2])
     if n < 0 or m < 0:
         raise ParseError("vertex and edge counts cannot be negative", line=lineno)
     edges = read_edges(n, itertools.islice(lines, m), ParseError)

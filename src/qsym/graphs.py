@@ -100,9 +100,11 @@ class Graph:
         labels: Sequence[str] | None = None,
         provenance: Provenance | None = None,
     ):
-        adj = np.array(adj, dtype=bool, order="C")
+        adj = np.asarray(adj)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise BadParams(f"adjacency matrix must be square, got {adj.shape}")
+        check_order(adj.shape[0])
+        adj = np.array(adj, dtype=bool, order="C")
         if adj.diagonal().any():
             raise LoopEdge("adjacency matrix has a nonzero diagonal")
         if not np.array_equal(adj, adj.T):

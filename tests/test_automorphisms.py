@@ -4,6 +4,7 @@ import importlib
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -756,6 +757,47 @@ def test_support_table_matches_the_packed_reference():
         assert auts.transitive == (len(set(auts.table[:, 0].tolist())) == g.n), g
         seen.add((g.n > 64, auts.transitive))
     assert seen >= {(False, False), (False, True), (True, False)}
+
+
+def test_listing_and_support_table_are_the_same_across_row_blocks(monkeypatch):
+    # blocks of three rows: every table of four rows or more is keyed in
+    # several blocks, and every level with two prefixes or more is
+    # composed in several, so these graphs cross blocks where the real
+    # block (4,096 rows) holds all but edgeless(7)'s 5,040 rows whole.
+    # The listing must be the very table and support table of the real
+    # block, and the support table the packed reference's; p64 (n = 65)
+    # composes in blocks and keys wide
+    rng = SplitMix64(0x5EED)
+    cases = [random_graph(rng) for _ in range(300)]
+    cases += [f for n in range(1, 8) for f in enumerate_forests(n)]
+    cases += [hypercube(3), hypercube(4), hypercube(5), gallery("p64")]
+    whole = [automorphisms(g) for g in cases]
+    monkeypatch.setattr(_module, "_BLOCK", 3)
+    crossed = 0
+    for g, want in zip(cases, whole):
+        auts = automorphisms(g)
+        assert auts.table.dtype == want.table.dtype, g
+        assert auts.table.shape == want.table.shape, g
+        assert auts.table.tobytes() == want.table.tobytes(), g
+        assert list(auts.supports.items()) == list(want.supports.items()), g
+        assert list(auts.supports.items()) == list(_packed_supports(auts.table).items()), g
+        assert auts.transitive == want.transitive, g
+        crossed += auts.order > 3
+    assert (len(cases), crossed) == (383, 243)
+
+
+def test_listing_edgeless_9_peaks_below_twice_its_table():
+    # the listing and the support table are built in row blocks, so no
+    # temporary grows with the 362,880 x 9 table (3.1 MiB); besides the
+    # table, only the last level's input, half its size, is that large
+    tracemalloc.start()
+    try:
+        auts = automorphisms(edgeless(9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert auts.order == 362_880
+    assert peak < 2 * auts.table.nbytes, (peak, auts.table.nbytes)
 
 
 def test_enumeration_is_the_lexicographic_oracle_list():

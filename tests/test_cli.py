@@ -207,11 +207,19 @@ def test_missing_file_is_exit_2(capsys):
         "", "x;0 1", "3;0 0", "3;0 5", "3;0 1 2", "-1;", "3;0 1;0 1", "3;1 2;2 1",
         # only plain ASCII decimals: int() alone reads each of these
         "12;1_0 2", "3;+0 1", "3;\u0660 1", "1_2;0 1", "+3;0 1", "\u0663;0 1",
+        # rows split at ASCII spaces and tabs only
+        "3;0\u20031", "\u20033;0 1", "3;0\x1f1", "3;0 1;\u2003", "3;0 1\n",
     ],
 )
 def test_malformed_inline_edges_is_exit_2(capsys, spec):
     rc, _, _ = run(capsys, "analyze", f"--edges={spec}")
     assert rc == 2
+
+
+def test_inline_edges_are_split_at_spaces_and_tabs(capsys):
+    want = run(capsys, "construct", "cone", "--edges", "3;0 1;1 2")
+    assert want[0] == 0
+    assert run(capsys, "construct", "cone", "--edges", " 3\t;0\t1;  1  2 ; \t") == want
 
 
 def test_repeated_inline_edge_is_named_like_the_files(tmp_path, capsys):

@@ -55,6 +55,8 @@ def test_edge_list_write_is_canonical():
 def test_edge_list_reader_tolerates_blank_lines_and_order():
     g = parse_graph("edges", "3 2\n\n2 1\n\n0 1\n")
     assert g == path(2)
+    # fields split at runs of spaces and tabs; a line of them is blank
+    assert parse_graph("edges", b"3\t2\n \t\n 0 \t1\t\n1  2\n") == g
 
 
 @pytest.mark.parametrize(
@@ -74,6 +76,11 @@ def test_edge_list_reader_tolerates_blank_lines_and_order():
         ("3 1\n+0 1", 2),
         ("3 1\n\u0660 1", 2),
         ("3 2\n0 1\n1 \uff12", 3),
+        # rows split at ASCII spaces and tabs only
+        ("2 1\n0\x1f1\n", 2),
+        ("2\x1f1\n0 1\n", 1),
+        ("3 2\n0 1\n1\u20032\n", 3),
+        ("3 1\n0 1\n\x1f\n", 3),
     ],
 )
 def test_edge_list_errors_carry_line_numbers(text, lineno):

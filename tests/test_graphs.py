@@ -268,6 +268,31 @@ def test_families_refuse_a_huge_order_before_listing_edges(make):
         make()
 
 
+def test_graph_refuses_a_matrix_above_the_cap_before_reading_it(monkeypatch):
+    import qsym.graphs
+
+    cap = qsym.graphs.MAX_ORDER
+    assert Graph(np.zeros((cap, cap), bool)).n == cap
+
+    def no_row_is_packed(matrix):
+        raise AssertionError("Graph packed the rows of a matrix over the cap")
+
+    monkeypatch.setattr(qsym.graphs, "_pack_rows", no_row_is_packed)
+    big = np.zeros((5000, 5000), bool)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BadParams, match="above the limit"):
+            Graph(big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 25 MB matrix is refused without a copy
+    assert peak < 1 << 20, peak
+    # a loop at every vertex: the order is refused before the diagonal is read
+    with pytest.raises(BadParams, match="above the limit"):
+        Graph(np.eye(cap + 1, dtype=bool))
+
+
 def test_family_parameter_validation():
     with pytest.raises(BadParams):
         cycle(2)
