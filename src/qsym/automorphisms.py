@@ -23,17 +23,21 @@ on a sparse graph the set-up and each node cost about a neighbourhood,
 not n.  The twin classes (:func:`_twin_classes`) are read in one pass
 over the neighbour bitmasks too, not by testing every vertex pair.
 
-The complete listing is then composed from the transversals in numpy,
-one level at a time: every element is t_0 t_1 ... t_{n-1}, one
-transversal element per level, and ordering the children of each prefix
-by where the prefix sends that level's orbit point gives the
-lexicographic order of image tuples exactly.  Each distinct support
-mask keeps the images of its first element, its lexicographically
-smallest, in the support table.  The listing is composed, and up to 64
-points its masks are taken, in fixed blocks of rows (:data:`_BLOCK`), so
-no temporary grows with the table.
-The pair searches read only its inclusion-minimal masks, and only a
-witness pair becomes Permutations.
+Every element is t_0 t_1 ... t_{n-1}, one transversal element per
+level; composing them in numpy level by level, the children of each
+prefix ordered by where it sends that level's orbit point, gives the
+lexicographic order of image tuples.  The support table keeps, per
+support mask, its first element, its lexicographically smallest.  It is
+read off that composition with the prefix rows that share a *state*
+merged into the first before each level i that would outgrow a block of
+rows (:data:`_BLOCK`).  A row's state is which of 0..i-1 it moves and
+its images of i..n-1; rows p and p' with one state give p h and p' h the
+same mask for every h fixing 0..i-1, and p h comes first when p does, so
+the first element of every mask is kept (see :func:`_merge`).  The full
+listing is composed only when :attr:`AutomorphismSet.table` is read.
+Composing and keying work in blocks of rows, so no temporary grows with
+the table.  The pair searches read only the inclusion-minimal masks, and
+only a witness pair becomes Permutations.
 
 One search node is one unused, profile-compatible candidate image at a
 level of a first-leaf search, counted before the distance-class tests;
@@ -65,31 +69,38 @@ from .graphs import Graph, Permutation, _edge_between, _mask_vertices, is_automo
 #: Default cap on search nodes for one listing of Aut(g).
 DEFAULT_NODE_BUDGET = 10_000_000
 
-#: Rows of the table that :func:`_listing` composes, and :func:`_supports`
-#: keys, at once.
+#: Rows that :func:`_first_rows` composes, and :func:`_supports` keys, at
+#: once; a merge is tried only past one block.
 _BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
 class AutomorphismSet:
-    """The full automorphism group of a graph, listed in lexicographic
-    order of image tuples (so the identity comes first).
+    """The full automorphism group of a graph, held as its stabiliser
+    chain (see :func:`_chain`), which gives :attr:`order` and
+    :attr:`transitive` (whether vertex 0 goes to every vertex).
 
-    ``table`` holds the elements as the rows of a read-only integer
-    array.  ``supports``, the support table, maps each distinct non-empty
-    support mask to the images of its lexicographically smallest element,
-    ordered by support size, then by first occurrence in the listing.
-    The pair searches scan only its inclusion-minimal masks,
-    :attr:`minimal`.  ``transitive`` says whether the group moves vertex
-    0 to every vertex, which the chain's first level, the orbit of 0,
-    shows.  :attr:`images` and :attr:`elements` build Python tuples and
-    :class:`Permutation` objects on first use; :attr:`order`, ``supports``
-    and :attr:`minimal` never need them.
+    ``supports``, the support table, maps each distinct non-empty support
+    mask to the images of its lexicographically smallest element, ordered
+    by support size, then by first occurrence in the listing, and is read
+    off the chain's composition with rows of one state merged (see
+    :func:`_merge`); the pair searches scan only its inclusion-minimal
+    masks, :attr:`minimal`.
+    :attr:`table` is the listing: every element, in lexicographic order
+    of image tuples (so the identity comes first), as the rows of a
+    read-only integer array composed on first read.  :attr:`images` and
+    :attr:`elements` build tuples and :class:`Permutation` objects from
+    it; nothing else needs it.
     """
 
-    table: np.ndarray
+    chain: Sequence[dict[int, tuple[int, ...]]] = field(repr=False)
     supports: dict[int, tuple[int, ...]] = field(repr=False)
-    transitive: bool
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        table = _listing(len(self.chain), self.chain)
+        table.flags.writeable = False
+        return table
 
     @cached_property
     def minimal(self) -> dict[int, tuple[int, ...]]:
@@ -114,7 +125,11 @@ class AutomorphismSet:
 
     @property
     def order(self) -> int:
-        return len(self.table)
+        return math.prod(map(len, self.chain))
+
+    @property
+    def transitive(self) -> bool:
+        return bool(self.chain) and len(self.chain[0]) == len(self.chain)
 
     def nontrivial(self) -> tuple[Permutation, ...]:
         return self.elements[1:]
@@ -325,63 +340,97 @@ def _chain(g: Graph, search: _Search) -> list[dict[int, tuple[int, ...]]]:
 
 def _listing(n: int, levels: Sequence[dict[int, tuple[int, ...]]]) -> np.ndarray:
     """Every element t_0 t_1 ... t_{n-1} of the chain, as the rows of one
-    array in lexicographic order.  Level by level, each prefix p is
+    array in lexicographic order: :func:`_first_rows` with no merge."""
+    return _first_rows(n, levels, merging=False)
+
+
+def _first_rows(
+    n: int, levels: Sequence[dict[int, tuple[int, ...]]], merging: bool = True
+) -> np.ndarray:
+    """The chain's elements, composed level by level: each prefix p is
     extended by the level's transversal, its children p t_x ordered by
-    their image of the level's base point i, p(t_x(i)) = p(x): the first
-    place where they differ.  A level's output is allocated once and
-    filled a block of at most :data:`_BLOCK` rows at a time (at least one
-    prefix); a level that fits in one block is kept as composed, since
-    copying it costs the many tiny listings a few per cent."""
+    their image of the level's base point i, p(t_x(i)) = p(x), the first
+    place where they differ.  A level is composed a block of at most
+    :data:`_BLOCK` rows (at least one prefix) at a time; one that fits in
+    one block is kept as composed, which spares the tiny listings a copy.
+
+    With ``merging``, a level i that would outgrow one block first merges
+    the rows (see :func:`_merge`) once some non-identity transversal
+    element moves no point from i on.  Two rows merge only if they agree
+    on i..n-1, so only if an element other than the identity fixes
+    i..n-1; the gate asks the transversals for one, a cheap sign that may
+    pass a merge by but never changes the support table."""
     table = np.arange(n, dtype=np.min_scalar_type(n))[None, :]
+    opens = None if merging else n
     for i, reps in enumerate(levels):
-        if len(reps) > 1:
-            m, k = len(table), len(reps)
-            images = np.array(list(reps.values()))
-            step = max(1, _BLOCK // k)
-            out = np.empty((m, k, n), table.dtype) if m > step else None
-            for start in range(0, m, step):
-                children = table[start : start + step, images]
-                order = np.argsort(children[:, :, i], axis=1)
-                rows = children[np.arange(len(order))[:, None], order]
-                if out is not None:
-                    out[start : start + step] = rows
-            table = (rows if out is None else out).reshape(m * k, n)
+        k = len(reps)
+        if k == 1:
+            continue
+        if len(table) * k > _BLOCK:
+            if opens is None:  # one past the least highest point moved
+                elements = np.array([t for level in levels for t in level.values()])
+                tail = np.argmax(elements[:, ::-1] != np.arange(n)[::-1], axis=1)
+                opens = n - int(tail.max())
+            if i >= opens:
+                table = _merge(table, i)
+        m = len(table)
+        images = np.array(list(reps.values()))
+        step = max(1, _BLOCK // k)
+        out = np.empty((m, k, n), table.dtype) if m > step else None
+        for start in range(0, m, step):
+            children = table[start : start + step, images]
+            order = np.argsort(children[:, :, i], axis=1)
+            rows = children[np.arange(len(order))[:, None], order]
+            if out is not None:
+                out[start : start + step] = rows
+        table = (rows if out is None else out).reshape(m * k, n)
     return table
+
+
+def _merge(table: np.ndarray, i: int) -> np.ndarray:
+    """The first row of ``table`` per *state*: which of 0..i-1 the row
+    moves, and its images of i..n-1.  Below a prefix row p lie the p h for
+    h fixing 0..i-1, and h permutes i..n-1, so p h moves v < i exactly
+    when p does and sends v >= i to p(h(v)).  Rows p and p' with one state
+    thus give p h and p' h the same mask, and p h precedes p' h in the
+    listing when p precedes p'.  So the rows kept still hold the first
+    element of every mask, in the listing's order."""
+    state = table.copy()
+    state[:, :i] = table[:, :i] != np.arange(i)
+    keys = state.view(np.dtype((np.void, state.itemsize * state.shape[1]))).ravel()
+    return table[np.sort(np.unique(keys, return_index=True)[1])]
 
 
 def _supports(table: np.ndarray) -> dict[int, tuple[int, ...]]:
     """Each non-empty support mask of the rows of ``table`` with the row
     where it first occurs, ordered by support size, then by first
-    occurrence.  Up to 64 points a row's mask is one integer key, whose
-    first row :func:`numpy.unique` gives (it sorts stably when asked for
-    indices), :data:`_BLOCK` rows at a time; the blocks' first rows come in
-    row order, so when there are several blocks the same call merges them.
-    Wider rows are packed into 64-bit words and compared whole, which on
-    small rows is an order of magnitude slower."""
+    occurrence.  Each block of :data:`_BLOCK` rows is keyed, and its first
+    row per key taken by :func:`numpy.unique` (it sorts stably when asked
+    for indices); the blocks' first rows come in row order, so when there
+    are several blocks the same call merges them.  Up to 64 points a key
+    is the mask as one integer; wider rows are packed into bytes and
+    compared whole, which on the many tiny tables is three times slower."""
     count, n = table.shape
-    if n <= 64:
-        kind = np.min_scalar_type((1 << n) - 1)
-        weights = 1 << np.arange(n, dtype=kind)
-        found = []
-        for start in range(0, count, _BLOCK):
-            keys = (table[start : start + _BLOCK] != np.arange(n)).astype(kind) @ weights
-            index = np.sort(np.unique(keys, return_index=True)[1])
-            found.append((start, index, keys[index]))
-        _, index, keys = found[0]
-        if len(found) > 1:
-            index = np.concatenate([start + index for start, index, _ in found])
-            keys = np.concatenate([keys for *_, keys in found])
-            first = np.sort(np.unique(keys, return_index=True)[1])
-            index, keys = index[first], keys[first]
-        masks = keys.tolist()
-    else:
-        packed = np.packbits(table != np.arange(n), axis=1, bitorder="little")
-        width = -(-packed.shape[1] // 8)
-        words = np.zeros((count, 8 * width), dtype=np.uint8)
-        words[:, : packed.shape[1]] = packed
-        _, index = np.unique(words.view(np.uint64), axis=0, return_index=True)
-        index = np.sort(index)
-        masks = [int.from_bytes(packed[j].tobytes(), "little") for j in index]
+    kind = np.min_scalar_type((1 << n) - 1) if n <= 64 else None
+    found = []
+    for start in range(0, count, _BLOCK):
+        moved = table[start : start + _BLOCK] != np.arange(n)
+        if kind is None:
+            packed = np.packbits(moved, axis=1, bitorder="little")
+            keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        else:
+            keys = moved.astype(kind) @ (1 << np.arange(n, dtype=kind))
+        index = np.sort(np.unique(keys, return_index=True)[1])
+        found.append((start, index, keys[index]))
+    _, index, keys = found[0]
+    if len(found) > 1:
+        index = np.concatenate([start + index for start, index, _ in found])
+        keys = np.concatenate([keys for *_, keys in found])
+        first = np.sort(np.unique(keys, return_index=True)[1])
+        index, keys = index[first], keys[first]
+    masks = keys.tolist()
+    if kind is None:
+        masks = [int.from_bytes(key, "little") for key in masks]
     rows = [
         (mask, tuple(table[j].tolist()))
         for mask, j in zip(masks, index.tolist())
@@ -421,8 +470,9 @@ def _twin_order(g: Graph) -> int:
 
 def automorphisms(g: Graph, node_budget: int | None = None) -> AutomorphismSet:
     """Enumerate Aut(g) completely: build the stabiliser chain, charge one
-    node per entry of the listing the order it gives calls for, then
-    compose the listing.
+    node per entry of the listing the order it gives calls for, then read
+    the support table off the merged rows of :func:`_first_rows`.  The
+    listing itself is composed when :attr:`AutomorphismSet.table` is read.
 
     A vertex may only map to vertices with the same degree and the same
     sorted multiset of neighbour degrees, and partial maps must already
@@ -440,10 +490,7 @@ def automorphisms(g: Graph, node_budget: int | None = None) -> AutomorphismSet:
     search = _Search(g, g, budget)
     levels = _chain(g, search)
     search.charge(math.prod(map(len, levels)) * g.n)
-    table = _listing(g.n, levels)
-    table.flags.writeable = False
-    transitive = bool(levels) and len(levels[0]) == g.n
-    return AutomorphismSet(table, _supports(table), transitive)
+    return AutomorphismSet(levels, _supports(_first_rows(g.n, levels)))
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> tuple[int, ...] | None:

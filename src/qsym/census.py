@@ -16,6 +16,7 @@ reproducible from its seed alone, on any machine.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import astuple, dataclass, fields
 from itertools import combinations_with_replacement, product
@@ -25,7 +26,6 @@ import numpy as np
 
 from . import products
 from .automorphisms import (
-    _disjoint_pairs,
     automorphisms,
     find_disjoint_pair,
     find_edge_free_disjoint_pair,
@@ -35,7 +35,7 @@ from .classify import classify
 from .errors import NonPositiveCount, OutOfRange
 from .graphs import (
     Graph,
-    _edge_between,
+    _mask_vertices,
     branch_forms,
     build,
     complement,
@@ -244,6 +244,27 @@ def enumerate_forests(n: int) -> Iterator[Graph]:
 # forest dichotomy
 
 
+def _pair_counts(g: Graph, masks: Sequence[int]) -> tuple[int, int]:
+    """The pairs of disjoint masks, and how many of them an edge of ``g``
+    joins, for masks in order of size, as a support table gives them.  A
+    mask is disjoint only from masks of at most n minus its size points,
+    so each is scanned against those alone, and its neighbourhood union
+    is taken only when it has a disjoint partner."""
+    bits = g._bits
+    sizes = [mask.bit_count() for mask in masks]
+    disjoint = crossing = 0
+    for i, mask in enumerate(masks):
+        end = bisect_right(sizes, g.n - sizes[i])
+        apart = [other for other in masks[i + 1 : end] if not mask & other]
+        if apart:
+            near = 0
+            for v in _mask_vertices(mask):
+                near |= bits[v]
+            disjoint += len(apart)
+            crossing += sum(1 for other in apart if near & other)
+    return disjoint, crossing
+
+
 def check_forest_dichotomy(n_max: int) -> CensusResult:
     """Exhaustively verify the pair dichotomy on every forest up to
     ``n_max`` vertices.
@@ -265,11 +286,7 @@ def check_forest_dichotomy(n_max: int) -> CensusResult:
         for idx, f in enumerate(enumerate_forests(n)):
             forests += 1
             trees += is_tree(f)
-            masks = list(automorphisms(f).supports)
-            disjoint = crossing = 0
-            for i, j in _disjoint_pairs(f, masks, edge_free=False):
-                disjoint += 1
-                crossing += _edge_between(f, masks[i], masks[j])
+            disjoint, crossing = _pair_counts(f, list(automorphisms(f).supports))
             has_disjoint, has_edge_free = disjoint > 0, disjoint > crossing
             if crossing:
                 violations.append(
@@ -323,10 +340,18 @@ def cherry_census(n_max: int) -> CensusResult:
 
 
 def _pattern_soundness(g: Graph, pattern, auts) -> bool:
-    """No forced-zero cell may be realised by an actual automorphism."""
+    """No forced-zero cell may be realised by an actual automorphism.  The
+    cells automorphisms realise are the orbits', and the chain's
+    transversal elements generate the group, so the orbits are what their
+    steps reach: within n - 1 of them, which squaring the one-step
+    relation ceil(log2 n) times covers."""
     n = g.n
-    reachable = np.zeros((n, n), dtype=bool)
-    reachable[np.arange(n), auts.table] = True
+    reachable = np.eye(n, dtype=bool)
+    for level in auts.chain:
+        for images in level.values():
+            reachable[np.arange(n), images] = True
+    for _ in range((n - 1).bit_length()):
+        reachable = reachable @ reachable
     return not bool((pattern.forced & reachable).any())
 
 

@@ -511,7 +511,8 @@ def _corona(ctx: _Ctx, t: str) -> _Finding:
         return "premises not met"
     if auts.order == 1:
         return "premises not met"
-    witness = tuple(auts.table[1].tolist())  # the listing's first non-identity
+    # the listing's first non-identity element, the first of its own mask
+    witness = min(auts.supports.values())
     n, m = base.n, attachment.n
     sigma, tau = (
         _acting_on(ctx.g.n, [range(n + a * m, n + a * m + m)], witness) for a in (0, 1)

@@ -518,6 +518,7 @@ def test_a_listing_beyond_the_budget_is_refused_unlisted(monkeypatch):
         raise AssertionError("the listing was composed")
 
     monkeypatch.setattr(_module, "_listing", compose)
+    monkeypatch.setattr(_module, "_first_rows", compose)
     with time_limit(10):
         with pytest.raises(SizeLimitExceeded):
             automorphisms(g)
@@ -787,9 +788,9 @@ def test_listing_and_support_table_are_the_same_across_row_blocks(monkeypatch):
 
 
 def test_listing_edgeless_9_peaks_below_twice_its_table():
-    # the listing and the support table are built in row blocks, so no
-    # temporary grows with the 362,880 x 9 table (3.1 MiB); besides the
-    # table, only the last level's input, half its size, is that large
+    # the support table is read off 3,378 merged rows, and the 362,880 x 9
+    # listing (3.1 MiB) is not composed until it is read, so the whole
+    # call stays under 1 MiB
     tracemalloc.start()
     try:
         auts = automorphisms(edgeless(9))
@@ -797,7 +798,88 @@ def test_listing_edgeless_9_peaks_below_twice_its_table():
     finally:
         tracemalloc.stop()
     assert auts.order == 362_880
+    assert len(auts.supports) == 2**9 - 9 - 1
+    assert peak < 2**20, peak
     assert peak < 2 * auts.table.nbytes, (peak, auts.table.nbytes)
+
+
+def _merges(monkeypatch) -> list[tuple[int, int]]:
+    """A list that gets the rows in and out of every merge from now on."""
+    merges = []
+    merge = _module._merge
+
+    def recording(table, i):
+        out = merge(table, i)
+        merges.append((len(table), len(out)))
+        return out
+
+    monkeypatch.setattr(_module, "_merge", recording)
+    return merges
+
+
+def test_merged_rows_give_the_support_table_of_the_full_listing(monkeypatch):
+    # at three-row blocks every level from the second on outgrows a
+    # block, so these groups merge rows before nearly every level; the
+    # support table, minimal masks, order and transitive flag must be
+    # those of the full listing, which the table still composes whole
+    cases = [f for n in range(1, 8) for f in enumerate_forests(n)]
+    cases += [edgeless(7), star(6), complete_bipartite(4, 5)]
+    whole = [automorphisms(g) for g in cases]
+    merges = _merges(monkeypatch)
+    monkeypatch.setattr(_module, "_BLOCK", 3)
+    for g, want in zip(cases, whole):
+        auts = automorphisms(g)
+        reference = _packed_supports(want.table)
+        assert list(auts.supports.items()) == list(reference.items()), g
+        assert list(auts.minimal.items()) == list(want.minimal.items()), g
+        assert (auts.order, auts.transitive) == (want.order, want.transitive), g
+        assert auts.table.tobytes() == want.table.tobytes(), g
+    assert (len(merges), sum(rows - kept for rows, kept in merges)) == (91, 1_887)
+
+
+def test_the_gate_tries_no_merge_where_every_transversal_element_moves_late_points(
+    monkeypatch,
+):
+    # every non-identity transversal element of these chains moves a point
+    # at or past the last non-trivial level, so no merge is tried, even at
+    # three-row blocks, and the support table is the full listing's
+    cases = [
+        gallery("prism7"),
+        hypercube(5),
+        hypercube(6),
+        cartesian(complete(4), complete(4)),
+    ]
+    whole = [automorphisms(g) for g in cases]
+    merges = _merges(monkeypatch)
+    monkeypatch.setattr(_module, "_BLOCK", 3)
+    for g, want in zip(cases, whole):
+        auts = automorphisms(g)
+        assert list(auts.supports.items()) == list(_packed_supports(want.table).items()), g
+    assert merges == []
+
+
+def test_wide_support_table_is_keyed_in_row_blocks(monkeypatch):
+    # edgeless(6) + C60 (n = 66, 86,400 rows, a 5.4 MiB table): keying it
+    # in row blocks peaks below the table itself, where keying it whole
+    # peaked at 6.2 MiB
+    table = automorphisms(disjoint_union([edgeless(6), cycle(60)])).table
+    tracemalloc.start()
+    try:
+        supports = _module._supports(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (86_400, 66)
+    assert peak < table.nbytes, (peak, table.nbytes)
+    assert list(supports.items()) == list(_packed_supports(table).items())
+    # and across blocks of three rows, on every graph with n > 64 listed here
+    wide = [g for g in _listing_corpus() if g.n > 64] + [gallery("p64")]
+    tables = [automorphisms(g).table for g in wide]
+    monkeypatch.setattr(_module, "_BLOCK", 3)
+    for g, table in zip(wide, tables):
+        want = _packed_supports(table)
+        assert list(_module._supports(table).items()) == list(want.items()), g
+    assert len(wide) == 13
 
 
 def test_enumeration_is_the_lexicographic_oracle_list():

@@ -2,18 +2,27 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import itertools
 from collections import defaultdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import qsym.census
 from qsym import build, complete_bipartite, disjoint_union, path
-from qsym.automorphisms import find_disjoint_pair, find_edge_free_disjoint_pair
+from qsym.automorphisms import (
+    _disjoint_pairs,
+    automorphisms,
+    find_disjoint_pair,
+    find_edge_free_disjoint_pair,
+)
 from qsym.census import (
     CensusResult,
     CensusRow,
     SplitMix64,
+    _pair_counts,
+    _pattern_soundness,
     check_forest_dichotomy,
     cherry_census,
     enumerate_forests,
@@ -23,7 +32,7 @@ from qsym.census import (
     write_csv,
 )
 from qsym.errors import NonPositiveCount, OutOfRange
-from qsym.graphs import find_cherries, is_forest, is_tree
+from qsym.graphs import _edge_between, find_cherries, is_forest, is_tree
 
 # ---------------------------------------------------------------------------
 # independent oracles, local to this file on purpose
@@ -233,6 +242,26 @@ def test_two_k2_pair_is_edge_free():
     assert {sigma.cycles(), tau.cycles()} == {"(0 1)", "(2 3)"}
 
 
+def test_pair_counts_match_the_pair_scan():
+    # the pair scan with an edge test per disjoint pair is the reference;
+    # on forests the crossing count is always 0, so the pool graphs, most
+    # of them not forests, are where crossing pairs show
+    rng = SplitMix64(0x5EED)
+    crossed = mixed = 0
+    for _ in range(400):
+        g = random_graph(rng)
+        masks = list(automorphisms(g).supports)
+        disjoint = crossing = 0
+        for i, j in _disjoint_pairs(g, masks, edge_free=False):
+            disjoint += 1
+            crossing += _edge_between(g, masks[i], masks[j])
+        assert _pair_counts(g, masks) == (disjoint, crossing), g
+        crossed += crossing > 0
+        mixed += 0 < crossing < disjoint
+    # 111 graphs have a crossing pair, 3 of them an edge-free one as well
+    assert (crossed, mixed) == (111, 3)
+
+
 def test_dichotomy_range():
     with pytest.raises(OutOfRange):
         check_forest_dichotomy(10)
@@ -309,6 +338,23 @@ def test_corpus_orders_in_range():
 def test_oracle_crosschecks_clean_on_default_corpus():
     result = oracle_crosschecks()
     assert result.ok, result.violations
+
+
+def test_pattern_soundness_fails_exactly_on_the_cells_automorphisms_realise():
+    # the orbits come from the chain's transversal elements; the listing,
+    # every element's images, is the reference
+    rng = SplitMix64(0x5EED)
+    cases = [random_graph(rng) for _ in range(100)]
+    cases += [f for n in range(1, 8) for f in enumerate_forests(n)]
+    for g in cases:
+        auts = automorphisms(g)
+        realised = np.zeros((g.n, g.n), dtype=bool)
+        realised[np.arange(g.n), auts.table] = True
+        for v, w in itertools.product(range(g.n), repeat=2):
+            forced = np.zeros((g.n, g.n), dtype=bool)
+            forced[v, w] = True
+            pattern = SimpleNamespace(forced=forced)
+            assert _pattern_soundness(g, pattern, auts) is not bool(realised[v, w]), g
 
 
 def _flip_first_pattern_cell(monkeypatch):

@@ -63,7 +63,14 @@ from qsym.classify import (
     classify,
     classify_with_complement,
 )
-from qsym.census import SplitMix64, enumerate_forests, enumerate_trees, random_graph
+from qsym.census import (
+    SplitMix64,
+    check_forest_dichotomy,
+    enumerate_forests,
+    enumerate_trees,
+    oracle_crosschecks,
+    random_graph,
+)
 from qsym.cli import report_schema
 from qsym.errors import QsymError, SizeLimitExceeded
 from qsym.gallery import (
@@ -851,6 +858,35 @@ def test_corona_witness_is_read_from_the_listing(monkeypatch):
     # base vertices 0 and 1, then the copies of C5 at 2..6 and 7..11
     assert cert.sigma.images[2:7] == tuple(2 + v for v in (0, 4, 3, 2, 1))
     assert cert.tau.images[7:] == tuple(7 + v for v in (0, 4, 3, 2, 1))
+
+
+def test_no_classify_or_census_path_composes_the_full_listing(monkeypatch):
+    # the rules read the support table, the order and the transitive flag,
+    # and the census reads the supports and the chain's orbits: none of
+    # them needs the listing itself, which is composed only when read
+    def compose(*args):
+        raise AssertionError("the full listing was composed")
+
+    monkeypatch.setattr(importlib.import_module("qsym.automorphisms"), "_listing", compose)
+    k33c4 = cartesian(complete_bipartite(3, 3), cycle(4))
+    cases = [
+        hypercube(3), hypercube(4), hypercube(5), cartesian(complete(4), complete(4)),
+        k33c4, Graph(k33c4.adj), _petersen(), gallery("prism7"),
+        cartesian(t0_graph(), complete(2)), corona(t0_graph(), path(3)),
+    ]
+    for op in (cartesian, direct, strong, lexicographic, corona):
+        cases += [op(g1, g2) for g1 in _LIFT_FACTORS[1:] for g2 in _LIFT_FACTORS[1:]]
+    cases += [corona(g1, g2) for g1 in _LIFT_FACTORS[1:] for g2 in _RIGID]
+    rules = set()
+    for g in cases:
+        rep = classify_with_complement(g)
+        for verdict in (rep.bic, rep.ban, rep.bic_complement):
+            if verdict.citation is not None:
+                rules.add(verdict.citation.rule)
+    assert {"R-CORONA", "R-PROD", "R-BIC-1", "R-BAN-1"} <= rules, rules
+    result = check_forest_dichotomy(9)
+    assert result.ok and result.row(9).forests == 153
+    assert oracle_crosschecks(count=50).ok
 
 
 def test_line_graph_cherry_shortcut():
