@@ -58,7 +58,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -88,9 +87,9 @@ class AutomorphismSet:
     masks, :attr:`minimal`.
     :attr:`table` is the listing: every element, in lexicographic order
     of image tuples (so the identity comes first), as the rows of a
-    read-only integer array composed on first read.  :attr:`images` and
-    :attr:`elements` build tuples and :class:`Permutation` objects from
-    it; nothing else needs it.
+    read-only integer array composed on first read.  :attr:`elements`
+    builds :class:`Permutation` objects from its rows; nothing else
+    needs it.
     """
 
     chain: Sequence[dict[int, tuple[int, ...]]] = field(repr=False)
@@ -98,7 +97,7 @@ class AutomorphismSet:
 
     @cached_property
     def table(self) -> np.ndarray:
-        table = _listing(len(self.chain), self.chain)
+        table = _first_rows(len(self.chain), self.chain, merging=False)
         table.flags.writeable = False
         return table
 
@@ -116,12 +115,8 @@ class AutomorphismSet:
         return kept
 
     @cached_property
-    def images(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.table.tolist()))
-
-    @cached_property
     def elements(self) -> tuple[Permutation, ...]:
-        return tuple(map(Permutation, self.images))
+        return tuple(Permutation(tuple(row)) for row in self.table.tolist())
 
     @property
     def order(self) -> int:
@@ -338,12 +333,6 @@ def _chain(g: Graph, search: _Search) -> list[dict[int, tuple[int, ...]]]:
     return levels
 
 
-def _listing(n: int, levels: Sequence[dict[int, tuple[int, ...]]]) -> np.ndarray:
-    """Every element t_0 t_1 ... t_{n-1} of the chain, as the rows of one
-    array in lexicographic order: :func:`_first_rows` with no merge."""
-    return _first_rows(n, levels, merging=False)
-
-
 def _first_rows(
     n: int, levels: Sequence[dict[int, tuple[int, ...]]], merging: bool = True
 ) -> np.ndarray:
@@ -521,18 +510,26 @@ def _swap_images(n: int, u: int, v: int) -> tuple[int, ...]:
     return tuple(images)
 
 
-def _twin_pairs(g: Graph) -> list[tuple[int, int]]:
-    """The twin pairs u < v (see :func:`_twin_classes`), in order of u,
-    then v: swapping u and v is an automorphism.  They are a cheap source
-    of automorphisms that needs no listing of a large group, read off the
-    classes in one pass, and a graph and its complement have the same
-    twins."""
-    return sorted([pair for cls in _twin_classes(g) for pair in combinations(cls, 2)])
+def _twin_swaps(g: Graph) -> dict[int, tuple[int, ...]]:
+    """The swaps of the twin pairs u < v (see :func:`_twin_classes`) as a
+    support table (see :class:`AutomorphismSet`), in order of image tuple:
+    the swap of u < v sends u to v, so a larger u comes first, then a
+    smaller v.  They are a cheap source of automorphisms that needs no
+    listing of a large group, read off the classes in one pass, and a
+    graph and its complement have the same twins."""
+    later = {  # the classes are disjoint, so each u is in one
+        u: cls[i + 1:] for cls in _twin_classes(g) for i, u in enumerate(cls)
+    }
+    return {
+        1 << u | 1 << v: _swap_images(g.n, u, v)
+        for u in sorted(later, reverse=True)
+        for v in later[u]
+    }
 
 
 def twin_transpositions(g: Graph) -> list[Permutation]:
-    """The swaps of the twin pairs of :func:`_twin_pairs`, in its order."""
-    return [transposition(g.n, u, v) for u, v in _twin_pairs(g)]
+    """The swaps of :func:`_twin_swaps`, in its order."""
+    return [Permutation(images) for images in _twin_swaps(g).values()]
 
 
 def _disjoint_pairs(

@@ -208,7 +208,8 @@ def verify_certificate(g: Graph, verdict) -> bool:
     ``verdict`` is anything with ``target``, ``status`` and
     ``certificate``, such as a :class:`qsym.classify.Verdict`.  Returns
     True when the certificate can stand behind the verdict's status (see
-    :data:`CERTIFIED_STATUS`) and its premises hold of ``g``; raises
+    :data:`CERTIFIED_STATUS`) on its target, one of ``bic``, ``ban`` and
+    ``bic_complement``, and its premises hold of ``g``; raises
     nothing for a merely wrong certificate (that returns False)."""
     cert = verdict.certificate
     if cert is None:
@@ -229,8 +230,11 @@ def _entails(cert: Certificate, target: str, status: Status) -> bool:
     the coarse one commutative too: on a quadrangle-free complement the
     two algebras coincide, and the coarse one is complement-invariant.
     Under a quadrangle-free wrapper the two algebras coincide, so the
-    companion may stand for either target.  A missing companion supports
+    companion may stand for either target.  A missing companion, or a
+    target other than ``bic``, ``ban`` and ``bic_complement``, supports
     nothing."""
+    if target not in (TARGET_BIC, TARGET_BAN, TARGET_BIC_COMPLEMENT):
+        return False
     if isinstance(cert, QuadrangleFreeSelf):
         return any(_entails(cert.companion, t, status) for t in (TARGET_BIC, TARGET_BAN))
     if CERTIFIED_STATUS.get(getattr(cert, "kind", None)) is not status:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import time
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -45,8 +45,7 @@ from .automorphisms import (
     AutomorphismSet,
     Permutation,
     _first_pair,
-    _swap_images,
-    _twin_classes,
+    _twin_swaps,
     automorphisms,
     transposition,
 )
@@ -91,7 +90,15 @@ R_PROD = "R-PROD"
 R_CORONA = "R-CORONA"
 R_CHAIN = "R-CHAIN"
 
-CITATIONS: dict[str, str] = {
+
+@dataclass(frozen=True)
+class Citation:
+    rule: str
+    statement: str
+
+
+#: Each rule's citation: the statement it stands on.
+CITATIONS: dict[str, Citation] = {rule: Citation(rule, statement) for rule, statement in {
     R_SMALL: "on at most three points every quantum permutation algebra "
     "is commutative",
     R_QF: "a quadrangle-free graph has identical coarse and fine algebras, "
@@ -119,21 +126,7 @@ CITATIONS: dict[str, str] = {
     R_CHAIN: "the coarse algebra surjects onto the fine one: a "
     "non-commutative quotient forces a non-commutative source, and a "
     "commutative source forces a commutative quotient",
-}
-
-
-
-@dataclass(frozen=True)
-class Citation:
-    rule: str
-    statement: str
-
-    @staticmethod
-    def of(rule: str) -> "Citation":
-        return _CITED[rule]
-
-
-_CITED = {rule: Citation(rule, statement) for rule, statement in CITATIONS.items()}
+}.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -287,18 +280,8 @@ class _Shared:
 
     @cached_property
     def twins(self) -> dict[int, tuple[int, ...]]:
-        """The twin swaps as a support table (see :class:`AutomorphismSet`),
-        in order of image tuple: the swap of u < v sends u to v, so a
-        larger u comes first, then a smaller v."""
-        later = {  # the classes are disjoint, so each u is in one
-            u: cls[i + 1:] for cls in _twin_classes(self.g) for i, u in enumerate(cls)
-        }
-        n = self.g.n
-        return {
-            1 << u | 1 << v: _swap_images(n, u, v)
-            for u in sorted(later, reverse=True)
-            for v in later[u]
-        }
+        """The twin swaps' support table (see :func:`_twin_swaps`)."""
+        return _twin_swaps(self.g)
 
 
 class _Ctx:
@@ -575,7 +558,7 @@ def _run(ctx: _Ctx, t: str) -> Verdict:
         elif found is not None:
             cert, detail = found
             ctx.log(t, rule, cert if detail is None else f"fired ({detail})")
-            return Verdict(t, CERTIFIED_STATUS[cert.kind], cert, Citation.of(rule))
+            return Verdict(t, CERTIFIED_STATUS[cert.kind], cert, CITATIONS[rule])
     return Verdict(t, Status.UNKNOWN)
 
 
@@ -603,7 +586,7 @@ def _transfer(ctx: _Ctx, bic: Verdict, ban: Verdict) -> tuple[Verdict, Verdict]:
             note = f"transferred from the {source} algebra"
         else:
             note = "the algebras coincide on quadrangle-free graphs"
-        return Verdict(t, status, cert, Citation.of(rule), note=note)
+        return Verdict(t, status, cert, CITATIONS[rule], note=note)
 
     pair = (bic.status, ban.status)
     if pair == (Status.NONCOMMUTATIVE, Status.UNKNOWN):
@@ -690,7 +673,7 @@ def classify_with_complement(g: Graph, node_budget: int | None = None) -> Report
                 TARGET_BAN,
                 Status.COMMUTATIVE,
                 QuadrangleFreeComplement(companion=comp_bic.certificate),
-                Citation.of(R_QF),
+                CITATIONS[R_QF],
                 note="complement-invariance settles the coarse algebra",
             )
         notes.append("no quantum symmetry: both fine algebras are commutative")
@@ -699,10 +682,7 @@ def classify_with_complement(g: Graph, node_budget: int | None = None) -> Report
         bic,
         ban,
         elapsed_ms + comp_ms,
-        bic_complement=Verdict(
-            TARGET_BIC_COMPLEMENT, comp_bic.status, comp_bic.certificate,
-            comp_bic.citation, comp_bic.note,
-        ),
+        bic_complement=replace(comp_bic, target=TARGET_BIC_COMPLEMENT),
         events=comp.trace,
         notes=(*notes, *comp.notes),
     )

@@ -43,7 +43,7 @@ from .census import (
     oracle_crosschecks,
     write_csv,
 )
-from .classify import Report, classify_with_complement
+from .classify import classify_with_complement
 from .construct import _TraceBuilder, build_free, build_tensor, build_wreath
 from .errors import BadParams, ParseError, QsymError, SizeLimitExceeded
 from .formats import READABLE_FORMATS, WRITABLE_FORMATS, parse_graph, read_edges, write_graph
@@ -146,10 +146,14 @@ def _emit(args, text: str) -> None:
 # documents
 
 
-def _document(report: Report, descriptor: dict) -> dict:
-    doc = {"version": __version__, "input": descriptor}
-    doc.update(report.payload())
-    return doc
+def _document(**parts) -> dict:
+    """A JSON document: the package version, then ``parts`` in order."""
+    return {"version": __version__, **parts}
+
+
+def _json_text(doc) -> str:
+    """``doc`` as the CLI prints JSON: indented two spaces, one final newline."""
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def _pattern_payload(g: Graph) -> dict:
@@ -168,22 +172,17 @@ def _pattern_payload(g: Graph) -> dict:
 def _cmd_analyze(args) -> int:
     g, descriptor = _one_input(args)
     report = classify_with_complement(g, node_budget=_budget(args))
-    doc = _document(report, descriptor)
+    doc = _document(input=descriptor, **report.payload())
     if args.pattern:
         doc["pattern"] = _pattern_payload(g)
-    _emit(args, json.dumps(doc, indent=2) + "\n")
+    _emit(args, _json_text(doc))
     return EXIT_OK
 
 
 def _cmd_pattern(args) -> int:
     g, descriptor = _one_input(args)
     if args.json:
-        doc = {
-            "version": __version__,
-            "input": descriptor,
-            "pattern": _pattern_payload(g),
-        }
-        _emit(args, json.dumps(doc, indent=2) + "\n")
+        _emit(args, _json_text(_document(input=descriptor, pattern=_pattern_payload(g))))
     else:
         text = render_pattern(g, zero_pattern(g))
         _emit(args, text if text.endswith("\n") else text + "\n")
@@ -195,19 +194,14 @@ def _graph_output(args, g: Graph, extra: dict | None = None) -> int:
     if fmt not in WRITABLE_FORMATS:
         raise BadParams(f"unknown output format {fmt!r}")
     if args.json:
-        doc: dict = {
-            "version": __version__,
-            "graph": {"format": fmt, "data": write_graph(fmt, g).decode()},
-        }
-        if extra:
-            doc.update(extra)
-        _emit(args, json.dumps(doc, indent=2) + "\n")
+        graph = {"format": fmt, "data": write_graph(fmt, g).decode()}
+        _emit(args, _json_text(_document(graph=graph, **(extra or {}))))
         return EXIT_OK
     _emit(args, write_graph(fmt, g).decode())
     if extra and "construction" in extra:
         # the trace always lands on stdout; with --out the graph goes to
         # the file and stdout carries only the trace
-        sys.stdout.write(json.dumps(extra["construction"], indent=2) + "\n")
+        sys.stdout.write(_json_text(extra["construction"]))
     return EXIT_OK
 
 

@@ -28,9 +28,6 @@ from .graphs import Graph, _init_graph, _pack_rows, build, check_order
 
 __all__ = ["READABLE_FORMATS", "WRITABLE_FORMATS", "parse_graph", "write_graph"]
 
-READABLE_FORMATS = ("edges", "graph6")
-WRITABLE_FORMATS = ("edges", "graph6", "dot")
-
 
 # ---------------------------------------------------------------------------
 # edge lists
@@ -125,7 +122,7 @@ def _write_graph6(g: Graph) -> str:
         start += j
     groups = np.packbits(bits.reshape(-1, 6), axis=1)[:, 0] >> 2
     out.append((groups + 63).tobytes().decode("ascii"))
-    return "".join(out)
+    return "".join(out) + "\n"
 
 
 def _parse_graph6(text: str) -> Graph:
@@ -173,8 +170,8 @@ def _parse_graph6(text: str) -> Graph:
         start += j
     del bits
     # both triangles come from the same bits and the diagonal is never
-    # set, so the matrix is a graph's as it stands: no copy, no check
-    return _init_graph(Graph.__new__(Graph), _pack_rows(adj), None, None, adj)
+    # set, so the matrix is a graph's as it stands: packed, not checked
+    return _init_graph(Graph.__new__(Graph), _pack_rows(adj), None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +195,13 @@ def _write_dot(g: Graph) -> str:
 # dispatch
 
 
+#: The readers, text to graph, and the writers, graph to text, by format.
+_READERS = {"edges": _parse_edge_list, "graph6": _parse_graph6}
+_WRITERS = {"edges": _write_edge_list, "graph6": _write_graph6, "dot": _write_dot}
+READABLE_FORMATS = tuple(_READERS)
+WRITABLE_FORMATS = tuple(_WRITERS)
+
+
 def parse_graph(fmt: str, data: bytes | str) -> Graph:
     """Parse ``data`` in the named readable format ('edges' or 'graph6').
     Both are ASCII, so any other byte is a :class:`ParseError`."""
@@ -207,21 +211,15 @@ def parse_graph(fmt: str, data: bytes | str) -> Graph:
         raise ParseError(
             f"byte {exc.start}: {data[exc.start]:#04x} is not ASCII"
         ) from None
-    if fmt == "edges":
-        return _parse_edge_list(text)
-    if fmt == "graph6":
-        return _parse_graph6(text)
-    if fmt == "dot":
-        raise BadParams("dot is write-only")
+    if fmt in _READERS:
+        return _READERS[fmt](text)
+    if fmt in _WRITERS:
+        raise BadParams(f"{fmt} is write-only")
     raise BadParams(f"unknown graph format {fmt!r}")
 
 
 def write_graph(fmt: str, g: Graph) -> bytes:
     """Serialize ``g`` in the named format ('edges', 'graph6' or 'dot')."""
-    if fmt == "edges":
-        return _write_edge_list(g).encode("ascii")
-    if fmt == "graph6":
-        return (_write_graph6(g) + "\n").encode("ascii")
-    if fmt == "dot":
-        return _write_dot(g).encode("ascii")
-    raise BadParams(f"unknown graph format {fmt!r}")
+    if fmt not in _WRITERS:
+        raise BadParams(f"unknown graph format {fmt!r}")
+    return _WRITERS[fmt](g).encode("ascii")

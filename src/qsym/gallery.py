@@ -105,25 +105,17 @@ _FIXED = {
 }
 
 _PATTERNS: list[tuple[re.Pattern[str], object, str]] = [
-    (re.compile(r"^k(\d+)$"), lambda n: complete(n), "k<n>: complete graph"),
-    (re.compile(r"^c(\d+)$"), lambda n: cycle(n), "c<n>: cycle (n >= 3)"),
-    (re.compile(r"^p(\d+)$"), lambda k: path(k), "p<k>: path with k edges"),
-    (
-        re.compile(r"^k(\d+)[_,](\d+)$"),
-        lambda m, n: complete_bipartite(m, n),
-        "k<m>_<n>: complete bipartite",
-    ),
-    (re.compile(r"^star(\d+)$"), lambda n: star(n), "star<n>: hub plus n rays"),
+    (re.compile(r"^k(\d+)$"), complete, "k<n>: complete graph"),
+    (re.compile(r"^c(\d+)$"), cycle, "c<n>: cycle (n >= 3)"),
+    (re.compile(r"^p(\d+)$"), path, "p<k>: path with k edges"),
+    (re.compile(r"^k(\d+)[_,](\d+)$"), complete_bipartite, "k<m>_<n>: complete bipartite"),
+    (re.compile(r"^star(\d+)$"), star, "star<n>: hub plus n rays"),
     (
         re.compile(r"^prism(\d+)$"),
         lambda n: cartesian(complete(2), complete(n)),
         "prism<n>: two layers of K_n",
     ),
-    (
-        re.compile(r"^c4pn(\d+)$"),
-        lambda n: c4pn_graph(n),
-        "c4pn<n>: quadrangle with two n-vertex tails",
-    ),
+    (re.compile(r"^c4pn(\d+)$"), c4pn_graph, "c4pn<n>: quadrangle with two n-vertex tails"),
 ]
 
 
@@ -147,9 +139,7 @@ def gallery(name: str) -> Graph:
 
 def gallery_names() -> list[str]:
     """Documented identifiers (families shown schematically)."""
-    fixed = sorted(_FIXED)
-    families = ["k<n>", "c<n>", "p<k>", "k<m>_<n>", "star<n>", "prism<n>", "c4pn<n>"]
-    return fixed + families
+    return sorted(_FIXED) + [doc.split(":")[0] for _, _, doc in _PATTERNS]
 
 
 def describe_gallery() -> str:

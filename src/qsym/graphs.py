@@ -1,14 +1,14 @@
 """Finite simple graphs and the structural predicates the rest of the
 package leans on.
 
-Graphs are immutable: one neighbour bitmask per vertex, optional display
-labels, and a boolean matrix kept only when ``Graph(adj)`` or the graph6
-reader is handed one (else unpacked on first read).  Vertices are always
-``0..n-1``; labels are cosmetic and never affect equality.  The helpers
-here are deliberately plain -- walks on neighbour bitmasks, a forest's
-branch forms, re-verifying an isomorphism -- because everything
-downstream (certificates, census runs) wants to re-verify results
-against *simple* code.  The isomorphism *search* is in :mod:`qsym.automorphisms`.
+Graphs are immutable: one neighbour bitmask per vertex and optional
+display labels; the boolean matrix is unpacked from the bitmasks on first
+read.  Vertices are always ``0..n-1``; labels are cosmetic and never
+affect equality.  The helpers here are deliberately plain -- walks on
+neighbour bitmasks, a forest's branch forms, re-verifying an isomorphism
+-- because everything downstream (certificates, census runs) wants to
+re-verify results against *simple* code.  The isomorphism *search* is in
+:mod:`qsym.automorphisms`.
 """
 
 from __future__ import annotations
@@ -87,10 +87,9 @@ class Graph:
     """An immutable simple graph on vertices ``0..n-1``.
 
     The neighbour bitmasks are the representation: bit ``j`` of
-    ``_bits[i]`` is set iff i ~ j.  :attr:`adj`, the boolean matrix, is
-    kept only when ``Graph(adj)`` or the graph6 reader is handed one;
-    every other constructor writes bitmasks, and the matrix is unpacked
-    from them on first read."""
+    ``_bits[i]`` is set iff i ~ j.  Every constructor, ``Graph(adj)`` and
+    the graph6 reader included, keeps only those; :attr:`adj`, the
+    boolean matrix, is unpacked from them on first read."""
 
     __slots__ = ("n", "labels", "provenance", "_bits", "_degrees", "_adj")
 
@@ -104,12 +103,12 @@ class Graph:
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise BadParams(f"adjacency matrix must be square, got {adj.shape}")
         check_order(adj.shape[0])
-        adj = np.array(adj, dtype=bool, order="C")
+        adj = adj.astype(bool, copy=False)
         if adj.diagonal().any():
             raise LoopEdge("adjacency matrix has a nonzero diagonal")
         if not np.array_equal(adj, adj.T):
             raise BadParams("adjacency matrix must be symmetric")
-        _init_graph(self, _pack_rows(adj), labels, provenance, adj)
+        _init_graph(self, _pack_rows(adj), labels, provenance)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("Graph is immutable")
@@ -118,8 +117,8 @@ class Graph:
 
     @property
     def adj(self) -> np.ndarray:
-        """The adjacency matrix, read-only: the one a constructor was
-        handed, or else unpacked from the bitmasks on first read."""
+        """The adjacency matrix, read-only, unpacked from the bitmasks on
+        first read."""
         if self._adj is None:
             adj = _unpack_rows(self._bits)
             adj.flags.writeable = False
@@ -181,22 +180,18 @@ def _init_graph(
     bits: tuple[int, ...],
     labels: Sequence[str] | None,
     provenance: Provenance | None,
-    adj: np.ndarray | None = None,
 ) -> Graph:
     """Fill ``g``'s fields from its neighbour bitmasks ``bits``, which the
-    caller vouches for as symmetric and loop-free, and return it.  ``adj``,
-    when given, is their matrix, which ``g`` then owns."""
+    caller vouches for as symmetric and loop-free, and return it."""
     n = len(bits)
     if labels is not None and len(labels) != n:
         raise BadParams(f"{len(labels)} labels for {n} vertices")
-    if adj is not None:
-        adj.flags.writeable = False
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "labels", tuple(labels) if labels is not None else None)
     object.__setattr__(g, "provenance", provenance)
     object.__setattr__(g, "_bits", bits)
     object.__setattr__(g, "_degrees", tuple(row.bit_count() for row in bits))
-    object.__setattr__(g, "_adj", adj)
+    object.__setattr__(g, "_adj", None)
     return g
 
 

@@ -7,6 +7,7 @@ package's ``__init__``, which loads the engine, so the fence test runs in
 a fresh interpreter whose ``qsym`` is a bare package stub.
 """
 
+import collections
 import subprocess
 import sys
 from pathlib import Path
@@ -15,8 +16,10 @@ from types import SimpleNamespace
 import pytest
 
 import qsym
+from qsym.census import SplitMix64, random_graph
 from qsym.check import ForestNoDisjointPair, Status, verify_certificate
-from qsym.graphs import edgeless, path, star
+from qsym.classify import classify_with_complement
+from qsym.graphs import complement, edgeless, path, star
 
 _FENCED = """
 import sys
@@ -76,3 +79,23 @@ def test_a_long_path_has_its_forest_certificate_checked():
     for edge_free_only in (False, True):
         cert = ForestNoDisjointPair(edge_free_only=edge_free_only)
         assert verify_certificate(g, _claim("bic", Status.COMMUTATIVE, cert))
+
+
+def test_a_target_outside_the_three_supports_nothing():
+    # a verdict is on bic, ban or bic_complement; any other target, say
+    # one spelt in capitals or "coarse", is a claim no certificate
+    # supports, though its own target accepts the same certificate
+    rng = SplitMix64(0x5EED)
+    kinds = collections.Counter()
+    for _ in range(300):
+        rep = classify_with_complement(random_graph(rng))
+        for verdict in (rep.bic, rep.ban, rep.bic_complement):
+            cert = verdict.certificate
+            if cert is None:
+                continue
+            g = rep.graph if verdict.target != "bic_complement" else complement(rep.graph)
+            assert verify_certificate(g, verdict)
+            for target in ("BAN", "BIC", "coarse", "fine", "", "complement bic"):
+                assert not verify_certificate(g, _claim(target, verdict.status, cert))
+            kinds[cert.kind] += 1
+    assert {"strip", "quadrangle-free-complement", "disjoint-pair"} <= set(kinds), kinds

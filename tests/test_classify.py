@@ -24,7 +24,6 @@ from qsym.automorphisms import (
     AutomorphismSet,
     Permutation,
     _swap_images,
-    _twin_pairs,
     automorphisms,
     find_disjoint_pair,
     find_edge_free_disjoint_pair,
@@ -49,9 +48,9 @@ from qsym.check import (
 )
 from qsym.classify import (
     _PIPELINES,
+    CITATIONS,
     R_BAN_1,
     R_BIC_1,
-    Citation,
     Report,
     Verdict,
     _complete_bipartite_parts,
@@ -110,6 +109,7 @@ from .conftest import (
     small_corpus,
     time_limit,
 )
+from .test_automorphisms import reference_twin_pairs
 
 C = Status.COMMUTATIVE
 NC = Status.NONCOMMUTATIVE
@@ -667,25 +667,33 @@ def test_a_transitive_listing_builds_no_zero_pattern(monkeypatch):
 def test_graph_pair_facts_are_worked_out_once(monkeypatch, name):
     # G and Gc share their twins; each graph's complement, quadrangle
     # test and forest test are computed once, whichever rule asks first
-    counted = ("_twin_classes", "complement", "contains_quadrangle", "is_forest")
+    counted = ("_twin_swaps", "complement", "contains_quadrangle", "is_forest")
     calls = {fn: _counting(monkeypatch, fn) for fn in counted}
     g = gallery(name)
     classify_with_complement(g)
     for fn, seen in calls.items():
         graphs_seen = collections.Counter(args[0] for args in seen)
         assert max(graphs_seen.values(), default=0) <= 1, fn
-    twinned = {args[0] for args in calls["_twin_classes"]}
+    twinned = {args[0] for args in calls["_twin_swaps"]}
     assert not any(complement(h) in twinned for h in twinned)
 
 
 def test_twin_table_is_the_swaps_sorted_by_image_tuple():
-    # the table built from the twin pairs equals the one the sorted,
-    # validated swaps give, entry for entry and in the same order
-    extra = (complete(6), edgeless(6), star(5), complete_bipartite(3, 4), cycle(4))
-    for g in (*kernel_corpus(), *extra):
-        swaps = sorted(twin_transpositions(g), key=lambda p: p.images)
-        want = [(p.support_mask(), p.images) for p in swaps]
-        assert list(_Shared(g, None).twins.items()) == want
+    # one twin-swap table: twin_transpositions gives the images of
+    # _Shared.twins, in its order, which is that of the image tuples
+    rng = SplitMix64(0x5EED)
+    pool = [random_graph(rng) for _ in range(500)]
+    extra = [complete(6), edgeless(6), star(5), complete_bipartite(3, 4), cycle(4)]
+    extra += [gallery(name) for name in SPARSE_GALLERY]
+    twinned = 0
+    for g in (*kernel_corpus(), *pool, *extra, *map(complement, extra)):
+        swaps = twin_transpositions(g)
+        twins = _Shared(g, None).twins
+        assert [p.images for p in swaps] == list(twins.values()), g
+        assert [p.support_mask() for p in swaps] == list(twins), g
+        assert swaps == sorted(swaps, key=lambda p: p.images), g
+        twinned += bool(swaps)
+    assert twinned > 300
 
 
 def test_twin_table_equals_the_one_from_the_sorted_pair_list():
@@ -698,7 +706,7 @@ def test_twin_table_equals_the_one_from_the_sorted_pair_list():
     extra = [gallery(name) for name in names]
     extra += [complete(70), edgeless(66), star(70)]
     for g in (*pool, *map(complement, pool), *extra, *map(complement, extra)):
-        pairs = sorted(_twin_pairs(g), key=lambda uv: (-uv[0], uv[1]))
+        pairs = sorted(reference_twin_pairs(g), key=lambda uv: (-uv[0], uv[1]))
         want = [(1 << u | 1 << v, _swap_images(g.n, u, v)) for u, v in pairs]
         assert list(_Shared(g, None).twins.items()) == want, g
 
@@ -791,7 +799,7 @@ def _transferred(g, bic, ban):
 def test_transfer_lifts_a_coarse_commutative_verdict_to_the_fine_algebra():
     g = fig7_graph()
     cert = SmallBlocks(((0, 1), (2,), (3,), (4,), (5,)))
-    ban = Verdict("ban", C, cert, Citation.of("R-BLOCKS"))
+    ban = Verdict("ban", C, cert, CITATIONS["R-BLOCKS"])
     bic, kept, trace = _transferred(g, Verdict("bic", U), ban)
     assert kept is ban
     assert (bic.target, bic.status, bic.certificate) == ("bic", C, cert)
@@ -864,10 +872,10 @@ def test_no_classify_or_census_path_composes_the_full_listing(monkeypatch):
     # the rules read the support table, the order and the transitive flag,
     # and the census reads the supports and the chain's orbits: none of
     # them needs the listing itself, which is composed only when read
-    def compose(*args):
+    def compose(self):
         raise AssertionError("the full listing was composed")
 
-    monkeypatch.setattr(importlib.import_module("qsym.automorphisms"), "_listing", compose)
+    monkeypatch.setattr(AutomorphismSet, "table", property(compose))
     k33c4 = cartesian(complete_bipartite(3, 3), cycle(4))
     cases = [
         hypercube(3), hypercube(4), hypercube(5), cartesian(complete(4), complete(4)),

@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 
-from qsym import build, complement, complete, cycle, edgeless, gallery, path
+from qsym import Graph, build, cartesian, complement, complete, cycle, edgeless, gallery, path
 from qsym.errors import BadParams, ParseError
 from qsym.graphs import check_order
 from qsym.formats import (
@@ -262,8 +262,8 @@ def test_graph6_parser_equals_the_reference_on_edge_cases(text):
 
 def test_graph6_at_the_cap_is_parsed_without_a_bit_list():
     # the reference holds 8,386,560 bits in a list, over 117 MB at peak;
-    # unpacked into the matrix, which the graph then owns without a copy
-    # or a transposed check, it is under two of the 16 MiB matrices
+    # unpacked into one matrix, packed into rows without a transposed
+    # check, it is under two of the 16 MiB matrices
     text = _graph6_edgeless(4096)
     tracemalloc.start()
     try:
@@ -274,6 +274,31 @@ def test_graph6_at_the_cap_is_parsed_without_a_bit_list():
         tracemalloc.stop()
     assert (g.n, g.edge_count) == (4096, 0)
     assert peak < 2 * 4096**2
+
+
+def _retained(build):
+    """``build()`` and the bytes it leaves allocated (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        out = build()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, retained
+
+
+def test_a_graph_at_the_cap_keeps_its_bitmasks_and_no_matrix():
+    # c64 x c64 has 4,096 vertices, whose matrix takes 16 MiB; a graph
+    # built from that matrix, or read from its graph6 text, keeps only
+    # its neighbour bitmasks (about 1.3 MiB) until the matrix is asked for
+    want = cartesian(cycle(64), cycle(64))
+    adj, text = want.adj, write_graph("graph6", want)
+    for build_graph in (lambda: Graph(adj), lambda: parse_graph("graph6", text)):
+        g, retained = _retained(build_graph)
+        assert g == want
+        assert g._adj is None
+        assert retained < 2 * 2**20, retained
+    assert g.adj.tobytes() == adj.tobytes()
 
 
 def reference_write_graph6(g) -> str:
