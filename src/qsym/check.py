@@ -19,8 +19,7 @@ from typing import Sequence
 
 from .graphs import Graph, Permutation, _edge_between, complement, contains_quadrangle
 from .graphs import forest_has_disjoint_pair, is_automorphism, is_forest
-from .reduction import strip_high_degree_fixpoint, zero_pattern
-from .reduction import blocks as pattern_blocks
+from .reduction import sphere_blocks, strip_high_degree_fixpoint
 
 TARGET_BIC = "bic"
 TARGET_BAN = "ban"
@@ -188,7 +187,7 @@ class SmallBlocks(Certificate):
     kind: str = field(default="small-blocks", init=False)
 
     def holds(self, g: Graph) -> bool:
-        part = pattern_blocks(zero_pattern(g))
+        part = sphere_blocks(g)
         return part.blocks == self.blocks and _blocks_small_enough(part.sizes)
 
 

@@ -70,8 +70,7 @@ from .errors import QsymError, SizeLimitExceeded
 from .graphs import Graph, complement, contains_quadrangle, is_connected, is_forest
 from .graphs import _mask_vertices, forest_has_disjoint_pair
 from .products import PRODUCT_KINDS
-from .reduction import BlockStructure, strip_high_degree_fixpoint, zero_pattern
-from .reduction import blocks as pattern_blocks
+from .reduction import BlockStructure, sphere_blocks, strip_high_degree_fixpoint
 
 # ---------------------------------------------------------------------------
 # rule identifiers and the statements they stand on
@@ -343,12 +342,13 @@ class _Ctx:
         A zero pattern is sound: it never forces a cell (i, j) that an
         automorphism sending j to i realises.  So when a completed listing
         is transitive no cell is forced, and the one block 0..n-1 is
-        returned without building the pattern.  No listing is started for
-        this; without one the pattern is built as usual."""
+        returned without walking the spheres.  No listing is started for
+        this; without one the blocks are read off the sphere-degree sets
+        as usual."""
         auts = self.shared.listed
         if auts is not None and auts.transitive:
             return BlockStructure((tuple(range(self.g.n)),))
-        return pattern_blocks(zero_pattern(self.g))
+        return sphere_blocks(self.g)
 
 
 def _complete_bipartite_parts(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:

@@ -24,7 +24,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import BadParams, ParseError
-from .graphs import Graph, _init_graph, _pack_rows, build, check_order
+from .graphs import Graph, _init_graph, _pack_rows, _unpack_rows, build, check_order
 
 __all__ = ["READABLE_FORMATS", "WRITABLE_FORMATS", "parse_graph", "write_graph"]
 
@@ -115,7 +115,7 @@ def _write_graph6(g: Graph) -> str:
     # zero-padded to whole groups, six bits a byte, high bit first
     total = n * (n - 1) // 2
     bits = np.zeros(-(-total // 6) * 6, dtype=bool)
-    adj = g.adj
+    adj = _unpack_rows(g._bits)  # a local: the graph keeps only its bitmasks
     start = 0
     for j in range(1, n):
         bits[start : start + j] = adj[j, :j]

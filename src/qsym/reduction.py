@@ -14,22 +14,26 @@ Two rules produce forced zeros:
 
 The degree rule is sphere 0 of the distance-degree rule: D_x(0) is
 {deg(x)}, so D_w(0) is not a subset of D_v(0) exactly when the degrees
-differ.  :func:`zero_pattern` therefore evaluates both rules for all
-cells at once as one matrix product, exact in float32, over the
-sphere-degree sets of spheres 0, 1, 2, ..., which one breadth-first walk
-per vertex on the neighbour bitmasks reads off without a distance
-matrix.
-
-The combined pattern is the union of both, symmetrised: the antipode
-swaps u_ij with u_ji, so a forced zero at (i, j) forces (j, i) too.
-Classically the pattern is a sound over-approximation of "no
+differ.  The combined pattern is the union of both, symmetrised: the
+antipode swaps u_ij with u_ji, so a forced zero at (i, j) forces (j, i)
+too.  Classically the pattern is a sound over-approximation of "no
 automorphism maps j to i", which is exactly what the soundness tests
 check against enumerated automorphism groups.
 
+So cell (w, v) is forced when D_w(k) is not a subset of D_v(k), or
+D_v(k) not a subset of D_w(k), for some k >= 0: it is left possible
+exactly when w and v have equal sphere-degree sets D(0), D(1), ...
+Being left possible is therefore an equivalence, and the blocks of the
+pattern are its classes.  One breadth-first walk per vertex on the
+neighbour bitmasks packs that vertex's sets into one int
+(:func:`_sphere_sets`), without a distance matrix, and
+:func:`sphere_blocks` groups the vertices by it; :func:`zero_pattern`
+marks the cells whose two ints differ.
+
 Which rule forced which cell (the *provenance*) matters only for display,
-so a pattern works it out on first read, from the same tensor: the same
-product over sphere 0 alone gives the degree rule's cells, and over
-spheres 1, 2, ... the distance-degree rule's.
+so a pattern works it out on first read, from the same ints laid out as
+a 0/1 tensor: one matrix product over sphere 0 gives the degree rule's
+cells, and one over spheres 1, 2, ... the distance-degree rule's.
 """
 
 from __future__ import annotations
@@ -55,8 +59,11 @@ class ZeroPattern:
     """Forced-zero cells of the n x n fundamental representation.
 
     ``forced[i, j]`` is True when entry (i, j) must vanish; the diagonal
-    is never forced (the identity always survives).  ``provenance`` maps
-    a forced cell to the rule names that produced it; only the display
+    is never forced (the identity always survives).  A pattern from
+    :func:`zero_pattern` forces a cell exactly when its two vertices'
+    sphere-degree sets differ, so its unforced cells are the pairs
+    within one block of :func:`sphere_blocks`.  ``provenance`` maps a
+    forced cell to the rule names that produced it; only the display
     reads it, so ``explain`` works it out on first read.
     """
 
@@ -86,11 +93,13 @@ class BlockStructure:
         return tuple(len(b) for b in self.blocks)
 
 
-def _spheres(g: Graph) -> np.ndarray:
-    """The 0/1 tensor S[x, k, d] marking degree class d in D_x(k), for
-    the spheres k = 0, 1, 2, ... and one last slot, always empty, as
-    uint8 of shape (n, L, C): L is the largest eccentricity within a
-    component plus 2, and C the number of distinct degrees.
+def _sphere_sets(g: Graph) -> list[int]:
+    """The sphere-degree sets D_x(0), D_x(1), ... of each vertex x,
+    packed into one int: C bits per sphere, C the number of distinct
+    degrees, bit c of sphere k set when the c-th smallest degree is in
+    D_x(k).  Every sphere up to x's eccentricity in its component is
+    nonempty, so two vertices get the same int exactly when their sets
+    are equal.
 
     One walk per source on the neighbour bitmasks.  ``unseen`` holds the
     vertices no sphere has reached yet; expanding the frontier (sphere k)
@@ -99,14 +108,10 @@ def _spheres(g: Graph) -> np.ndarray:
     Expansion stops as soon as ``left`` is empty: then every unseen
     vertex has a neighbour among the frontier vertices already expanded,
     so the rest of the frontier cannot add one to sphere k + 1 (on a
-    dense graph that is after a few vertices).  Sphere k's degree classes are the OR of the class bits of
-    the vertices expanded, plus one mask test per class on the part left
-    unexpanded.  Each source's spheres are packed into one int, C bits
-    per sphere, and one ``np.unpackbits`` lays them out as the tensor, so
-    it takes n * L * C bytes and no (n, L, n) membership is built."""
+    dense graph that is after a few vertices).  Sphere k's degree
+    classes are the OR of the class bits of the vertices expanded, plus
+    one mask test per class on the part left unexpanded."""
     n = g.n
-    if n == 0:
-        return np.zeros((0, 1, 0), dtype=np.uint8)
     degrees = g.degree_sequence
     distinct = sorted(set(degrees))
     classes = len(distinct)
@@ -117,7 +122,7 @@ def _spheres(g: Graph) -> np.ndarray:
         class_masks[index[d]] |= 1 << v
     far = [~row for row in g._bits]
     full = (1 << n) - 1
-    rows, depth = [], 0
+    rows = []
     for s in range(n):
         unseen, frontier = full ^ 1 << s, 1 << s
         packed = shift = 0
@@ -137,7 +142,34 @@ def _spheres(g: Graph) -> np.ndarray:
             shift += classes
             frontier, unseen = unseen ^ left, left
         rows.append(packed)
-        depth = max(depth, shift)
+    return rows
+
+
+def sphere_blocks(g: Graph) -> BlockStructure:
+    """The blocks of :func:`zero_pattern` ``(g)`` without building it:
+    a cell is left unforced exactly when its two vertices have equal
+    sphere-degree sets, so the blocks are the classes of equal sets,
+    each ascending and listed by least vertex.  Pure Python on the
+    neighbour bitmasks; no n x n array is built."""
+    classes: dict[int, list[int]] = {}
+    for v, row in enumerate(_sphere_sets(g)):
+        classes.setdefault(row, []).append(v)
+    return BlockStructure(tuple(map(tuple, classes.values())))
+
+
+def _spheres(rows: list[int], classes: int) -> np.ndarray:
+    """The 0/1 tensor S[x, k, d] marking degree class d in D_x(k), for
+    the spheres k = 0, 1, 2, ... and one last slot, always empty, as
+    uint8 of shape (n, L, C), laid out from :func:`_sphere_sets`' ints
+    ``rows`` by one ``np.unpackbits``: C = ``classes`` is the number of
+    distinct degrees and L the largest eccentricity within a component
+    plus 2.  It takes n * L * C bytes and no (n, L, n) membership is
+    built."""
+    n = len(rows)
+    if n == 0:
+        return np.zeros((0, 1, 0), dtype=np.uint8)
+    # the top sphere of each row is nonempty, so its bit length fixes L
+    depth = -(-max(row.bit_length() for row in rows) // classes) * classes
     cells = depth + classes  # the spheres, then the empty slot
     width = (cells + 7) // 8
     raw = b"".join(row.to_bytes(width, "little") for row in rows)
@@ -163,32 +195,43 @@ def _exceeds(spheres: np.ndarray) -> np.ndarray:
 def zero_pattern(g: Graph) -> ZeroPattern:
     """Union of all rules, closed under the antipode symmetry.
 
-    With S[x, k, d] marking degree d in D_x(k) from sphere 0 on, cell
-    (w, v) is forced directly when (S @ (1 - S).T)[w, v] > 0, and the
-    pattern is that matrix or its transpose.
+    Cell (w, v) is forced when D_w(k) is not a subset of D_v(k) or the
+    reverse for some sphere k >= 0, that is exactly when the two
+    vertices' sphere-degree sets differ, so ``forced`` compares the
+    packed ints of :func:`_sphere_sets` and takes no matrix product.
 
     Provenance per cell lists the rules that fired on the cell itself;
     cells forced only because their mirror was forced carry the
-    ``antipode`` tag.
+    ``antipode`` tag.  It is worked out on first read from the same
+    ints.
     """
-    spheres = _spheres(g)
-    direct = _exceeds(spheres)
-    forced = direct | direct.T
+    rows = _sphere_sets(g)
+    labels: dict[int, int] = {}
+    label = np.array([labels.setdefault(row, len(labels)) for row in rows])
+    forced = label[:, None] != label[None, :]
     forced.flags.writeable = False
-    return ZeroPattern(g.n, forced, partial(_zero_provenance, spheres, direct))
+    classes = len(set(g.degree_sequence))
+    return ZeroPattern(g.n, forced, partial(_zero_provenance, rows, classes))
 
 
-def _zero_provenance(spheres: np.ndarray, direct: np.ndarray) -> CellRules:
-    """The provenance of a zero pattern from its sphere tensor and its
-    directly forced cells: the degree rule's cells (sphere 0), then the
-    distance-degree rule's (spheres 1, 2, ...; appended to a cell both
-    rules force), then the cells forced only by their mirror, each in
-    row-major order."""
+def _zero_provenance(rows: list[int], classes: int) -> CellRules:
+    """The provenance of a zero pattern from its packed sphere sets: the
+    degree rule's cells (one product over sphere 0), then the
+    distance-degree rule's (one over spheres 1, 2, ...; appended to a
+    cell both rules force), then the cells forced only by their mirror,
+    each in row-major order.  A cell is forced directly when either
+    rule forces it, as the product over all spheres is the sum of the
+    two."""
+    spheres = _spheres(rows, classes)
+    n = len(rows)
+    direct = np.zeros((n, n), dtype=bool)
     prov: CellRules = {}
     for rule, block in (
         (RULE_DEGREE, spheres[:, :1]), (RULE_DISTANCE_DEGREE, spheres[:, 1:])
     ):
-        for i, j in zip(*np.nonzero(_exceeds(block))):
+        fired = _exceeds(block)
+        direct |= fired
+        for i, j in zip(*np.nonzero(fired)):
             cell = (int(i), int(j))
             prov[cell] = prov.get(cell, ()) + (rule,)
     for i, j in zip(*np.nonzero(direct.T & ~direct)):
@@ -199,7 +242,9 @@ def _zero_provenance(spheres: np.ndarray, direct: np.ndarray) -> CellRules:
 def blocks(pattern: ZeroPattern) -> BlockStructure:
     """Connected components of the complement of ``forced`` (the cells
     that may still be nonzero), ordered by least vertex.  Every vertex
-    lands in exactly one block."""
+    lands in exactly one block.  This is the general walk, for any
+    pattern, symmetric or not; a graph's own blocks are
+    :func:`sphere_blocks`."""
     forced = pattern.forced
     rows = _pack_rows(~(forced & forced.T))
     return BlockStructure(blocks=tuple(map(_mask_vertices, _component_masks(rows))))

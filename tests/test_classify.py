@@ -438,9 +438,9 @@ def test_listing_shortcuts_change_no_report(monkeypatch):
     # With a completed listing R-PROD and R-CORONA give their miss reason
     # at once, and R-BLOCKS reads a transitive listing's one block.  Off
     # (no rule sees a listing) and on, every classify and
-    # classify_with_complement payload is the same.  Listings and zero
-    # patterns are memoised per graph, so both passes share them.
-    for name in ("automorphisms", "zero_pattern"):
+    # classify_with_complement payload is the same.  Listings and sphere
+    # blocks are memoised per graph, so both passes share them.
+    for name in ("automorphisms", "sphere_blocks"):
         _memoise(monkeypatch, name)
 
     def payloads():
@@ -506,9 +506,9 @@ def _petersen():
     )
 
 
-def _counting(monkeypatch, name: str) -> list:
-    """Replace ``qsym.classify.<name>`` with a wrapper recording each call."""
-    module = importlib.import_module("qsym.classify")  # the package re-exports classify()
+def _counting(monkeypatch, name: str, module: str = "qsym.classify") -> list:
+    """Replace ``<module>.<name>`` with a wrapper recording each call."""
+    module = importlib.import_module(module)  # the package re-exports classify()
     calls = []
     real = getattr(module, name)
 
@@ -644,17 +644,17 @@ def test_q6_coarse_algebra_is_decided_within_the_default_budget():
 
 def test_one_zero_pattern_per_graph(monkeypatch):
     # both R-BLOCKS checks run on fig7, whose group is not transitive, and
-    # share one pattern
-    calls = _counting(monkeypatch, "zero_pattern")
+    # share one walk of the spheres
+    calls = _counting(monkeypatch, "_sphere_sets", "qsym.reduction")
     rep = classify(gallery("fig7"))
-    assert len(calls) == 1
+    assert calls == [(gallery("fig7"),)]
     assert sum("R-BLOCKS" in line for line in rep.trace) == 2
 
 
 def test_a_transitive_listing_builds_no_zero_pattern(monkeypatch):
     # Aut(C16) is transitive, so no cell is forced: both R-BLOCKS checks
     # read the one block 0..15 and log what the pattern would give
-    calls = _counting(monkeypatch, "zero_pattern")
+    calls = _counting(monkeypatch, "_sphere_sets", "qsym.reduction")
     rep = classify(cycle(16))
     assert calls == []
     assert [line for line in rep.trace if "R-BLOCKS" in line] == [

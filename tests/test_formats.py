@@ -301,6 +301,15 @@ def test_a_graph_at_the_cap_keeps_its_bitmasks_and_no_matrix():
     assert g.adj.tobytes() == adj.tobytes()
 
 
+def test_writing_graph6_leaves_no_matrix_on_the_graph():
+    # the writer unpacks the upper triangle into a local; at the order
+    # cap a cached matrix would take 16 MiB beside 1.3 MiB of bitmasks
+    g = cartesian(cycle(64), cycle(64))
+    text = write_graph("graph6", g)
+    assert g._adj is None
+    assert parse_graph("graph6", text) == g
+
+
 def reference_write_graph6(g) -> str:
     """The pair-by-pair writer the packed one replaced: the upper
     triangle column by column, six bits a character, zero-padded."""

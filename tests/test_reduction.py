@@ -40,6 +40,7 @@ from qsym import (
 )
 from qsym.census import SplitMix64, random_graph
 from qsym.gallery import c4pn_graph, fig7_graph
+from qsym.reduction import sphere_blocks
 
 from .conftest import SPARSE_GALLERY, graphs, kernel_corpus, small_corpus, time_limit
 
@@ -352,8 +353,11 @@ def assert_zero_pattern_matches_reference(g):
     got, want = zero_pattern(g), reference_zero_pattern(g)
     assert got.n == want.n
     assert_same_array(got.forced, want.forced)
+    assert got.forced_count == want.forced_count
     assert got.provenance == want.provenance
     assert list(got.provenance) == list(want.provenance)
+    # the sphere-set classes are the blocks of the reference pattern
+    assert sphere_blocks(g).blocks == reference_blocks(want)
 
 
 def test_zero_pattern_equals_the_reference_on_the_kernel_corpus():
@@ -383,26 +387,31 @@ def test_zero_pattern_equals_the_reference_on_random_graphs(g):
 @pytest.mark.parametrize("name", ["fig7", "c4pn20", "p48"])
 def test_verdicts_work_out_no_provenance(monkeypatch, name):
     # provenance only explains cells for display; deciding and re-checking
-    # a verdict reads the forced cells alone
+    # a verdict reads the sphere-set classes alone, with no sphere tensor
+    # and no product
     module = importlib.import_module("qsym.reduction")
-    calls = []
-    real = module._zero_provenance
-    monkeypatch.setattr(
-        module, "_zero_provenance", lambda *args: calls.append(args) or real(*args)
-    )
+    calls = {fn: [] for fn in ("_zero_provenance", "_spheres", "_exceeds")}
+    for fn, seen in calls.items():
+        real = getattr(module, fn)
+        monkeypatch.setattr(
+            module, fn,
+            lambda *args, seen=seen, real=real: seen.append(args) or real(*args),
+        )
     g = gallery(name)
     report = classify_with_complement(g)
     for verdict, h in (
         (report.bic, g), (report.ban, g), (report.bic_complement, complement(g))
     ):
         assert verify_certificate(h, verdict)
-    assert calls == []
-    # the counter does see the display path
+    assert calls == {fn: [] for fn in calls}
+    # the counters do see the display path: one tensor, one product per rule
     zero_pattern(g).provenance
-    assert len(calls) == 1
+    assert {fn: len(seen) for fn, seen in calls.items()} == {
+        "_zero_provenance": 1, "_spheres": 1, "_exceeds": 2,
+    }
 
 
-def test_pattern_takes_one_product_and_provenance_one_per_rule(monkeypatch):
+def test_pattern_takes_no_product_and_provenance_one_per_rule(monkeypatch):
     module = importlib.import_module("qsym.reduction")
     shapes = []
     real = module._exceeds
@@ -411,12 +420,12 @@ def test_pattern_takes_one_product_and_provenance_one_per_rule(monkeypatch):
     )
     g = fig7_graph()
     pattern = zero_pattern(g)
-    assert len(shapes) == 1
-    n, radius, classes = shapes[0]
+    assert shapes == []
     pattern.provenance
     pattern.provenance
     # sphere 0 for the degree rule, spheres 1, 2, ... for the other
-    assert shapes[1:] == [(n, 1, classes), (n, radius - 1, classes)]
+    n, radius, classes = reference_spheres(g).shape
+    assert shapes == [(n, 1, classes), (n, radius - 1, classes)]
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +457,9 @@ def reference_exceeds(spheres):
 
 def assert_spheres_match_reference(g):
     module = importlib.import_module("qsym.reduction")
-    got, want = module._spheres(g), reference_spheres(g)
+    classes = len(set(g.degree_sequence))
+    got = module._spheres(module._sphere_sets(g), classes)
+    want = reference_spheres(g)
     assert got.dtype == np.uint8
     assert got.shape == want.shape
     assert np.array_equal(got, want)
@@ -489,6 +500,14 @@ def test_spheres_match_the_distance_matrix_tensor_on_sparse_gallery(name):
 )
 def test_spheres_match_the_distance_matrix_tensor_on_edge_cases(g):
     assert_spheres_match_reference(g)
+
+
+@pytest.mark.parametrize(
+    "g", [*EDGE_CASES, *map(complement, EDGE_CASES), *PAST_64],
+    ids=lambda g: f"n{g.n}e{g.edge_count}",
+)
+def test_zero_pattern_equals_the_reference_on_edge_cases(g):
+    assert_zero_pattern_matches_reference(g)
 
 
 @given(graphs(max_n=10))
