@@ -31,6 +31,7 @@ import argparse
 import functools
 import io
 import json
+import math
 import sys
 from importlib import resources
 
@@ -152,8 +153,57 @@ def _document(**parts) -> dict:
 
 
 def _json_text(doc) -> str:
-    """``doc`` as the CLI prints JSON: indented two spaces, one final newline."""
-    return json.dumps(doc, indent=2) + "\n"
+    """``doc`` as the CLI prints JSON: ``json.dumps(doc, indent=2)`` and one
+    final newline.  Given an indent, ``json.dumps`` falls back to its
+    pure-Python encoder; :func:`_json_value` spells the same bytes with
+    the C string escaper, in about half the time on the reports."""
+    return _json_value(doc, "\n") + "\n"
+
+
+_JSON_STRING = json.encoder.encode_basestring_ascii
+_JSON_FLOATS = {math.inf: "Infinity", -math.inf: "-Infinity"}
+
+
+def _json_value(value, pad: str) -> str:
+    """One value as ``json.dumps(value, indent=2)`` spells it, ``pad``
+    being the line break and indent of the line it starts on."""
+    if isinstance(value, str):
+        return _JSON_STRING(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return "NaN" if value != value else _JSON_FLOATS.get(value) or float.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(type(item) is int for item in value):
+            items = map(int.__repr__, value)
+        else:
+            items = (_json_value(item, inner) for item in value)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (_json_key(key) + ": " + _json_value(item, inner) for key, item in value.items())
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    """A dict key as ``json.dumps`` spells it: a string, or a number, bool
+    or None as the string of its JSON value."""
+    if isinstance(key, str):
+        return _JSON_STRING(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + _json_value(key, "") + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _pattern_payload(g: Graph) -> dict:

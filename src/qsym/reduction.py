@@ -65,15 +65,31 @@ class ZeroPattern:
     within one block of :func:`sphere_blocks`.  ``provenance`` maps a
     forced cell to the rule names that produced it; only the display
     reads it, so ``explain`` works it out on first read.
+    ``rule_counts``, the cells per rule name the provenance lists, is
+    what the display shows of it; ``count``, when given, works that out
+    without the per-cell dict.
     """
 
     n: int
     forced: np.ndarray
     explain: Callable[[], CellRules] = field(repr=False, compare=False)
+    count: Callable[[], dict[str, int]] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @cached_property
     def provenance(self) -> CellRules:
         return self.explain()
+
+    @cached_property
+    def rule_counts(self) -> dict[str, int]:
+        if self.count is not None:
+            return self.count()
+        counts: dict[str, int] = {}
+        for rules in self.provenance.values():
+            for rule in rules:
+                counts[rule] = counts.get(rule, 0) + 1
+        return counts
 
     @property
     def forced_count(self) -> int:
@@ -180,16 +196,18 @@ def _spheres(rows: list[int], classes: int) -> np.ndarray:
 
 def _exceeds(spheres: np.ndarray) -> np.ndarray:
     """Cells (w, v) where some (k, d) marked for w is not marked for v:
-    flattened to rows, the product S @ (1 - S).T counts them.
+    flattened to rows, the product S @ (1 - S).T counts them.  That is
+    the marks of w less the marks w shares with v, so the cell is taken
+    when the product S @ S.T falls short of w's marks, and no 1 - S is
+    built.
 
     The product is taken in float32, which numpy hands to BLAS, and is
     exact: row w of S has at most n marks, one per vertex w reaches (at
     its distance from w and its degree class), so every count and every
-    partial sum is an integer of at most n <= MAX_ORDER = 4096 < 2**24.
-    (Only ``> 0`` is read, which a sum of non-negative terms keeps anyway.)"""
+    partial sum is an integer of at most n <= MAX_ORDER = 4096 < 2**24."""
     n, radius, classes = spheres.shape
     flat = spheres.reshape(n, radius * classes).astype(np.float32)
-    return (flat @ (1 - flat).T) > 0
+    return flat @ flat.T < flat.sum(axis=1)[:, None]
 
 
 def zero_pattern(g: Graph) -> ZeroPattern:
@@ -210,33 +228,45 @@ def zero_pattern(g: Graph) -> ZeroPattern:
     label = np.array([labels.setdefault(row, len(labels)) for row in rows])
     forced = label[:, None] != label[None, :]
     forced.flags.writeable = False
-    classes = len(set(g.degree_sequence))
-    return ZeroPattern(g.n, forced, partial(_zero_provenance, rows, classes))
+    cells = partial(_rule_cells, rows, len(set(g.degree_sequence)))
+    return ZeroPattern(
+        g.n, forced, partial(_zero_provenance, cells), partial(_rule_counts, cells)
+    )
 
 
-def _zero_provenance(rows: list[int], classes: int) -> CellRules:
-    """The provenance of a zero pattern from its packed sphere sets: the
-    degree rule's cells (one product over sphere 0), then the
-    distance-degree rule's (one over spheres 1, 2, ...; appended to a
-    cell both rules force), then the cells forced only by their mirror,
-    each in row-major order.  A cell is forced directly when either
-    rule forces it, as the product over all spheres is the sum of the
-    two."""
+def _rule_cells(rows: list[int], classes: int) -> list[tuple[str, np.ndarray]]:
+    """Each rule's cells from the packed sphere sets, as n x n masks: the
+    degree rule's (one product over sphere 0), the distance-degree
+    rule's (one over spheres 1, 2, ...) and those forced only by their
+    mirror.  A cell is forced directly when either rule forces it, as
+    the product over all spheres is the sum of the two."""
     spheres = _spheres(rows, classes)
-    n = len(rows)
-    direct = np.zeros((n, n), dtype=bool)
+    degree, distance = _exceeds(spheres[:, :1]), _exceeds(spheres[:, 1:])
+    direct = degree | distance
+    return [
+        (RULE_DEGREE, degree),
+        (RULE_DISTANCE_DEGREE, distance),
+        (RULE_ANTIPODE, direct.T & ~direct),
+    ]
+
+
+def _zero_provenance(cells: Callable[[], list[tuple[str, np.ndarray]]]) -> CellRules:
+    """The provenance of a zero pattern: the cells of each rule of
+    :func:`_rule_cells` in turn, each in row-major order, a rule met
+    again on a cell appended to it."""
     prov: CellRules = {}
-    for rule, block in (
-        (RULE_DEGREE, spheres[:, :1]), (RULE_DISTANCE_DEGREE, spheres[:, 1:])
-    ):
-        fired = _exceeds(block)
-        direct |= fired
+    for rule, fired in cells():
         for i, j in zip(*np.nonzero(fired)):
             cell = (int(i), int(j))
             prov[cell] = prov.get(cell, ()) + (rule,)
-    for i, j in zip(*np.nonzero(direct.T & ~direct)):
-        prov[(int(i), int(j))] = (RULE_ANTIPODE,)
     return prov
+
+
+def _rule_counts(cells: Callable[[], list[tuple[str, np.ndarray]]]) -> dict[str, int]:
+    """The cells per rule that :func:`_zero_provenance` would list, read
+    off the masks' nonzeros; a rule that forces no cell is left out."""
+    counts = {rule: int(np.count_nonzero(fired)) for rule, fired in cells()}
+    return {rule: count for rule, count in counts.items() if count}
 
 
 def blocks(pattern: ZeroPattern) -> BlockStructure:
@@ -258,10 +288,7 @@ def render_pattern(g: Graph, pattern: ZeroPattern) -> str:
         lines.append(
             " ".join("0" if pattern.forced[i, j] else "." for j in range(pattern.n))
         )
-    counts: dict[str, int] = {}
-    for rules in pattern.provenance.values():
-        for rule in rules:
-            counts[rule] = counts.get(rule, 0) + 1
+    counts = pattern.rule_counts
     legend = [f"forced cells: {pattern.forced_count} of {pattern.n * pattern.n}"]
     for rule in (RULE_DEGREE, RULE_DISTANCE_DEGREE, RULE_ANTIPODE):
         if rule in counts:

@@ -772,6 +772,8 @@ def test_listing_and_support_table_are_the_same_across_row_blocks(monkeypatch):
     cases += [f for n in range(1, 8) for f in enumerate_forests(n)]
     cases += [hypercube(3), hypercube(4), hypercube(5), gallery("p64")]
     whole = [automorphisms(g) for g in cases]
+    # every group through numpy, which is what is cut into blocks
+    monkeypatch.setattr(_module, "_SMALL", 0)
     monkeypatch.setattr(_module, "_BLOCK", 3)
     crossed = 0
     for g, want in zip(cases, whole):
@@ -825,6 +827,8 @@ def test_merged_rows_give_the_support_table_of_the_full_listing(monkeypatch):
     cases += [edgeless(7), star(6), complete_bipartite(4, 5)]
     whole = [automorphisms(g) for g in cases]
     merges = _merges(monkeypatch)
+    # every group through numpy, which is what merges rows
+    monkeypatch.setattr(_module, "_SMALL", 0)
     monkeypatch.setattr(_module, "_BLOCK", 3)
     for g, want in zip(cases, whole):
         auts = automorphisms(g)
@@ -850,11 +854,96 @@ def test_the_gate_tries_no_merge_where_every_transversal_element_moves_late_poin
     ]
     whole = [automorphisms(g) for g in cases]
     merges = _merges(monkeypatch)
+    monkeypatch.setattr(_module, "_SMALL", 0)
     monkeypatch.setattr(_module, "_BLOCK", 3)
     for g, want in zip(cases, whole):
         auts = automorphisms(g)
         assert list(auts.supports.items()) == list(_packed_supports(want.table).items()), g
     assert merges == []
+
+
+def _both_tables(monkeypatch, g):
+    """Aut(g)'s support table through numpy, then through plain Python
+    (see :func:`qsym.automorphisms._small_supports`), for any group the
+    second can list in a test."""
+    monkeypatch.setattr(_module, "_SMALL", 0)
+    numpy_table = automorphisms(g).supports
+    monkeypatch.setattr(_module, "_SMALL", 10_000)
+    return numpy_table, automorphisms(g).supports
+
+
+def test_the_python_and_numpy_support_tables_agree(monkeypatch):
+    # item for item: the same masks, first elements and order.  Groups of
+    # order past 10,000 (edgeless(8) and (9) among the forests) go
+    # through numpy both times
+    rng = SplitMix64(0x5EED)
+    cases = [random_graph(rng) for _ in range(1000)]
+    cases += [complement(g) for g in cases[:300]]
+    cases += [f for n in range(1, 10) for f in enumerate_forests(n)]
+    cases += [gallery(name) for name in SPARSE_GALLERY if name not in ("star20", "k3_12")]
+    cases += [gallery("prism7"), hypercube(3), hypercube(4)]
+    threshold = _module._SMALL
+    orders = []
+    for g in cases:
+        numpy_table, python_table = _both_tables(monkeypatch, g)
+        assert list(python_table.items()) == list(numpy_table.items()), g
+        orders.append(math.prod(map(len, automorphisms(g).chain)))
+    # well past the real threshold, into merged levels of the numpy path
+    past = [o for o in orders if threshold < o <= 10_000]
+    assert (len(past), max(past)) == (363, 5_040)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=8))
+def test_the_python_and_numpy_support_tables_agree_on_any_graph(g):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        numpy_table, python_table = _both_tables(monkeypatch, g)
+    assert list(python_table.items()) == list(numpy_table.items()), g
+
+
+def test_a_small_group_composes_nothing_in_numpy(monkeypatch):
+    # up to the threshold the support table is read in plain Python
+    cases = [cycle(6), path(5), star(3), complete_bipartite(2, 3)]
+    wants = [_packed_supports(automorphisms(g).table) for g in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy composed the table")
+
+    monkeypatch.setattr(_module, "_first_rows", refuse)
+    monkeypatch.setattr(_module, "_supports", refuse)
+    for g, want in zip(cases, wants):
+        auts = automorphisms(g)
+        assert 1 < auts.order <= _module._SMALL, g
+        assert list(auts.supports.items()) == list(want.items()), g
+
+
+def _profile_distinct_pool() -> list:
+    """The draws of 0x5EED among the first 300 on whose vertices the
+    degree profiles are all distinct."""
+    rng = SplitMix64(0x5EED)
+    pool = [random_graph(rng) for _ in range(300)]
+    return [g for g in pool if len(set(_module._profiles(g))) == g.n]
+
+
+def test_distinct_profiles_give_the_identity_without_a_search(monkeypatch):
+    # only the identity maps every vertex to one with its own profile; it
+    # builds no search and no distance classes, and is still charged its
+    # n entries of the listing
+    cases = _profile_distinct_pool() + [edgeless(1)]
+    chains = [_module._chain(g, _module._Search(g, g, math.inf)) for g in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a search was set up")
+
+    monkeypatch.setattr(_module, "_Search", refuse)
+    monkeypatch.setattr(_module, "_distance_classes", refuse)
+    for g, chain in zip(cases, chains):
+        auts = automorphisms(g, node_budget=g.n)
+        assert (auts.order, auts.supports, auts.chain) == (1, {}, chain), g
+        assert auts.table.tolist() == [list(range(g.n))], g
+        with pytest.raises(SizeLimitExceeded):
+            automorphisms(g, node_budget=g.n - 1)
+    assert len(cases) > 10
 
 
 def test_wide_support_table_is_keyed_in_row_blocks(monkeypatch):

@@ -610,3 +610,37 @@ def test_module_invocation_matches_api(capsys):
     doc = json.loads(proc.stdout)
     rc, out, _ = run(capsys, "analyze", "--gallery", "k4")
     assert json.loads(out)["verdicts"] == doc["verdicts"]
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()  # NaN and the infinities included
+    | st.text()  # non-ASCII, control characters and quotes included
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.recursive(
+        _JSON_SCALARS,
+        lambda inner: st.lists(inner)
+        | st.lists(inner).map(tuple)
+        | st.lists(st.integers())
+        | st.dictionaries(st.text() | st.integers() | st.booleans() | st.none(), inner),
+        max_leaves=30,
+    )
+)
+@example({"a": [], "b": {}, "c": [[], {}], "": "é☃\n\t\"\\", 7: -0.0})
+@example([1, True, 2])  # not all plain ints: True stays "true"
+def test_json_text_is_the_indented_dump(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2) + "\n"
+
+
+def test_json_text_refuses_what_the_dump_refuses():
+    for bad in ({(1, 2): 3}, {1, 2}, object()):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2)
+        with pytest.raises(TypeError):
+            cli._json_text(bad)

@@ -411,6 +411,30 @@ def test_verdicts_work_out_no_provenance(monkeypatch, name):
     }
 
 
+def test_the_legend_counts_cells_without_the_provenance(monkeypatch):
+    # the legend's cells per rule are the masks' nonzeros, so rendering
+    # builds no per-cell dict; they equal the provenance's counts, which
+    # a pattern built without ``count`` still renders from
+    module = importlib.import_module("qsym.reduction")
+    rng = SplitMix64(0x5EED)
+    cases = [random_graph(rng) for _ in range(200)]
+    cases += [gallery(name) for name in ("fig7", "c4pn20", "p48", "star20")]
+    cases += [complement(g) for g in cases[-4:]] + [edgeless(0), edgeless(3)]
+    real = module._zero_provenance
+    monkeypatch.setattr(module, "_zero_provenance", lambda *args: 1 / 0)
+    for g in cases:
+        pattern = zero_pattern(g)
+        text = render_pattern(g, pattern)
+        provenance = real(*pattern.explain.args)
+        counts = {}
+        for rules in provenance.values():
+            for rule in rules:
+                counts[rule] = counts.get(rule, 0) + 1
+        assert pattern.rule_counts == counts, g
+        uncounted = ZeroPattern(g.n, pattern.forced, lambda: provenance)
+        assert render_pattern(g, uncounted) == text, g
+
+
 def test_pattern_takes_no_product_and_provenance_one_per_rule(monkeypatch):
     module = importlib.import_module("qsym.reduction")
     shapes = []
