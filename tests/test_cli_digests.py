@@ -1,11 +1,11 @@
 """CLI bytes, pinned per invocation.
 
-For each ``qsym construct`` and ``qsym census`` invocation below, the exit
-code, stdout and stderr of ``main(argv)`` are dumped as JSON and hashed
-with sha256.  The digests must equal those recorded in
-``tests/data/cli_digests.json``, so a refactor of the constructions, their
-traces or the census CSV can show that it changed no byte a shell user
-sees.
+For each ``qsym construct``, ``qsym census`` and ``qsym pattern``
+invocation below, the exit code, stdout and stderr of ``main(argv)`` are
+dumped as JSON and hashed with sha256.  The digests must equal those
+recorded in ``tests/data/cli_digests.json``, so a refactor of the
+constructions, their traces, the census CSV or the zero-pattern display
+can show that it changed no byte a shell user sees.
 
 A change that means to alter this output re-records the file, and says
 which invocations changed and why:
@@ -55,9 +55,19 @@ _WREATH_PAIRS = (
     ("--gallery", "k2",),
 )
 
+_PATTERN_INPUTS = (
+    *(("--gallery", name) for name in (
+        "fig7", "sc", "t0", "cherry2", "prism7", "c16", "c64", "p48",
+        "c4pn20", "c4pn300", "star20", "k3_12",
+    )),
+    ("--edges", "0"),
+    ("--edges", "1"),
+    ("--edges", "5;0 1;2 3"),
+)
+
 
 def invocations():
-    """Every pinned argv, construct first, then census."""
+    """Every pinned argv: construct, then census, then pattern."""
     for mode in ((), ("--json",), ("--format", "graph6"), ("--format", "dot")):
         for kind in ("free", "tensor"):
             for factors in _FACTOR_SETS:
@@ -74,6 +84,9 @@ def invocations():
     yield ("census", "cherries", "--n-max", "8")
     yield ("census", "oracle")
     yield ("census", "oracle", "--count", "30", "--seed", "0x11")
+    for mode in ((), ("--json",)):
+        for source in _PATTERN_INPUTS:
+            yield ("pattern", *source, *mode)
 
 
 def invocation_digest(argv) -> str:
