@@ -31,9 +31,9 @@ neighbour bitmasks packs that vertex's sets into one int
 marks the cells whose two ints differ.
 
 Which rule forced which cell (the *provenance*) matters only for display,
-so a pattern works it out on first read, from the same ints laid out as
-a 0/1 tensor: one matrix product over sphere 0 gives the degree rule's
-cells, and one over spheres 1, 2, ... the distance-degree rule's.
+so a pattern works it out on first read, per pair of classes of equal
+sets: the degree rule compares sphere 0, the distance-degree rule takes
+one AND-NOT of the spheres from 1 on, and the antipode tags what is left.
 """
 
 from __future__ import annotations
@@ -62,34 +62,38 @@ class ZeroPattern:
     is never forced (the identity always survives).  A pattern from
     :func:`zero_pattern` forces a cell exactly when its two vertices'
     sphere-degree sets differ, so its unforced cells are the pairs
-    within one block of :func:`sphere_blocks`.  ``provenance`` maps a
-    forced cell to the rule names that produced it; only the display
-    reads it, so ``explain`` works it out on first read.
-    ``rule_counts``, the cells per rule name the provenance lists, is
-    what the display shows of it; ``count``, when given, works that out
-    without the per-cell dict.
+    within one block of :func:`sphere_blocks`.  ``cells`` returns each
+    rule's n x n mask, in rule order; only the display reads them, so
+    they are built on first read of ``provenance`` (a forced cell's rule
+    names) or ``rule_counts`` (the cells per rule name, what the legend
+    shows), once for both.
     """
 
     n: int
     forced: np.ndarray
-    explain: Callable[[], CellRules] = field(repr=False, compare=False)
-    count: Callable[[], dict[str, int]] | None = field(
-        default=None, repr=False, compare=False
-    )
+    cells: Callable[[], list[tuple[str, np.ndarray]]] = field(repr=False, compare=False)
+
+    @cached_property
+    def _masks(self) -> list[tuple[str, np.ndarray]]:
+        return self.cells()
 
     @cached_property
     def provenance(self) -> CellRules:
-        return self.explain()
+        """Each rule's cells in turn, each in row-major order, a rule met
+        again on a cell appended to it."""
+        prov: CellRules = {}
+        for rule, fired in self._masks:
+            for i, j in zip(*np.nonzero(fired)):
+                cell = (int(i), int(j))
+                prov[cell] = prov.get(cell, ()) + (rule,)
+        return prov
 
     @cached_property
     def rule_counts(self) -> dict[str, int]:
-        if self.count is not None:
-            return self.count()
-        counts: dict[str, int] = {}
-        for rules in self.provenance.values():
-            for rule in rules:
-                counts[rule] = counts.get(rule, 0) + 1
-        return counts
+        """The cells per rule that ``provenance`` lists, read off the
+        masks' nonzeros; a rule that forces no cell is left out."""
+        counts = {rule: int(np.count_nonzero(fired)) for rule, fired in self._masks}
+        return {rule: count for rule, count in counts.items() if count}
 
     @property
     def forced_count(self) -> int:
@@ -173,100 +177,59 @@ def sphere_blocks(g: Graph) -> BlockStructure:
     return BlockStructure(tuple(map(tuple, classes.values())))
 
 
-def _spheres(rows: list[int], classes: int) -> np.ndarray:
-    """The 0/1 tensor S[x, k, d] marking degree class d in D_x(k), for
-    the spheres k = 0, 1, 2, ... and one last slot, always empty, as
-    uint8 of shape (n, L, C), laid out from :func:`_sphere_sets`' ints
-    ``rows`` by one ``np.unpackbits``: C = ``classes`` is the number of
-    distinct degrees and L the largest eccentricity within a component
-    plus 2.  It takes n * L * C bytes and no (n, L, n) membership is
-    built."""
-    n = len(rows)
-    if n == 0:
-        return np.zeros((0, 1, 0), dtype=np.uint8)
-    # the top sphere of each row is nonempty, so its bit length fixes L
-    depth = -(-max(row.bit_length() for row in rows) // classes) * classes
-    cells = depth + classes  # the spheres, then the empty slot
-    width = (cells + 7) // 8
-    raw = b"".join(row.to_bytes(width, "little") for row in rows)
-    flat = np.frombuffer(raw, np.uint8).reshape(n, width)
-    bits = np.unpackbits(flat, axis=1, count=cells, bitorder="little")
-    return bits.reshape(n, cells // classes, classes)
-
-
-def _exceeds(spheres: np.ndarray) -> np.ndarray:
-    """Cells (w, v) where some (k, d) marked for w is not marked for v:
-    flattened to rows, the product S @ (1 - S).T counts them.  That is
-    the marks of w less the marks w shares with v, so the cell is taken
-    when the product S @ S.T falls short of w's marks, and no 1 - S is
-    built.
-
-    The product is taken in float32, which numpy hands to BLAS, and is
-    exact: row w of S has at most n marks, one per vertex w reaches (at
-    its distance from w and its degree class), so every count and every
-    partial sum is an integer of at most n <= MAX_ORDER = 4096 < 2**24."""
-    n, radius, classes = spheres.shape
-    flat = spheres.reshape(n, radius * classes).astype(np.float32)
-    return flat @ flat.T < flat.sum(axis=1)[:, None]
-
-
 def zero_pattern(g: Graph) -> ZeroPattern:
     """Union of all rules, closed under the antipode symmetry.
 
     Cell (w, v) is forced when D_w(k) is not a subset of D_v(k) or the
     reverse for some sphere k >= 0, that is exactly when the two
     vertices' sphere-degree sets differ, so ``forced`` compares the
-    packed ints of :func:`_sphere_sets` and takes no matrix product.
+    labels of the classes of equal packed ints of :func:`_sphere_sets`.
 
     Provenance per cell lists the rules that fired on the cell itself;
     cells forced only because their mirror was forced carry the
     ``antipode`` tag.  It is worked out on first read from the same
-    ints.
+    classes.
     """
-    rows = _sphere_sets(g)
     labels: dict[int, int] = {}
-    label = np.array([labels.setdefault(row, len(labels)) for row in rows])
+    label = np.array(
+        [labels.setdefault(row, len(labels)) for row in _sphere_sets(g)], dtype=np.intp
+    )
     forced = label[:, None] != label[None, :]
     forced.flags.writeable = False
-    cells = partial(_rule_cells, rows, len(set(g.degree_sequence)))
-    return ZeroPattern(
-        g.n, forced, partial(_zero_provenance, cells), partial(_rule_counts, cells)
-    )
+    classes = len(set(g.degree_sequence))
+    return ZeroPattern(g.n, forced, partial(_rule_cells, forced, label, list(labels), classes))
 
 
-def _rule_cells(rows: list[int], classes: int) -> list[tuple[str, np.ndarray]]:
-    """Each rule's cells from the packed sphere sets, as n x n masks: the
-    degree rule's (one product over sphere 0), the distance-degree
-    rule's (one over spheres 1, 2, ...) and those forced only by their
-    mirror.  A cell is forced directly when either rule forces it, as
-    the product over all spheres is the sum of the two."""
-    spheres = _spheres(rows, classes)
-    degree, distance = _exceeds(spheres[:, :1]), _exceeds(spheres[:, 1:])
-    direct = degree | distance
+def _rule_cells(
+    forced: np.ndarray, label: np.ndarray, sets: list[int], classes: int
+) -> list[tuple[str, np.ndarray]]:
+    """Each rule's cells as n x n masks: the degree rule's, the
+    distance-degree rule's and those forced only by their mirror.
+
+    Both rules depend only on the class of equal sets each vertex is in,
+    ``sets[c]`` being the packed int of class c and ``label[v]`` the
+    class of v, so each is worked out per ordered pair of classes and
+    expanded by the labels.  Sphere 0, the low ``classes`` bits, is
+    {deg}: the degree rule compares its one bit.  The distance-degree
+    rule forces (a, b) when the spheres from 1 on of class a have a bit
+    that b's lack, one AND-NOT per class over 64-bit words.  ``forced``
+    is the union of both rules and its mirror, so the cells it forces
+    that neither rule does are the antipode's."""
+    low = (1 << classes) - 1
+    degree = np.array([(row & low).bit_length() for row in sets], dtype=np.intp)[label]
+    tails = [row >> classes for row in sets]
+    width = max(1, -(-max((t.bit_length() for t in tails), default=0) // 64))
+    words = np.frombuffer(b"".join(t.to_bytes(8 * width, "little") for t in tails), "<u8")
+    words = words.reshape(len(sets), width)
+    spare = ~words
+    exceeds = np.array([(row & spare).any(axis=1) for row in words], dtype=bool)
+    degree = degree[:, None] != degree[None, :]
+    distance = exceeds.reshape(len(sets), len(sets))[np.ix_(label, label)]
     return [
         (RULE_DEGREE, degree),
         (RULE_DISTANCE_DEGREE, distance),
-        (RULE_ANTIPODE, direct.T & ~direct),
+        (RULE_ANTIPODE, forced & ~(degree | distance)),
     ]
-
-
-def _zero_provenance(cells: Callable[[], list[tuple[str, np.ndarray]]]) -> CellRules:
-    """The provenance of a zero pattern: the cells of each rule of
-    :func:`_rule_cells` in turn, each in row-major order, a rule met
-    again on a cell appended to it."""
-    prov: CellRules = {}
-    for rule, fired in cells():
-        for i, j in zip(*np.nonzero(fired)):
-            cell = (int(i), int(j))
-            prov[cell] = prov.get(cell, ()) + (rule,)
-    return prov
-
-
-def _rule_counts(cells: Callable[[], list[tuple[str, np.ndarray]]]) -> dict[str, int]:
-    """The cells per rule that :func:`_zero_provenance` would list, read
-    off the masks' nonzeros; a rule that forces no cell is left out."""
-    counts = {rule: int(np.count_nonzero(fired)) for rule, fired in cells()}
-    return {rule: count for rule, count in counts.items() if count}
 
 
 def blocks(pattern: ZeroPattern) -> BlockStructure:

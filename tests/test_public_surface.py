@@ -108,7 +108,7 @@ GONE = {
         "replay_all",
     ],
     "qsym.products": ["copies"],
-    "qsym.reduction": ["strip_high_degree"],
+    "qsym.reduction": ["strip_high_degree", "ZeroPattern.count"],
     "qsym.errors": ["K1Input"],
 }
 

@@ -5,9 +5,10 @@ automorphism of the graph maps v to w.  We check that against the
 brute-force automorphism list for the whole small corpus.
 """
 
+import ast
 import importlib
+import inspect
 from collections import deque
-from functools import partial
 
 import numpy as np
 import pytest
@@ -46,13 +47,8 @@ from .conftest import SPARSE_GALLERY, graphs, kernel_corpus, small_corpus, time_
 
 
 # ---------------------------------------------------------------------------
-# each rule as its own pattern: oracles for the sphere tensor, which
-# evaluates both rules in one product
-
-
-def _tagged(forced, rule):
-    """Every forced cell, in row-major order, tagged with ``rule`` alone."""
-    return {(int(i), int(j)): (rule,) for i, j in zip(*np.nonzero(forced))}
+# each rule as its own pattern: oracles for the rule cells, which
+# zero_pattern works out per pair of sphere classes
 
 
 def _freeze(forced):
@@ -65,7 +61,7 @@ def degree_pattern(g):
     """Forced zeros from the degree rule alone."""
     deg = np.asarray(g.degree_sequence, dtype=np.int64)
     forced = _freeze(deg[:, None] != deg[None, :])
-    return ZeroPattern(g.n, forced, partial(_tagged, forced, RULE_DEGREE))
+    return ZeroPattern(g.n, forced, lambda: [(RULE_DEGREE, forced)])
 
 
 def distance_degree_pattern(g):
@@ -89,7 +85,7 @@ def distance_degree_pattern(g):
         flat = spheres.reshape(n, shape[1] * shape[2])
         forced = (flat @ (1 - flat).T) > 0
     forced = _freeze(forced)
-    return ZeroPattern(g.n, forced, partial(_tagged, forced, RULE_DISTANCE_DEGREE))
+    return ZeroPattern(g.n, forced, lambda: [(RULE_DISTANCE_DEGREE, forced)])
 
 
 def movable(g):
@@ -264,11 +260,7 @@ def reference_distance_degree_pattern(g):
                     forced[w, v] = True
                     break
     forced.flags.writeable = False
-    prov = {
-        (int(i), int(j)): (RULE_DISTANCE_DEGREE,)
-        for i, j in zip(*np.nonzero(forced))
-    }
-    return ZeroPattern(n=n, forced=forced, explain=lambda: prov)
+    return ZeroPattern(n=n, forced=forced, cells=lambda: [(RULE_DISTANCE_DEGREE, forced)])
 
 
 def assert_same_array(got, want):
@@ -286,7 +278,7 @@ def assert_kernels_match_reference(g):
     assert_same_array(got.forced, want.forced)
     assert got.provenance == want.provenance
     assert list(got.provenance) == list(want.provenance)
-    # the sphere tensor's distance-degree block forces the same cells
+    # the pattern's distance-degree rule forces the same cells
     tagged = [
         cell
         for cell, rules in zero_pattern(g).provenance.items()
@@ -331,22 +323,19 @@ def test_kernels_match_reference_on_random_graphs(g):
 
 
 def reference_zero_pattern(g):
-    """The union of the two rules as separate patterns, merged cell by
-    cell: the degree rule's cells, then the distance-degree rule's
-    (appended where both fire), then the cells forced only by their
-    mirror, tagged ``antipode``."""
-    n = g.n
-    direct = np.zeros((n, n), dtype=bool)
-    prov = {}
-    for pat in (degree_pattern(g), distance_degree_pattern(g)):
-        direct |= pat.forced
-        for cell, rules in pat.provenance.items():
-            prov[cell] = prov.get(cell, ()) + rules
+    """The union of the two rules as separate patterns: the degree
+    rule's cells, then the distance-degree rule's, then the cells forced
+    only by their mirror, tagged ``antipode``."""
+    degree, distance = degree_pattern(g).forced, distance_degree_pattern(g).forced
+    direct = degree | distance
     forced = direct | direct.T
-    for i, j in zip(*np.nonzero(forced & ~direct)):
-        prov[(int(i), int(j))] = (RULE_ANTIPODE,)
     forced.flags.writeable = False
-    return ZeroPattern(n=n, forced=forced, explain=lambda: prov)
+    rules = [
+        (RULE_DEGREE, degree),
+        (RULE_DISTANCE_DEGREE, distance),
+        (RULE_ANTIPODE, forced & ~direct),
+    ]
+    return ZeroPattern(n=g.n, forced=forced, cells=lambda: rules)
 
 
 def assert_zero_pattern_matches_reference(g):
@@ -356,6 +345,8 @@ def assert_zero_pattern_matches_reference(g):
     assert got.forced_count == want.forced_count
     assert got.provenance == want.provenance
     assert list(got.provenance) == list(want.provenance)
+    assert got.rule_counts == want.rule_counts
+    assert list(got.rule_counts) == list(want.rule_counts)
     # the sphere-set classes are the blocks of the reference pattern
     assert sphere_blocks(g).blocks == reference_blocks(want)
 
@@ -378,117 +369,108 @@ def test_zero_pattern_equals_the_reference_on_edgeless_graphs(n):
     assert_zero_pattern_matches_reference(edgeless(n))
 
 
-@given(graphs(max_n=8))
-@settings(max_examples=100, deadline=None)
+@given(graphs(max_n=10))
+@settings(max_examples=200, deadline=None)
 def test_zero_pattern_equals_the_reference_on_random_graphs(g):
     assert_zero_pattern_matches_reference(g)
 
 
 @pytest.mark.parametrize("name", ["fig7", "c4pn20", "p48"])
 def test_verdicts_work_out_no_provenance(monkeypatch, name):
-    # provenance only explains cells for display; deciding and re-checking
-    # a verdict reads the sphere-set classes alone, with no sphere tensor
-    # and no product
+    # the rule cells only explain a pattern for display; deciding and
+    # re-checking a verdict reads the sphere-set classes alone
     module = importlib.import_module("qsym.reduction")
-    calls = {fn: [] for fn in ("_zero_provenance", "_spheres", "_exceeds")}
-    for fn, seen in calls.items():
-        real = getattr(module, fn)
-        monkeypatch.setattr(
-            module, fn,
-            lambda *args, seen=seen, real=real: seen.append(args) or real(*args),
-        )
+    calls = []
+    real = module._rule_cells
+    monkeypatch.setattr(
+        module, "_rule_cells", lambda *args: calls.append(args) or real(*args)
+    )
     g = gallery(name)
     report = classify_with_complement(g)
     for verdict, h in (
         (report.bic, g), (report.ban, g), (report.bic_complement, complement(g))
     ):
         assert verify_certificate(h, verdict)
-    assert calls == {fn: [] for fn in calls}
-    # the counters do see the display path: one tensor, one product per rule
-    zero_pattern(g).provenance
-    assert {fn: len(seen) for fn, seen in calls.items()} == {
-        "_zero_provenance": 1, "_spheres": 1, "_exceeds": 2,
-    }
+    assert calls == []
+    # the display builds the masks once per pattern, for both views
+    for h in (g, complement(g)):
+        pattern = zero_pattern(h)
+        pattern.rule_counts
+        pattern.provenance
+        pattern.rule_counts
+    assert len(calls) == 2
 
 
-def test_the_legend_counts_cells_without_the_provenance(monkeypatch):
+def test_the_legend_counts_cells_without_the_provenance():
     # the legend's cells per rule are the masks' nonzeros, so rendering
-    # builds no per-cell dict; they equal the provenance's counts, which
-    # a pattern built without ``count`` still renders from
-    module = importlib.import_module("qsym.reduction")
+    # builds no per-cell dict; they equal the provenance's counts
     rng = SplitMix64(0x5EED)
     cases = [random_graph(rng) for _ in range(200)]
     cases += [gallery(name) for name in ("fig7", "c4pn20", "p48", "star20")]
     cases += [complement(g) for g in cases[-4:]] + [edgeless(0), edgeless(3)]
-    real = module._zero_provenance
-    monkeypatch.setattr(module, "_zero_provenance", lambda *args: 1 / 0)
     for g in cases:
         pattern = zero_pattern(g)
-        text = render_pattern(g, pattern)
-        provenance = real(*pattern.explain.args)
+        render_pattern(g, pattern)
+        assert "provenance" not in vars(pattern), g
         counts = {}
-        for rules in provenance.values():
+        for rules in pattern.provenance.values():
             for rule in rules:
                 counts[rule] = counts.get(rule, 0) + 1
         assert pattern.rule_counts == counts, g
-        uncounted = ZeroPattern(g.n, pattern.forced, lambda: provenance)
-        assert render_pattern(g, uncounted) == text, g
 
 
 def test_pattern_takes_no_product_and_provenance_one_per_rule(monkeypatch):
+    # the rules are read off the sphere classes: the module takes no
+    # matrix product and names no float type
     module = importlib.import_module("qsym.reduction")
-    shapes = []
-    real = module._exceeds
+    tree = ast.parse(inspect.getsource(module))
+    assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree))
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not names & {"dot", "matmul", "einsum", "float32", "float64"}
+    # the masks come one per rule, in rule order, built once
+    masks = []
+    real = module._rule_cells
     monkeypatch.setattr(
-        module, "_exceeds", lambda s: shapes.append(s.shape) or real(s)
+        module, "_rule_cells", lambda *args: masks.append(real(*args)) or masks[-1]
     )
     g = fig7_graph()
     pattern = zero_pattern(g)
-    assert shapes == []
+    assert masks == []
     pattern.provenance
     pattern.provenance
-    # sphere 0 for the degree rule, spheres 1, 2, ... for the other
-    n, radius, classes = reference_spheres(g).shape
-    assert shapes == [(n, 1, classes), (n, radius - 1, classes)]
+    assert len(masks) == 1
+    assert [rule for rule, _ in masks[0]] == [
+        RULE_DEGREE, RULE_DISTANCE_DEGREE, RULE_ANTIPODE,
+    ]
+    assert all(mask.shape == (g.n, g.n) for _, mask in masks[0])
 
 
 # ---------------------------------------------------------------------------
-# the sphere walk against the tensor read off the distance matrix
+# the sphere walk against the sets read off the distance matrix
 
 
-def reference_spheres(g):
-    """S[x, k, d] from the full distance matrix, as int64: one mark per
-    vertex q at (dist(x, q), class of deg q); the unreachable vertices
-    index the last slot (-1), which is then cleared."""
-    n = g.n
-    if n == 0:
-        return np.zeros((0, 1, 0), dtype=np.int64)
+def reference_sphere_sets(g):
+    """The sets D_x(0), D_x(1), ... of each vertex x read off the full
+    distance matrix, packed as the walk packs them: C bits per sphere,
+    C the number of distinct degrees, bit k * C + c set when a vertex of
+    the c-th smallest degree is at distance k from x."""
     dist = distance_matrix(g)
     degrees = g.degree_sequence
     deg_class = {d: c for c, d in enumerate(sorted(set(degrees)))}
-    spheres = np.zeros((n, int(dist.max()) + 2, len(deg_class)), dtype=np.int64)
-    spheres[np.arange(n)[:, None], dist, [deg_class[d] for d in degrees]] = 1
-    spheres[:, -1] = 0
-    return spheres
+    rows = []
+    for x in range(g.n):
+        packed = 0
+        for q in range(g.n):
+            k = int(dist[x, q])
+            if k != UNREACHABLE:
+                packed |= 1 << (k * len(deg_class) + deg_class[degrees[q]])
+        rows.append(packed)
+    return rows
 
 
-def reference_exceeds(spheres):
-    """The cells of the int64 product S @ (1 - S).T that are positive."""
-    n, radius, classes = spheres.shape
-    flat = spheres.reshape(n, radius * classes).astype(np.int64)
-    return (flat @ (1 - flat).T) > 0
-
-
-def assert_spheres_match_reference(g):
+def assert_sphere_sets_match_reference(g):
     module = importlib.import_module("qsym.reduction")
-    classes = len(set(g.degree_sequence))
-    got = module._spheres(module._sphere_sets(g), classes)
-    want = reference_spheres(g)
-    assert got.dtype == np.uint8
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
-    for sub in (np.s_[:], np.s_[:, :1], np.s_[:, 1:]):
-        assert_same_array(module._exceeds(got[sub]), reference_exceeds(want[sub]))
+    assert module._sphere_sets(g) == reference_sphere_sets(g)
 
 
 PAST_64 = (
@@ -507,15 +489,15 @@ PAST_64 = (
 
 def test_spheres_match_the_distance_matrix_tensor_on_the_kernel_corpus():
     for g in kernel_corpus():
-        assert_spheres_match_reference(g)
-        assert_spheres_match_reference(complement(g))
+        assert_sphere_sets_match_reference(g)
+        assert_sphere_sets_match_reference(complement(g))
 
 
 @pytest.mark.parametrize("name", SPARSE_GALLERY)
 def test_spheres_match_the_distance_matrix_tensor_on_sparse_gallery(name):
     g = gallery(name)
-    assert_spheres_match_reference(g)
-    assert_spheres_match_reference(complement(g))
+    assert_sphere_sets_match_reference(g)
+    assert_sphere_sets_match_reference(complement(g))
 
 
 @pytest.mark.parametrize(
@@ -523,7 +505,7 @@ def test_spheres_match_the_distance_matrix_tensor_on_sparse_gallery(name):
     ids=lambda g: f"n{g.n}e{g.edge_count}",
 )
 def test_spheres_match_the_distance_matrix_tensor_on_edge_cases(g):
-    assert_spheres_match_reference(g)
+    assert_sphere_sets_match_reference(g)
 
 
 @pytest.mark.parametrize(
@@ -537,8 +519,8 @@ def test_zero_pattern_equals_the_reference_on_edge_cases(g):
 @given(graphs(max_n=10))
 @settings(max_examples=200, deadline=None)
 def test_spheres_match_the_distance_matrix_tensor_on_random_graphs(g):
-    assert_spheres_match_reference(g)
-    assert_spheres_match_reference(complement(g))
+    assert_sphere_sets_match_reference(g)
+    assert_sphere_sets_match_reference(complement(g))
 
 
 def test_zero_pattern_of_a_long_path_complement_is_quick():
