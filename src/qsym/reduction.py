@@ -33,7 +33,7 @@ marks the cells whose two ints differ.
 Which rule forced which cell (the *provenance*) matters only for display,
 so a pattern works it out on first read, per pair of classes of equal
 sets: the degree rule compares sphere 0, the distance-degree rule takes
-one AND-NOT of the spheres from 1 on, and the antipode tags what is left.
+an AND-NOT of the spheres from 1 on, and the antipode tags what is left.
 """
 
 from __future__ import annotations
@@ -212,23 +212,24 @@ def _rule_cells(
     expanded by the labels.  Sphere 0, the low ``classes`` bits, is
     {deg}: the degree rule compares its one bit.  The distance-degree
     rule forces (a, b) when the spheres from 1 on of class a have a bit
-    that b's lack, one AND-NOT per class over 64-bit words.  ``forced``
-    is the union of both rules and its mirror, so the cells it forces
-    that neither rule does are the antipode's."""
+    that b's lack: one AND-NOT per 32-bit word, for all pairs of classes
+    at once, so each step holds one word per pair.  ``forced`` is the
+    union of both rules and its mirror, so the cells it forces that
+    neither rule does are the antipode's."""
     low = (1 << classes) - 1
     degree = np.array([(row & low).bit_length() for row in sets], dtype=np.intp)[label]
     tails = [row >> classes for row in sets]
-    width = max(1, -(-max((t.bit_length() for t in tails), default=0) // 64))
-    words = np.frombuffer(b"".join(t.to_bytes(8 * width, "little") for t in tails), "<u8")
-    words = words.reshape(len(sets), width)
-    spare = ~words
-    exceeds = np.array([(row & spare).any(axis=1) for row in words], dtype=bool)
-    degree = degree[:, None] != degree[None, :]
-    distance = exceeds.reshape(len(sets), len(sets))[np.ix_(label, label)]
+    width = max(1, -(-max((t.bit_length() for t in tails), default=0) // 32))
+    words = np.frombuffer(b"".join(t.to_bytes(4 * width, "little") for t in tails), "<u4")
+    exceeds = np.zeros((len(sets), len(sets)), dtype=bool)
+    for word in words.reshape(len(sets), width).T:
+        exceeds |= (word[:, None] & ~word[None, :]) != 0
+    degree_cells = degree[:, None] != degree[None, :]
+    distance_cells = exceeds[np.ix_(label, label)]
     return [
-        (RULE_DEGREE, degree),
-        (RULE_DISTANCE_DEGREE, distance),
-        (RULE_ANTIPODE, forced & ~(degree | distance)),
+        (RULE_DEGREE, degree_cells),
+        (RULE_DISTANCE_DEGREE, distance_cells),
+        (RULE_ANTIPODE, forced & ~(degree_cells | distance_cells)),
     ]
 
 
