@@ -10,10 +10,9 @@ to vanish, and how the surviving cells split into blocks.
 
 import numpy as np
 
-from qsym import complete, cycle, path
+from qsym import blocks, complete, cycle, path, render_pattern, zero_pattern
 from qsym.gallery import gallery
 from qsym.products import cartesian, corona, corona_counts, direct, strong
-from qsym.reduction import blocks, render_pattern, zero_pattern
 
 k2, c4 = complete(2), cycle(4)
 

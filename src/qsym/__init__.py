@@ -41,15 +41,14 @@ from .products import (
     lexicographic,
     strong,
 )
-from .reduction import (
+from .reduction import BlockStructure, strip_high_degree_fixpoint
+from .pattern import (
     RULE_ANTIPODE,
     RULE_DEGREE,
     RULE_DISTANCE_DEGREE,
-    BlockStructure,
     ZeroPattern,
     blocks,
     render_pattern,
-    strip_high_degree_fixpoint,
     zero_pattern,
 )
 from .check import Status, verify_certificate

@@ -44,7 +44,7 @@ from .graphs import (
     is_tree,
 )
 from .products import PRODUCT_KINDS, corona, corona_counts, edge_rule_product
-from .reduction import zero_pattern
+from .pattern import zero_pattern
 
 __all__ = [
     "CensusRow",

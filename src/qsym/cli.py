@@ -50,7 +50,7 @@ from .errors import BadParams, ParseError, QsymError, SizeLimitExceeded
 from .formats import READABLE_FORMATS, WRITABLE_FORMATS, parse_graph, read_edges, write_graph
 from .gallery import describe_gallery, gallery
 from .graphs import Graph, build
-from .reduction import blocks, render_pattern, zero_pattern
+from .pattern import blocks, render_pattern, zero_pattern
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -234,8 +234,7 @@ def _cmd_pattern(args) -> int:
     if args.json:
         _emit(args, _json_text(_document(input=descriptor, pattern=_pattern_payload(g))))
     else:
-        text = render_pattern(g, zero_pattern(g))
-        _emit(args, text if text.endswith("\n") else text + "\n")
+        _emit(args, render_pattern(g, zero_pattern(g)) + "\n")
     return EXIT_OK
 
 

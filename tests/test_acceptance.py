@@ -51,7 +51,8 @@ from qsym.products import (
     lexicographic,
     strong,
 )
-from qsym.reduction import strip_high_degree_fixpoint, zero_pattern
+from qsym.pattern import zero_pattern
+from qsym.reduction import strip_high_degree_fixpoint
 
 from .conftest import small_corpus
 

@@ -97,8 +97,8 @@ from qsym.graphs import (
     star,
 )
 from qsym.products import PRODUCT_KINDS, cartesian, corona, direct, lexicographic, strong
-from qsym.reduction import blocks as pattern_blocks
-from qsym.reduction import zero_pattern
+from qsym.pattern import blocks as pattern_blocks
+from qsym.pattern import zero_pattern
 
 from .conftest import (
     SPARSE_GALLERY,

@@ -66,6 +66,7 @@ PUBLIC = [
     "lexicographic",
     "line_graph",
     "path",
+    "pattern",
     "products",
     "reduction",
     "render_pattern",
@@ -108,7 +109,19 @@ GONE = {
         "replay_all",
     ],
     "qsym.products": ["copies"],
-    "qsym.reduction": ["strip_high_degree", "ZeroPattern.count"],
+    "qsym.reduction": [
+        "strip_high_degree",
+        "CellRules",
+        "RULE_ANTIPODE",
+        "RULE_DEGREE",
+        "RULE_DISTANCE_DEGREE",
+        "ZeroPattern",
+        "_rule_cells",
+        "blocks",
+        "render_pattern",
+        "zero_pattern",
+    ],
+    "qsym.pattern": ["ZeroPattern.count"],
     "qsym.errors": ["K1Input"],
 }
 

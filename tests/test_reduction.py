@@ -7,6 +7,7 @@ brute-force automorphism list for the whole small corpus.
 
 import ast
 import importlib
+import importlib.util
 import inspect
 from collections import deque
 
@@ -379,7 +380,7 @@ def test_zero_pattern_equals_the_reference_on_random_graphs(g):
 def test_verdicts_work_out_no_provenance(monkeypatch, name):
     # the rule cells only explain a pattern for display; deciding and
     # re-checking a verdict reads the sphere-set classes alone
-    module = importlib.import_module("qsym.reduction")
+    module = importlib.import_module("qsym.pattern")
     calls = []
     real = module._rule_cells
     monkeypatch.setattr(
@@ -420,13 +421,14 @@ def test_the_legend_counts_cells_without_the_provenance():
 
 
 def test_pattern_takes_no_product_and_provenance_one_per_rule(monkeypatch):
-    # the rules are read off the sphere classes: the module takes no
-    # matrix product and names no float type
-    module = importlib.import_module("qsym.reduction")
-    tree = ast.parse(inspect.getsource(module))
-    assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree))
-    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert not names & {"dot", "matmul", "einsum", "float32", "float64"}
+    # the rules are read off the sphere classes: neither the display nor
+    # the walk it reads takes a matrix product or names a float type
+    for name in ("qsym.pattern", "qsym.reduction"):
+        tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+        assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree)), name
+        names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not names & {"dot", "matmul", "einsum", "float32", "float64"}, name
+    module = importlib.import_module("qsym.pattern")
     # the masks come one per rule, in rule order, built once
     masks = []
     real = module._rule_cells
@@ -443,6 +445,44 @@ def test_pattern_takes_no_product_and_provenance_one_per_rule(monkeypatch):
         RULE_DEGREE, RULE_DISTANCE_DEGREE, RULE_ANTIPODE,
     ]
     assert all(mask.shape == (g.n, g.n) for _, mask in masks[0])
+
+
+@pytest.mark.parametrize(
+    "g", [edgeless(0), edgeless(1), fig7_graph()], ids=["n0", "n1", "fig7"]
+)
+def test_patterns_compare_by_identity_and_hash(g):
+    # the forced arrays have no single truth value, so a pattern is
+    # equal only to itself
+    p, q = zero_pattern(g), zero_pattern(g)
+    assert p == p
+    assert p != q
+    assert hash(p) == hash(p)
+    assert len({p, q}) == 2
+
+
+def test_reduction_holds_only_what_the_checker_runs():
+    # the checker loads reduction, so the display and numpy stay out of it
+    tree = ast.parse(inspect.getsource(importlib.import_module("qsym.reduction")))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = importlib.util.resolve_name("." * node.level + (node.module or ""), "qsym")
+            imported |= {base} | {f"{base}.{alias.name}" for alias in node.names}
+    assert "numpy" not in {name.split(".")[0] for name in imported}
+    assert "qsym.pattern" not in imported
+    defined = {
+        node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert not any(isinstance(node, (ast.Assign, ast.AnnAssign)) for node in tree.body)
+    assert defined == {
+        "BlockStructure",
+        "_sphere_sets",
+        "sphere_blocks",
+        "_high_degree",
+        "strip_high_degree_fixpoint",
+    }
 
 
 # ---------------------------------------------------------------------------
