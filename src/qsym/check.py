@@ -2,13 +2,13 @@
 
 A determined verdict on a graph stands on a certificate: a small frozen
 record whose ``holds(g)`` re-checks its premises against the graph from
-scratch, and whose kind :data:`CERTIFIED_STATUS` ties to the one status
-it can stand behind.  :func:`verify_certificate` is the whole checker.
-It reads a verdict's ``target``, ``status`` and ``certificate``, and
-nothing else, so trusting a verdict means trusting this module and the
-graph and reduction code it calls, never the rule engine in
-:mod:`qsym.classify` that found the certificate, nor the automorphism
-search: pairs are re-checked, and a forest's read off its branch forms.
+scratch, and whose ``entails`` states the claim it stands behind.
+:func:`verify_certificate` is the whole checker.  It reads a verdict's
+``target``, ``status`` and ``certificate``, and nothing else, so
+trusting a verdict means trusting this module and the graph and
+reduction code it calls, never the rule engine in :mod:`qsym.classify`
+that found the certificate, nor the automorphism search: pairs are
+re-checked, and a forest's read off its branch forms.
 """
 
 from __future__ import annotations
@@ -35,20 +35,6 @@ class Status(str, enum.Enum):
         return self.value
 
 
-#: The status each certificate kind can stand behind.  A
-#: ``quadrangle-free`` certificate stands behind whatever its companion
-#: does, since on a quadrangle-free graph the two algebras coincide.
-CERTIFIED_STATUS: dict[str, Status] = {
-    "disjoint-pair": Status.NONCOMMUTATIVE,
-    "edge-free-pair": Status.NONCOMMUTATIVE,
-    "small-order": Status.COMMUTATIVE,
-    "quadrangle-free-complement": Status.COMMUTATIVE,
-    "forest-no-disjoint-pair": Status.COMMUTATIVE,
-    "strip": Status.COMMUTATIVE,
-    "small-blocks": Status.COMMUTATIVE,
-}
-
-
 # ---------------------------------------------------------------------------
 # certificates
 
@@ -59,7 +45,14 @@ class Certificate:
 
     ``payload`` serialises any of them: ``kind`` first, then the fields in
     declaration order, leaving out those that are None.  ``holds``
-    re-checks the certificate's premises against a graph from scratch."""
+    re-checks the certificate's premises against a graph from scratch.
+    ``status`` is the one status a kind stands behind (Commutative unless
+    it says otherwise), by default for both algebras (``entails``)."""
+
+    status = Status.COMMUTATIVE
+
+    def entails(self, fine: bool, status: Status) -> bool:
+        return status is self.status
 
     def payload(self, labels: Sequence[str] | None = None) -> dict:
         out = {"kind": self.kind}  # type: ignore[attr-defined]
@@ -90,15 +83,17 @@ def _payload_value(value, labels: Sequence[str] | None):
 @dataclass(frozen=True)
 class _Pair(Certificate):
     """Two non-trivial automorphisms with disjoint supports; with
-    ``edge_free`` set, no edge may join the two supports either."""
+    ``edge_free`` set, no edge may join the two supports either, which
+    the fine algebra needs: bare, a pair shows only the coarse one."""
 
     sigma: Permutation
     tau: Permutation
     edge_free = False
+    status = Status.NONCOMMUTATIVE
 
     def holds(self, g: Graph) -> bool:
         s, t = self.sigma, self.tau
-        if len(s.images) != g.n or len(t.images) != g.n:
+        if not all(isinstance(p, Permutation) and len(p.images) == g.n for p in (s, t)):
             return False
         if s.is_identity or t.is_identity:
             return False
@@ -111,6 +106,9 @@ class _Pair(Certificate):
 @dataclass(frozen=True)
 class DisjointPair(_Pair):
     kind: str = field(default="disjoint-pair", init=False)
+
+    def entails(self, fine: bool, status: Status) -> bool:
+        return not fine and status is self.status
 
 
 @dataclass(frozen=True)
@@ -128,40 +126,58 @@ class SmallOrder(Certificate):
         return g.n == self.n and g.n <= 3
 
 
+def _supports(member, fine: bool, status: Status) -> bool:
+    """A nested member that is None, or not a certificate, supports nothing."""
+    return isinstance(member, Certificate) and member.entails(fine, status)
+
+
 @dataclass(frozen=True)
-class QuadrangleFreeComplement(Certificate):
-    """The complement is quadrangle-free; ``companion``, when given, shows
-    the complement's fine algebra commutative."""
+class _QuadrangleFree(Certificate):
+    """The graph, or its complement with ``of_complement`` set, is quadrangle-free."""
 
     companion: Certificate | None = None
-    kind: str = field(default="quadrangle-free-complement", init=False)
+    of_complement = False
 
     def holds(self, g: Graph) -> bool:
-        h = complement(g)
+        h = complement(g) if self.of_complement else g
         if contains_quadrangle(h):
             return False
-        return self.companion is None or self.companion.holds(h)
+        companion = self.companion
+        return companion is None or isinstance(companion, Certificate) and companion.holds(h)
 
 
 @dataclass(frozen=True)
-class QuadrangleFreeSelf(Certificate):
-    """The graph is quadrangle-free, so the verdict carries over from the
-    other target; ``companion`` is that target's certificate when known."""
+class QuadrangleFreeComplement(_QuadrangleFree):
+    """The complement is quadrangle-free.  Bare, this shows the fine algebra
+    commutative; a ``companion`` showing the complement's fine algebra
+    commutative shows the coarse one too: on a quadrangle-free complement
+    the two algebras coincide, and the coarse one is complement-invariant."""
 
-    companion: Certificate | None = None
+    kind: str = field(default="quadrangle-free-complement", init=False)
+    of_complement = True
+
+    def entails(self, fine: bool, status: Status) -> bool:
+        return status is self.status and (fine or _supports(self.companion, True, status))
+
+
+@dataclass(frozen=True)
+class QuadrangleFreeSelf(_QuadrangleFree):
+    """The graph is quadrangle-free, so its two algebras coincide and the
+    other target's verdict, on ``companion`` when known, carries over."""
+
     kind: str = field(default="quadrangle-free", init=False)
+    status = None
 
-    def holds(self, g: Graph) -> bool:
-        if contains_quadrangle(g):
-            return False
-        return self.companion is None or self.companion.holds(g)
+    def entails(self, fine: bool, status: Status) -> bool:
+        return any(_supports(self.companion, f, status) for f in (True, False))
 
 
 @dataclass(frozen=True)
 class ForestNoDisjointPair(Certificate):
     """A forest with no disjoint pair (``edge_free_only=False``), or none
     without edges between the supports (``edge_free_only=True``): the same
-    in a forest (see :func:`qsym.graphs.forest_has_disjoint_pair`)."""
+    in a forest (see :func:`qsym.graphs.forest_has_disjoint_pair`).  The
+    latter shows only the fine algebra commutative."""
 
     edge_free_only: bool = False
     kind: str = field(default="forest-no-disjoint-pair", init=False)
@@ -169,9 +185,14 @@ class ForestNoDisjointPair(Certificate):
     def holds(self, g: Graph) -> bool:
         return is_forest(g) and not forest_has_disjoint_pair(g)
 
+    def entails(self, fine: bool, status: Status) -> bool:
+        return status is self.status and (fine or not self.edge_free_only)
+
 
 @dataclass(frozen=True)
 class StripToCommutative(Certificate):
+    """Stripping keeps the fine algebra only: the core's fine verdict is the graph's."""
+
     chain: tuple[tuple[int, ...], ...]
     terminal: Certificate
     kind: str = field(default="strip", init=False)
@@ -179,6 +200,9 @@ class StripToCommutative(Certificate):
     def holds(self, g: Graph) -> bool:
         terminal, chain = strip_high_degree_fixpoint(g)
         return chain == self.chain and self.terminal.holds(terminal)
+
+    def entails(self, fine: bool, status: Status) -> bool:
+        return fine and status is self.status and _supports(self.terminal, True, status)
 
 
 @dataclass(frozen=True)
@@ -204,47 +228,16 @@ def _blocks_small_enough(sizes: tuple[int, ...]) -> bool:
 def verify_certificate(g: Graph, verdict) -> bool:
     """Re-check a verdict's certificate against the graph from scratch.
 
-    ``verdict`` is anything with ``target``, ``status`` and
-    ``certificate``, such as a :class:`qsym.classify.Verdict`.  Returns
-    True when the certificate can stand behind the verdict's status (see
-    :data:`CERTIFIED_STATUS`) on its target, one of ``bic``, ``ban`` and
-    ``bic_complement``, and its premises hold of ``g``; raises
+    ``verdict`` is anything with ``target``, ``status`` and ``certificate``,
+    such as a :class:`qsym.classify.Verdict`.  Returns True when the
+    certificate entails the verdict's status on its target, one of ``bic``,
+    ``ban`` and ``bic_complement``, and its premises hold of ``g``; raises
     nothing for a merely wrong certificate (that returns False)."""
-    cert = verdict.certificate
-    if cert is None:
-        return verdict.status is Status.UNKNOWN
-    return _entails(cert, verdict.target, verdict.status) and cert.holds(g)
-
-
-def _entails(cert: Certificate, target: str, status: Status) -> bool:
-    """Whether a certificate of this kind supports the claim that the
-    ``target`` algebra has ``status``.
-
-    Bare, a disjoint pair shows only the coarse algebra non-commutative
-    (the fine one also needs the supports joined by no edge).  A forest
-    without an edge-free disjoint pair, a strip (which rests on a fine
-    verdict about the stripped core) and a bare quadrangle-free
-    complement show only the fine one commutative.  With a companion
-    showing the complement's fine algebra commutative, the last shows
-    the coarse one commutative too: on a quadrangle-free complement the
-    two algebras coincide, and the coarse one is complement-invariant.
-    Under a quadrangle-free wrapper the two algebras coincide, so the
-    companion may stand for either target.  A missing companion, or a
-    target other than ``bic``, ``ban`` and ``bic_complement``, supports
-    nothing."""
-    if target not in (TARGET_BIC, TARGET_BAN, TARGET_BIC_COMPLEMENT):
-        return False
-    if isinstance(cert, QuadrangleFreeSelf):
-        return any(_entails(cert.companion, t, status) for t in (TARGET_BIC, TARGET_BAN))
-    if CERTIFIED_STATUS.get(getattr(cert, "kind", None)) is not status:
-        return False
-    fine = target != TARGET_BAN
-    if isinstance(cert, DisjointPair):
-        return not fine
-    if isinstance(cert, ForestNoDisjointPair):
-        return fine or not cert.edge_free_only
-    if isinstance(cert, QuadrangleFreeComplement):
-        return fine or _entails(cert.companion, TARGET_BIC, status)
-    if isinstance(cert, StripToCommutative):
-        return fine and _entails(cert.terminal, TARGET_BIC, status)
-    return True
+    cert, target = verdict.certificate, verdict.target
+    if not isinstance(cert, Certificate):
+        return cert is None and verdict.status is Status.UNKNOWN
+    return (
+        target in (TARGET_BIC, TARGET_BAN, TARGET_BIC_COMPLEMENT)
+        and cert.entails(target != TARGET_BAN, verdict.status)
+        and cert.holds(g)
+    )

@@ -27,10 +27,10 @@ A rule only searches: asked about one target, it returns ``(certificate,
 detail)`` when it fires, the reason it did not fire as a string, or None
 when it does not apply (no provenance, or no pairless forest).  ``_run``
 alone logs ``"<target> <rule>: fired (<detail>)"`` or ``"<target> <rule>:
-<reason>"`` and builds the verdict, whose status is the one
-:data:`CERTIFIED_STATUS` gives the certificate's kind.  The pair rules'
-detail is their pair's cycle notation, which the log keeps as the
-certificate and :attr:`Report.trace` writes out when it is first read.
+<reason>"`` and builds the verdict, whose status is the one the
+certificate's kind stands behind.  The pair rules' detail is their pair's
+cycle notation, which the log keeps as the certificate and
+:attr:`Report.trace` writes out when it is first read.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .automorphisms import (
     transposition,
 )
 from .check import (
-    CERTIFIED_STATUS,
     TARGET_BAN,
     TARGET_BIC,
     TARGET_BIC_COMPLEMENT,
@@ -549,8 +548,7 @@ _PIPELINES = {
 
 
 def _run(ctx: _Ctx, t: str) -> Verdict:
-    """The one place a finding becomes a trace line and a verdict, whose
-    status is the one :data:`CERTIFIED_STATUS` gives the certificate."""
+    """The one place a finding becomes a trace line and a verdict."""
     for rule, find in _PIPELINES[t]:
         found = find(ctx, t)
         if isinstance(found, str):
@@ -558,7 +556,7 @@ def _run(ctx: _Ctx, t: str) -> Verdict:
         elif found is not None:
             cert, detail = found
             ctx.log(t, rule, cert if detail is None else f"fired ({detail})")
-            return Verdict(t, CERTIFIED_STATUS[cert.kind], cert, CITATIONS[rule])
+            return Verdict(t, cert.status, cert, CITATIONS[rule])
     return Verdict(t, Status.UNKNOWN)
 
 
@@ -615,7 +613,15 @@ def classify(g: Graph, node_budget: int | None = None) -> Report:
     """
     ctx = _Ctx(g, _Shared(g, node_budget))
     bic, ban, elapsed_ms = _classify(ctx)
-    return _report(ctx, bic, ban, elapsed_ms)
+    return Report(
+        graph=g,
+        bic=bic,
+        ban=ban,
+        bic_complement=None,
+        events=tuple(ctx.trace),
+        notes=tuple(ctx.notes),
+        elapsed_ms=elapsed_ms,
+    )
 
 
 def _classify(ctx: _Ctx) -> tuple[Verdict, Verdict, float]:
@@ -623,28 +629,6 @@ def _classify(ctx: _Ctx) -> tuple[Verdict, Verdict, float]:
     started = time.perf_counter()
     bic, ban = _transfer(ctx, _run(ctx, TARGET_BIC), _run(ctx, TARGET_BAN))
     return bic, ban, (time.perf_counter() - started) * 1000.0
-
-
-def _report(
-    ctx: _Ctx,
-    bic: Verdict,
-    ban: Verdict,
-    elapsed_ms: float,
-    bic_complement: Verdict | None = None,
-    events: Sequence[_Event] = (),
-    notes: tuple[str, ...] = (),
-) -> Report:
-    """The report on ``ctx``'s graph: its own trace and notes, then
-    ``events`` and ``notes``."""
-    return Report(
-        graph=ctx.g,
-        bic=bic,
-        ban=ban,
-        bic_complement=bic_complement,
-        events=(*ctx.trace, *events),
-        notes=tuple(ctx.notes) + notes,
-        elapsed_ms=elapsed_ms,
-    )
 
 
 def classify_with_complement(g: Graph, node_budget: int | None = None) -> Report:
@@ -661,7 +645,6 @@ def classify_with_complement(g: Graph, node_budget: int | None = None) -> Report
     bic, ban, elapsed_ms = _classify(ctx)
     comp = ctx.complement
     comp_bic, _, comp_ms = _classify(comp)
-    notes = []
     both_commutative = (
         bic.status is Status.COMMUTATIVE and comp_bic.status is Status.COMMUTATIVE
     )
@@ -676,13 +659,13 @@ def classify_with_complement(g: Graph, node_budget: int | None = None) -> Report
                 CITATIONS[R_QF],
                 note="complement-invariance settles the coarse algebra",
             )
-        notes.append("no quantum symmetry: both fine algebras are commutative")
-    return _report(
-        ctx,
-        bic,
-        ban,
-        elapsed_ms + comp_ms,
+        ctx.notes.append("no quantum symmetry: both fine algebras are commutative")
+    return Report(
+        graph=g,
+        bic=bic,
+        ban=ban,
         bic_complement=replace(comp_bic, target=TARGET_BIC_COMPLEMENT),
-        events=comp.trace,
-        notes=(*notes, *comp.notes),
+        events=(*ctx.trace, *comp.trace),
+        notes=(*ctx.notes, *comp.notes),
+        elapsed_ms=elapsed_ms + comp_ms,
     )

@@ -281,10 +281,12 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_gallery(args) -> int:
-    if not args.name:
-        _emit(args, describe_gallery() + "\n")
-        return EXIT_OK
-    return _graph_output(args, gallery(args.name))
+    if args.name:
+        return _graph_output(args, gallery(args.name))
+    if args.json:
+        raise BadParams("gallery --json needs a NAME")
+    _emit(args, describe_gallery() + "\n")
+    return EXIT_OK
 
 
 def _cmd_census(args) -> int:

@@ -17,9 +17,16 @@ import pytest
 
 import qsym
 from qsym.census import SplitMix64, random_graph
-from qsym.check import ForestNoDisjointPair, Status, verify_certificate
+from qsym.check import (
+    DisjointPair,
+    ForestNoDisjointPair,
+    QuadrangleFreeComplement,
+    QuadrangleFreeSelf,
+    Status,
+    verify_certificate,
+)
 from qsym.classify import classify_with_complement
-from qsym.graphs import complement, edgeless, path, star
+from qsym.graphs import complement, complete, cycle, edgeless, path, star
 
 _FENCED = """
 import sys
@@ -99,3 +106,15 @@ def test_a_target_outside_the_three_supports_nothing():
                 assert not verify_certificate(g, _claim(target, verdict.status, cert))
             kinds[cert.kind] += 1
     assert {"strip", "quadrangle-free-complement", "disjoint-pair"} <= set(kinds), kinds
+
+
+def test_a_malformed_certificate_is_rejected_not_raised():
+    # a companion that is not a certificate, and a pair of image tuples
+    # where permutations belong, are merely wrong: the checker says no
+    k4, c4 = complete(4), cycle(4)
+    for wrapper in (QuadrangleFreeComplement, QuadrangleFreeSelf):
+        for target in ("bic", "ban"):
+            claim = _claim(target, Status.COMMUTATIVE, wrapper(companion="x"))
+            assert not verify_certificate(k4, claim)
+    pair = DisjointPair((2, 1, 0, 3), (0, 3, 2, 1))
+    assert not verify_certificate(c4, _claim("ban", Status.NONCOMMUTATIVE, pair))

@@ -14,6 +14,7 @@ import importlib
 import json
 import random
 import weakref
+from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
@@ -30,7 +31,6 @@ from qsym.automorphisms import (
     twin_transpositions,
 )
 from qsym.check import (
-    CERTIFIED_STATUS,
     TARGET_BAN,
     TARGET_BIC,
     TARGET_BIC_COMPLEMENT,
@@ -1334,7 +1334,7 @@ def test_flipping_a_decided_status_is_rejected():
         flipped = dataclasses.replace(verdict, status=flip[verdict.status])
         assert not verify_certificate(h, flipped), flipped
         kinds.add(verdict.certificate.kind)
-    assert kinds == set(CERTIFIED_STATUS) | {"quadrangle-free"}
+    assert kinds == {kind.kind for kind in _KINDS}
 
 
 def _settled(fine: Status, coarse: Status) -> dict[str, Status]:
@@ -1371,6 +1371,83 @@ def test_no_certificate_verifies_a_claim_that_contradicts_a_verdict():
                     assert not (ok and settled[target] is flip[status]), (claim, h)
                     accepted += ok
     assert accepted > 3000
+
+
+#: Every certificate kind.
+_KINDS = (
+    DisjointPair, EdgeFreePair, SmallOrder, QuadrangleFreeComplement,
+    QuadrangleFreeSelf, ForestNoDisjointPair, StripToCommutative, SmallBlocks,
+)
+
+#: The claim each kind stood behind before the kinds stated their own:
+#: the checker's table and its type cascade, kept as the reference.
+_REF_STATUS = {
+    "disjoint-pair": NC,
+    "edge-free-pair": NC,
+    "small-order": C,
+    "quadrangle-free-complement": C,
+    "forest-no-disjoint-pair": C,
+    "strip": C,
+    "small-blocks": C,
+}
+
+
+def _ref_entails(cert, target, status) -> bool:
+    if target not in (TARGET_BIC, TARGET_BAN, TARGET_BIC_COMPLEMENT):
+        return False
+    if isinstance(cert, QuadrangleFreeSelf):
+        return any(_ref_entails(cert.companion, t, status) for t in (TARGET_BIC, TARGET_BAN))
+    if _REF_STATUS.get(getattr(cert, "kind", None)) is not status:
+        return False
+    fine = target != TARGET_BAN
+    if isinstance(cert, DisjointPair):
+        return not fine
+    if isinstance(cert, ForestNoDisjointPair):
+        return fine or not cert.edge_free_only
+    if isinstance(cert, QuadrangleFreeComplement):
+        return fine or _ref_entails(cert.companion, TARGET_BIC, status)
+    if isinstance(cert, StripToCommutative):
+        return fine and _ref_entails(cert.terminal, TARGET_BIC, status)
+    return True
+
+
+def _claim_cases():
+    """(graph, certificate): every decided certificate of the sweep on its
+    graph; then, on a few graphs of order 4 or 5, each bare kind, and
+    each kind and None under each of the three wrappers (the strip's
+    chain is that of the star, whose core is three isolated points)."""
+    for h, verdict in _status_sweep():
+        yield h, verdict.certificate
+    bare = (
+        DisjointPair(_S01, _S23), EdgeFreePair(_S01, _S23), SmallOrder(4),
+        QuadrangleFreeComplement(), QuadrangleFreeSelf(),
+        ForestNoDisjointPair(), ForestNoDisjointPair(edge_free_only=True),
+        StripToCommutative(((0,),), SmallOrder(3)), SmallBlocks(((0,), (1,), (2,), (3,))),
+    )
+    star3 = build(4, [(0, 1), (0, 2), (0, 3)])
+    for h in (complete(4), build(4, [(0, 1), (2, 3)]), cycle(4), star3, path(3), cycle(5)):
+        for member in (*bare, None):
+            if member is not None:
+                yield h, member
+            yield h, QuadrangleFreeComplement(companion=member)
+            yield h, QuadrangleFreeSelf(companion=member)
+            yield h, StripToCommutative(((0,),), member)
+
+
+def test_each_kind_states_the_claim_the_reference_gives_it():
+    # every certificate, on every target (two of them none of the three)
+    # and with every status, is accepted exactly when the reference
+    # entails the claim and the certificate holds
+    targets = (TARGET_BIC, TARGET_BAN, TARGET_BIC_COMPLEMENT, "BAN", "")
+    outcomes = collections.Counter()
+    for h, cert in _claim_cases():
+        for target in targets:
+            for status in (C, NC, U):
+                claim = SimpleNamespace(target=target, status=status, certificate=cert)
+                expected = _ref_entails(cert, target, status) and cert.holds(h)
+                assert verify_certificate(h, claim) is expected, (claim, h)
+                outcomes[expected] += 1
+    assert outcomes[True] > 3000 and outcomes[False] > 30000, outcomes
 
 
 _TWO = 2 * np.eye(2, dtype=np.int64)

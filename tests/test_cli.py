@@ -287,6 +287,15 @@ def test_wreath_hypothesis_failure_is_exit_3(capsys):
     assert "dominating" in err
 
 
+def test_gallery_json_without_a_name_is_exit_3(capsys):
+    # the listing is plain text, so --json with no name has nothing to
+    # write as JSON; with a name the graph comes out as JSON
+    rc, out, err = run(capsys, "gallery", "--json")
+    assert (rc, out) == (3, "")
+    assert err == "qsym: gallery --json needs a NAME\n"
+    assert run_json(capsys, "gallery", "c4", "--json")["graph"]["format"] == "edges"
+
+
 def test_unknown_gallery_name_is_exit_3(capsys):
     rc, _, err = run(capsys, "analyze", "--gallery", "petersen")
     assert rc == 3

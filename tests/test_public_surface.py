@@ -122,6 +122,8 @@ GONE = {
         "zero_pattern",
     ],
     "qsym.pattern": ["ZeroPattern.count"],
+    "qsym.check": ["CERTIFIED_STATUS", "_entails"],
+    "qsym.classify": ["_report"],
     "qsym.errors": ["K1Input"],
 }
 
